@@ -24,7 +24,9 @@ from .subspace import (
     WPCAFit,
     sample_covariance,
     symmetric_eigh,
+    winsorized_second_moments,
     fit_pc_subspace,
+    fit_pc_path,
     principal_angles,
     sin_theta_operator,
 )
@@ -34,6 +36,7 @@ from .bounds import (
     BoundReport,
     estimate_winsorized_eigenvalues,
     sample_winsorized_spectrum,
+    sample_winsorized_spectra,
     concentration_bound_elliptical,
     concentration_bound_subgaussian,
     asymptotic_rate,
@@ -79,7 +82,9 @@ __all__ = [
     "WPCAFit",
     "sample_covariance",
     "symmetric_eigh",
+    "winsorized_second_moments",
     "fit_pc_subspace",
+    "fit_pc_path",
     "principal_angles",
     "sin_theta_operator",
     "PopulationModel",
@@ -88,6 +93,7 @@ __all__ = [
     "BoundReport",
     "estimate_winsorized_eigenvalues",
     "sample_winsorized_spectrum",
+    "sample_winsorized_spectra",
     "concentration_bound_elliptical",
     "concentration_bound_subgaussian",
     "asymptotic_rate",

@@ -1,4 +1,5 @@
-"""Hot loops with numba-compiled and pure-numpy implementations.
+"""Hot loops with numba-compiled and pure-numpy implementations, and a
+partial symmetric eigensolver.
 
 Two kernels dominate runtime at simulation scale: rescaling every row of a
 data matrix onto a centered ball (winsorization), and accumulating the
@@ -6,17 +7,22 @@ per-coordinate terms of the winsorized second-moment estimator over a large
 batch of draws.  Both are compiled with numba when it is importable; setting
 the environment variable ``WINPCA_NO_NUMBA`` to a truthy value at import time
 forces the numpy implementations instead.  The two paths agree to floating
-point roundoff and are benchmarked against each other in
-``benchmarks/bench_kernels.py``.
+point roundoff; ``perfbench/`` measures the package end to end.
+
+``top_eigh`` solves for the leading eigenpairs only, through LAPACK's
+``dsyevr`` (MRRR) in numpy's bundled OpenBLAS when that library exports it,
+and through a full ``numpy.linalg.eigh`` otherwise.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 
 import numpy as np
 
-__all__ = ["using_numba", "winsorize_rows", "winsorized_term_sums"]
+__all__ = ["using_numba", "winsorize_rows", "winsorized_term_sums", "top_eigh"]
 
 # Rows whose norm exceeds the radius by less than this relative slack are
 # left untouched, so reapplying the transform is an exact no-op.
@@ -126,3 +132,85 @@ def winsorized_term_sums(y: np.ndarray, lam: np.ndarray, r2: float):
     if _HAVE_NUMBA:
         return _winsorized_term_sums_numba(y, lam, r2)
     return _winsorized_term_sums_numpy(y, lam, r2)
+
+
+# Negative eigenvalues of a positive semidefinite matrix within this
+# relative roundoff of the largest are reported as exactly zero.
+NEG_EIG_REL_TOL = 1e-10
+
+
+def _fix_column_signs(V: np.ndarray) -> np.ndarray:
+    # Deterministic orientation: largest-magnitude entry of each column positive.
+    idx = np.argmax(np.abs(V), axis=0)
+    signs = np.sign(V[idx, np.arange(V.shape[1])])
+    signs[signs == 0] = 1.0
+    return V * signs
+
+
+def descending_eigenpairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse ascending eigenpairs, clamp roundoff negatives, orient columns."""
+    w = w[::-1].copy()
+    top = w[0] if w.size else 0.0
+    if top > 0:
+        w[(w < 0) & (w >= -NEG_EIG_REL_TOL * top)] = 0.0
+    return w, _fix_column_signs(V[:, ::-1])
+
+
+def _load_dsyevr():
+    """``LAPACKE_dsyevr`` (64-bit integers) from numpy's bundled OpenBLAS, or None.
+
+    Only numpy wheels bundle ``libscipy_openblas64_``; builds against
+    Accelerate, MKL or a system BLAS get None and the eigh fallback.
+    """
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas64_*"))):
+        try:
+            fn = ctypes.CDLL(path).scipy_LAPACKE_dsyevr64_
+        except (OSError, AttributeError):
+            continue
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
+                       i64, ptr, i64, ctypes.c_double, ctypes.c_double, i64, i64,
+                       ctypes.c_double, ctypes.POINTER(i64), ptr, ptr, i64, ptr]
+        fn.restype = i64
+        return fn
+    return None
+
+
+_LAPACKE_DSYEVR = _load_dsyevr()
+_LAPACK_COL_MAJOR = 102
+
+
+def top_eigh(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading ``k`` eigenpairs of a symmetric matrix, eigenvalues descending.
+
+    Only the lower triangle of ``S`` is read.  Returns ``(w, V)`` with ``w``
+    of length k and ``V`` of shape p x k; post-processing matches
+    ``subspace.symmetric_eigh``: roundoff negatives within 1e-10 of the
+    largest eigenvalue are clamped to zero and each column's
+    largest-magnitude entry is positive.
+    """
+    # A private copy: dsyevr overwrites its input.
+    A = np.array(S, dtype=np.float64, order="F")
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    p, k = A.shape[0], int(k)
+    if not 1 <= k <= p:
+        raise ValueError(f"need 1 <= k <= p={p} eigenpairs, got k={k}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix contains non-finite entries")
+    if _LAPACKE_DSYEVR is None:
+        w, V = np.linalg.eigh(A)
+        return descending_eigenpairs(w[p - k:], V[:, p - k:])
+    w = np.empty(p)
+    Z = np.empty((p, k), order="F")
+    isuppz = np.empty(2 * k, dtype=np.int64)
+    found = ctypes.c_int64(0)
+    info = _LAPACKE_DSYEVR(
+        _LAPACK_COL_MAJOR, b"V", b"I", b"L", p, A.ctypes.data, p, 0.0, 0.0,
+        p - k + 1, p, 0.0, ctypes.byref(found), w.ctypes.data, Z.ctypes.data, p,
+        isuppz.ctypes.data)
+    if info != 0 or found.value != k:
+        raise np.linalg.LinAlgError(
+            f"dsyevr failed (info={info}, {found.value} of {k} eigenpairs)")
+    return descending_eigenpairs(w[:k], Z)

@@ -17,13 +17,15 @@ import numpy as np
 
 from ._kernels import winsorized_term_sums
 from .distributions import PopulationModel, make_rng
-from .transform import as_data_matrix, winsorize_dataset
+from .subspace import winsorized_second_moments
+from .transform import as_data_matrix
 
 __all__ = [
     "WinsorizedSpectrum",
     "BoundReport",
     "estimate_winsorized_eigenvalues",
     "sample_winsorized_spectrum",
+    "sample_winsorized_spectra",
     "concentration_bound_elliptical",
     "concentration_bound_subgaussian",
     "asymptotic_rate",
@@ -149,11 +151,25 @@ def estimate_winsorized_eigenvalues(
 
 def sample_winsorized_spectrum(X, r: float) -> WinsorizedSpectrum:
     """Eigenvalues of the winsorized sample covariance of ``X`` at radius ``r``."""
+    return sample_winsorized_spectra(X, [r])[0]
+
+
+def sample_winsorized_spectra(X, radii) -> list[WinsorizedSpectrum]:
+    """sample_winsorized_spectrum at every radius of a grid, in the order given.
+
+    ``X`` is validated once, the covariances come from one
+    ``winsorized_second_moments`` call and their eigenvalues from one stacked
+    ``eigvalsh``; each spectrum still passes every ``WinsorizedSpectrum``
+    check.
+    """
     A = as_data_matrix(X)
-    W = winsorize_dataset(A, r)
-    vals = np.linalg.eigvalsh(W.T @ W / W.shape[0])[::-1].copy()
+    radii = np.asarray(radii, dtype=np.float64)
+    if not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ValueError(f"winsorization radii must be finite and positive, got {radii}")
+    vals = np.linalg.eigvalsh(winsorized_second_moments(A, radii))[:, ::-1].copy()
     np.clip(vals, 0.0, None, out=vals)
-    return WinsorizedSpectrum(values=vals, radius=float(r), source="sample")
+    return [WinsorizedSpectrum(values=v, radius=float(r), source="sample")
+            for v, r in zip(vals, radii)]
 
 
 def _check_eps(eps: float) -> float:

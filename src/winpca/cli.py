@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import inspect
 import math
 import os
 import sys
@@ -34,14 +35,7 @@ from .bounds import (
     asymptotic_rate,
     perturbation_bound,
 )
-from .experiments import (
-    PRESETS,
-    format_value,
-    run_breakdown_bounds,
-    run_effect_of_radius,
-    run_high_dim,
-    run_perturbation_sweep,
-)
+from .experiments import PRESETS, format_value
 from .subspace import fit_pc_subspace, principal_angles
 from .transform import RadiusSpec
 
@@ -297,32 +291,30 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     preset = args.preset
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    seed = args.seed
-    jobs = args.jobs
-    if preset == "fig1":
-        table = run_effect_of_radius(
-            scale=args.scale if args.scale is not None else 1.0,
-            seed=seed, jobs=jobs)
-    elif preset == "fig2":
-        table = run_high_dim(
-            scale=args.scale if args.scale is not None else 0.2,
-            seed=seed,
-            replications=args.replications if args.replications else 10,
-            jobs=jobs)
-    elif preset == "fig3":
-        if args.replications:
-            reps = args.replications
-        elif args.scale is not None:
-            reps = max(1, round(1000 * args.scale))
+    run = PRESETS[preset]
+    # Flags the preset does not take keep its own defaults.
+    params = inspect.signature(run).parameters
+    kwargs = {"seed": args.seed}
+    if "jobs" in params:
+        kwargs["jobs"] = args.jobs
+    ignored = []
+    if args.scale is not None:
+        if "scale" in params:
+            kwargs["scale"] = args.scale
+        elif "replications" in params:
+            # A preset without a size parameter scales its replication count.
+            default = params["replications"].default
+            kwargs["replications"] = max(1, round(default * args.scale))
         else:
-            reps = 1000
-        table = run_breakdown_bounds(seed=seed, replications=reps, jobs=jobs)
-    else:
-        if args.scale is not None or args.replications:
-            print("note: fig4 is a single-dataset sweep; --scale/--replications ignored",
-                  file=sys.stderr)
-        table = run_perturbation_sweep(seed=seed)
-    _emit(table.csv_text(), args.out)
+            ignored.append("--scale")
+    if args.replications:
+        if "replications" in params:
+            kwargs["replications"] = args.replications
+        else:
+            ignored.append("--replications")
+    if ignored:
+        print(f"note: {preset} takes no {' or '.join(ignored)}; ignored", file=sys.stderr)
+    _emit(run(**kwargs).csv_text(), args.out)
     return 0
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .bounds import (
     perturbation_bound,
+    sample_winsorized_spectra,
     sample_winsorized_spectrum,
     wpca_breakdown_lower_bounds,
 )
@@ -40,7 +41,7 @@ from .simulate import (
     apply_contamination,
     map_replications,
 )
-from .subspace import fit_pc_subspace, principal_angles
+from .subspace import fit_pc_path, fit_pc_subspace, principal_angles
 from .transform import RadiusSpec, row_norms
 
 __all__ = [
@@ -154,8 +155,10 @@ def run_effect_of_radius(
         table.metadata[f"r_grid_{dist}"] = (
             f"geomspace({format_value(grid[0])},{format_value(grid[-1])},{n_radii})"
         )
+        # The grid plus the no-winsorize endpoint.
+        path = np.append(grid, math.inf)
 
-        def one(rep: int, model=model, di=di, grid=grid) -> np.ndarray:
+        def one(rep: int, model=model, di=di, path=path) -> np.ndarray:
             rng = make_rng(seed, (di, rep))
             X0 = model.draw(n, rng)
             out = np.empty((len(eps_levels), n_radii + 1))
@@ -167,11 +170,8 @@ def run_effect_of_radius(
                     X = apply_contamination(X0, plan)
                 else:
                     X = X0
-                for ri, r in enumerate(grid):
-                    fit = fit_pc_subspace(X, d, RadiusSpec.fixed(r))
-                    out[ei, ri] = principal_angles(fit.basis, target).sin_largest
-                fit = fit_pc_subspace(X, d, RadiusSpec.none())
-                out[ei, n_radii] = principal_angles(fit.basis, target).sin_largest
+                out[ei] = [principal_angles(fit.basis, target).sin_largest
+                           for fit in fit_pc_path(X, d, path)]
             return out
 
         stack = np.stack(map_replications(one, reps, jobs))
@@ -238,9 +238,9 @@ def run_high_dim(
                 out = np.empty((len(model_eigs), len(radii)))
                 for mi, (_, eigs) in enumerate(model_eigs):
                     X = apply_contamination(y * np.sqrt(eigs), plan)
-                    for ri, (_, r) in enumerate(radii):
-                        fit = fit_pc_subspace(X, d, RadiusSpec.fixed(r))
-                        out[mi, ri] = principal_angles(fit.basis, target).sin_largest
+                    fits = fit_pc_path(X, d, [r for _, r in radii])
+                    out[mi] = [principal_angles(fit.basis, target).sin_largest
+                               for fit in fits]
                 return out
 
             stack = np.stack(map_replications(one, int(replications), jobs))
@@ -282,11 +282,8 @@ def run_breakdown_bounds(
     def one(rep: int) -> np.ndarray:
         rng = make_rng(seed, (rep,))
         X = model.draw(n, rng)
-        out = np.empty((grid.size, 2))
-        for ri, r in enumerate(grid):
-            wspec = sample_winsorized_spectrum(X, r)
-            out[ri] = wpca_breakdown_lower_bounds(wspec, d)
-        return out
+        return np.array([wpca_breakdown_lower_bounds(wspec, d)
+                         for wspec in sample_winsorized_spectra(X, grid)])
 
     stack = np.stack(map_replications(one, int(replications), jobs))
     mean, se = _mean_se(stack)

@@ -7,6 +7,13 @@ between fitted and target subspaces are measured by principal angles, with
 two independent computational routes (SVD of the cross-Gram matrix, and the
 operator norm through an orthonormal complement) that cross-validate each
 other.
+
+The radius-path engine reads the winsorized covariance as a function of the
+radius: ``S(r) = (sum_{|x|<=r} x x^T + r^2 sum_{|x|>r} u u^T) / n`` with
+``u = x / |x|`` is piecewise in the order of the row norms, so every matrix
+of a radius grid comes from one sort of the rows and one Gram per segment
+between consecutive radii (``winsorized_second_moments``).  ``fit_pc_path``
+then solves only for the eigenpairs a fit uses.
 """
 
 from __future__ import annotations
@@ -16,12 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import (
+    BOUNDARY_REL_TOL,
+    _fix_column_signs,
+    descending_eigenpairs,
+    top_eigh,
+    winsorize_rows,
+)
 from .transform import (
     RadiusSpec,
+    _resolve_radius,
+    _spherize_rows,
     as_data_matrix,
-    resolve_radius,
-    spherize_dataset,
-    winsorize_dataset,
+    row_norms,
 )
 
 __all__ = [
@@ -31,7 +45,9 @@ __all__ = [
     "WPCAFit",
     "sample_covariance",
     "symmetric_eigh",
+    "winsorized_second_moments",
     "fit_pc_subspace",
+    "fit_pc_path",
     "principal_angles",
     "sin_theta_operator",
 ]
@@ -42,11 +58,13 @@ GAP_TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Descending eigenvalues with matching orthonormal eigenvector columns.
+    """The leading k <= p eigenvalues, descending, with orthonormal eigenvectors.
 
-    ``eigenvalues`` always has full length p.  ``eigenvectors`` has p rows
-    and up to p columns; on the thin-SVD fitting path only ``min(n, p)``
-    columns are available, and the trailing eigenvalues are exact zeros.
+    ``eigenvectors`` has p rows and at most k columns.  ``fit_pc_subspace``
+    and ``symmetric_eigh`` give all p eigenvalues; ``fit_pc_path`` gives the
+    top ``min(p, d + 1)`` with as many columns.  On the thin-SVD route
+    (``d <= n < p``) all p eigenvalues are given, the trailing ones exact
+    zeros, with only ``n`` columns.
     """
 
     eigenvalues: np.ndarray
@@ -57,7 +75,7 @@ class Spectrum:
         vecs = np.asarray(self.eigenvectors, dtype=np.float64)
         if vals.ndim != 1 or vecs.ndim != 2:
             raise ValueError("Spectrum expects a 1-D value vector and 2-D vector matrix")
-        if vecs.shape[1] > vals.size or vecs.shape[0] != vals.size:
+        if vecs.shape[1] > vals.size or vals.size > vecs.shape[0]:
             raise ValueError(
                 f"shape mismatch: {vals.size} eigenvalues, eigenvectors {vecs.shape}"
             )
@@ -139,14 +157,6 @@ def sample_covariance(X) -> np.ndarray:
     return A.T @ A / A.shape[0]
 
 
-def _fix_column_signs(V: np.ndarray) -> np.ndarray:
-    # Deterministic orientation: largest-magnitude entry of each column positive.
-    idx = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[idx, np.arange(V.shape[1])])
-    signs[signs == 0] = 1.0
-    return V * signs
-
-
 def symmetric_eigh(S) -> Spectrum:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
@@ -163,13 +173,74 @@ def symmetric_eigh(S) -> Spectrum:
     scale = np.max(np.abs(A)) if A.size else 0.0
     if np.max(np.abs(A - A.T)) > 1e-8 * max(scale, 1e-300):
         raise ValueError("matrix is not symmetric within 1e-8 relative")
-    w, V = np.linalg.eigh((A + A.T) / 2.0)
-    w = w[::-1].copy()
-    V = V[:, ::-1]
-    top = w[0] if w.size else 0.0
-    if top > 0:
-        w[(w < 0) & (w >= -1e-10 * top)] = 0.0
-    return Spectrum(w, _fix_column_signs(V))
+    return Spectrum(*descending_eigenpairs(*np.linalg.eigh((A + A.T) / 2.0)))
+
+
+def _check_dim(d, p: int) -> int:
+    d = int(d)
+    if not 1 <= d <= p:
+        raise ValueError(f"subspace dimension d={d} must satisfy 1 <= d <= p={p}")
+    return d
+
+
+def _check_radii(radii) -> np.ndarray:
+    r = np.asarray(radii, dtype=np.float64)
+    if r.ndim != 1 or r.size < 1:
+        raise ValueError("radii must be a nonempty 1-D sequence")
+    if not np.all(r > 0):
+        raise ValueError("every radius must be positive (+inf leaves rows untouched)")
+    return r
+
+
+def winsorized_second_moments(A: np.ndarray, radii) -> np.ndarray:
+    """Winsorized second-moment matrices of ``A`` at every radius, shape (R, p, p).
+
+    Entry j is the uncentered covariance of ``winsorize_dataset(A, radii[j])``,
+    ``(sum_{|x|<=r} x x^T + r^2 sum_{|x|>r} u u^T) / n`` with ``u = x / |x|``;
+    a radius of ``+inf`` leaves every row alone.  A row counts as inside when
+    its norm exceeds r by at most the relative slack ``BOUNDARY_REL_TOL``,
+    the rule ``winsorize_rows`` applies.  Radii may come in any order and
+    repeat.
+
+    The rows are sorted by norm once and split at the sorted radii; each
+    segment's Gram of raw rows and of unit rows is formed once.  Raw-row
+    Grams accumulate upward from the smallest norms and unit-row Grams
+    downward from the largest, so no sum is ever formed as a total minus a
+    part: with rows of norm 1e6 in the total, that difference would cancel
+    catastrophically.  Beyond the result, one p x p accumulator is held.
+
+    ``A`` must already be validated by ``as_data_matrix``; it is not checked
+    again here.
+    """
+    radii = _check_radii(radii)
+    n, p = A.shape
+    norms = row_norms(A)
+    order = np.argsort(norms, kind="stable")
+    sorted_norms = norms[order]
+    by_radius = np.argsort(radii, kind="stable")
+    cuts = np.searchsorted(sorted_norms, radii[by_radius] * (1.0 + BOUNDARY_REL_TOL),
+                           side="right")
+    out = np.empty((radii.size, p, p))
+    acc = np.zeros((p, p))
+    lo = 0
+    for j, cut in zip(by_radius, cuts):
+        if cut > lo:
+            seg = A[order[lo:cut]]
+            acc += seg.T @ seg
+            lo = cut
+        out[j] = acc
+    acc[:] = 0.0
+    hi = n
+    for j, cut in zip(by_radius[::-1], cuts[::-1]):
+        if cut < hi:
+            seg = A[order[cut:hi]]
+            seg /= sorted_norms[cut:hi, None]
+            acc += seg.T @ seg
+            hi = cut
+        if hi < n:
+            out[j] += radii[j] ** 2 * acc
+    out /= n
+    return out
 
 
 def _thin_svd_spectrum(W: np.ndarray) -> Spectrum:
@@ -178,6 +249,29 @@ def _thin_svd_spectrum(W: np.ndarray) -> Spectrum:
     vals = np.zeros(p)
     vals[: s.size] = s * s / n
     return Spectrum(vals, _fix_column_signs(Vh.T))
+
+
+def _spectra(A: np.ndarray, d: int, radii, eigensolve) -> list[Spectrum]:
+    """The spectrum of the winsorized rows of ``A`` at every radius.
+
+    With fewer rows than columns the thin SVD of the winsorized rows is
+    cheaper than the p x p Gram, and exact zeros fill the missing
+    eigenvalues; it has only n eigenvectors, so it needs n >= d.  Otherwise
+    ``eigensolve`` takes each matrix of ``winsorized_second_moments``.
+    """
+    n, p = A.shape
+    if d <= n < p:
+        return [_thin_svd_spectrum(A if math.isinf(r) else winsorize_rows(A, r))
+                for r in radii]
+    return [eigensolve(S) for S in winsorized_second_moments(A, radii)]
+
+
+def _make_fit(spectrum: Spectrum, d: int, mode: str, r: float | None) -> WPCAFit:
+    vals = spectrum.eigenvalues
+    lam_next = vals[d] if d < vals.size else 0.0
+    degenerate = (vals[d - 1] - lam_next) <= GAP_TIE_TOL * max(vals[0], 1e-300)
+    return WPCAFit(Subspace(spectrum.eigenvectors[:, :d]), spectrum, mode, r,
+                   bool(degenerate))
 
 
 def fit_pc_subspace(X, d: int, spec: RadiusSpec) -> WPCAFit:
@@ -189,29 +283,35 @@ def fit_pc_subspace(X, d: int, spec: RadiusSpec) -> WPCAFit:
     computations can consume the winsorized sample eigenvalues.
     """
     A = as_data_matrix(X)
-    n, p = A.shape
-    d = int(d)
-    if not 1 <= d <= p:
-        raise ValueError(f"subspace dimension d={d} must satisfy 1 <= d <= p={p}")
-    mode, r = resolve_radius(A, spec)
-    if mode == "winsorize":
-        W = winsorize_dataset(A, r)
-    elif mode == "spherize":
-        W = spherize_dataset(A)
-    else:
-        W = A
-    n_eff = W.shape[0]
-    # Thin SVD of the transformed rows when the dense p x p eigenproblem is
-    # the wrong tool; singular values squared over n are the eigenvalues.
-    if (n_eff < p or p > 1000) and min(n_eff, p) >= d:
-        spectrum = _thin_svd_spectrum(W)
-    else:
-        spectrum = symmetric_eigh(W.T @ W / n_eff)
-    vals = spectrum.eigenvalues
-    lam_next = vals[d] if d < p else 0.0
-    degenerate = (vals[d - 1] - lam_next) <= GAP_TIE_TOL * max(vals[0], 1e-300)
-    basis = spectrum.eigenvectors[:, :d]
-    return WPCAFit(Subspace(basis), spectrum, mode, r, bool(degenerate))
+    d = _check_dim(d, A.shape[1])
+    mode, r = _resolve_radius(A, spec)
+    # Spherized rows are the rows a radius of +inf leaves alone.
+    W = _spherize_rows(A) if mode == "spherize" else A
+    spectrum = _spectra(W, d, [math.inf if r is None else r], symmetric_eigh)[0]
+    return _make_fit(spectrum, d, mode, r)
+
+
+def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
+    """Top-d PC subspaces of ``X`` along a path of winsorization radii.
+
+    Fit j equals ``fit_pc_subspace(X, d, RadiusSpec.fixed(radii[j]))``, or
+    ``RadiusSpec.none()`` where the radius is ``+inf``, to roundoff; radii
+    may come in any order and repeat.  ``X`` is validated once, every
+    covariance comes from one ``winsorized_second_moments`` call, and only
+    the top ``min(p, d + 1)`` eigenpairs of each are solved for, which is
+    what the subspace and its gap flag use.  With ``d <= n < p`` each radius
+    takes the thin SVD of its winsorized rows instead, as in
+    ``fit_pc_subspace``.
+    """
+    A = as_data_matrix(X)
+    p = A.shape[1]
+    d = _check_dim(d, p)
+    k = min(p, d + 1)
+    radii = _check_radii(radii)
+    spectra = _spectra(A, d, radii, lambda S: Spectrum(*top_eigh(S, k)))
+    return [_make_fit(s, d, "identity", None) if math.isinf(r)
+            else _make_fit(s, d, "winsorize", float(r))
+            for s, r in zip(spectra, radii)]
 
 
 def _basis_of(S) -> np.ndarray:

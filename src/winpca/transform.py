@@ -130,7 +130,11 @@ def spherize_dataset(X, zero_rows: str = "error") -> np.ndarray:
     """
     if zero_rows not in ("error", "drop"):
         raise ValueError(f"zero_rows must be 'error' or 'drop', got {zero_rows!r}")
-    A = as_data_matrix(X)
+    return _spherize_rows(as_data_matrix(X), zero_rows)
+
+
+def _spherize_rows(A: np.ndarray, zero_rows: str = "error") -> np.ndarray:
+    """spherize_dataset on a matrix already validated by ``as_data_matrix``."""
     norms = row_norms(A)
     zero = norms == 0.0
     if np.any(zero):
@@ -149,8 +153,16 @@ def resolve_radius(X, spec: RadiusSpec) -> tuple[str, float | None]:
 
     Returns ``("winsorize", r)`` for the policies that yield a positive
     radius, ``("spherize", None)`` for the spherical limit, and
-    ``("identity", None)`` when no winsorization is requested.
+    ``("identity", None)`` when no winsorization is requested.  ``X`` is
+    read, and validated, only by the policies that depend on the data.
     """
+    if isinstance(spec, RadiusSpec) and spec.kind in ("median_norm", "power_law"):
+        X = as_data_matrix(X)
+    return _resolve_radius(X, spec)
+
+
+def _resolve_radius(A: np.ndarray, spec: RadiusSpec) -> tuple[str, float | None]:
+    """resolve_radius on a matrix already validated by ``as_data_matrix``."""
     if not isinstance(spec, RadiusSpec):
         raise ValueError("spec must be a RadiusSpec")
     if spec.kind == "none":
@@ -159,7 +171,6 @@ def resolve_radius(X, spec: RadiusSpec) -> tuple[str, float | None]:
         return "spherize", None
     if spec.kind == "fixed":
         return "winsorize", float(spec.value)
-    A = as_data_matrix(X)
     if spec.kind == "power_law":
         return "winsorize", float(A.shape[1]) ** (0.5 + spec.value)
     med = float(np.median(row_norms(A)))

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 
@@ -6,6 +7,7 @@ import pytest
 
 from winpca import principal_angles, sample_gaussian
 from winpca.cli import main, parse_radius, read_matrix_csv
+from winpca.experiments import PRESETS, ResultTable
 
 
 def run_cli(capsys, *argv):
@@ -308,6 +310,26 @@ class TestBounds:
         assert float(q["sampling_term"]) == pytest.approx(0.1)
 
 
+def _fake_preset(real, calls, **defaults):
+    """A stand-in for a preset with the same parameters but other defaults.
+
+    It records the arguments of each call, defaults applied.
+    """
+    sig = inspect.signature(real)
+    sig = sig.replace(parameters=[
+        prm.replace(default=defaults.get(name, prm.default))
+        for name, prm in sig.parameters.items()])
+
+    def fake(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(dict(bound.arguments))
+        return ResultTable(("x",))
+
+    fake.__signature__ = sig
+    return fake
+
+
 def _strip_timestamp(text):
     return "\n".join(l for l in text.splitlines() if not l.startswith("# timestamp="))
 
@@ -333,6 +355,25 @@ class TestExperiment:
         assert code == 0
         assert "ignored" in err
         assert meta_of(out)["preset"] == "fig4"
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_runs_each_preset_with_its_own_defaults(self, capsys, monkeypatch, preset):
+        calls = []
+        fake = _fake_preset(PRESETS[preset], calls, scale=0.125, replications=8)
+        monkeypatch.setitem(PRESETS, preset, fake)
+        code, _, _ = run_cli(capsys, "experiment", preset)
+        assert code == 0
+        defaults = {name: prm.default
+                    for name, prm in inspect.signature(fake).parameters.items()}
+        assert calls == [defaults]
+
+    def test_fig3_scale_multiplies_the_preset_replications(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setitem(PRESETS, "fig3",
+                            _fake_preset(PRESETS["fig3"], calls, replications=8))
+        code, _, _ = run_cli(capsys, "experiment", "fig3", "--scale", "0.5")
+        assert code == 0
+        assert calls[0]["replications"] == 4
 
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "fig9")

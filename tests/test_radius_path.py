@@ -1,0 +1,167 @@
+"""The radius-path engine against per-radius fits and a plain reference.
+
+``fit_pc_path`` must give, radius by radius, the fit of ``fit_pc_subspace``
+and of the loop it replaces (winsorize, form the Gram, full ``eigh``):
+sin of the largest principal angle within 1e-12, and the top d+1
+eigenvalues within 1e-12 of the largest.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from winpca import (
+    RadiusSpec,
+    _kernels,
+    fit_pc_path,
+    fit_pc_subspace,
+    winsorize_dataset,
+    winsorized_second_moments,
+)
+
+TOL = 1e-12
+
+
+def _sin_theta(B1, B2):
+    # Operator norm of the projector difference: accurate for tiny angles,
+    # unlike the arccos of the cosines.
+    return np.linalg.norm(B1 @ B1.T - B2 @ B2.T, 2)
+
+
+def _reference(X, d, r):
+    """The per-radius loop: winsorize, Gram, full eigh, eigenvalues descending."""
+    W = X if math.isinf(r) else winsorize_dataset(X, r)
+    S = W.T @ W / X.shape[0]
+    w, V = np.linalg.eigh(S)
+    return S, w[::-1], V[:, ::-1][:, :d]
+
+
+def _spec(r):
+    return RadiusSpec.none() if math.isinf(r) else RadiusSpec.fixed(r)
+
+
+def _assert_path_matches(X, d, radii):
+    n, p = X.shape
+    k = min(p, d + 1)
+    fits = fit_pc_path(X, d, radii)
+    assert len(fits) == len(radii)
+    for fit, r in zip(fits, radii):
+        one = fit_pc_subspace(X, d, _spec(r))
+        _, ref_vals, ref_basis = _reference(X, d, r)
+        vals = fit.spectrum.eigenvalues
+        scale = ref_vals[0]
+        assert np.all(np.abs(vals[:k] - ref_vals[:k]) <= TOL * scale), r
+        assert np.all(np.abs(vals[:k] - one.spectrum.eigenvalues[:k]) <= TOL * scale), r
+        assert _sin_theta(fit.basis, ref_basis) <= TOL, r
+        assert _sin_theta(fit.basis, one.basis) <= TOL, r
+        assert fit.mode == one.mode
+        assert fit.effective_radius == one.effective_radius
+        assert fit.degenerate_gap == one.degenerate_gap
+    return fits
+
+
+def _spiked(n, p, seed):
+    rng = np.random.default_rng(seed)
+    eigs = np.linspace(25.0, 1.0, p)
+    return rng.standard_normal((n, p)) * np.sqrt(eigs)
+
+
+# Unsorted, with a repeated radius and the no-winsorize endpoint.
+RADII = [3.0, math.inf, 0.5, 3.0, 1.5, 12.0, 0.5]
+
+
+class TestFitPcPath:
+    def test_unsorted_duplicated_and_infinite_radii(self):
+        X = _spiked(200, 8, seed=1)
+        fits = _assert_path_matches(X, 2, RADII)
+        # Only the eigenpairs a fit uses are solved for when n >= p.
+        assert all(f.spectrum.eigenvalues.shape == (3,) for f in fits)
+        assert fits[1].mode == "identity" and fits[1].effective_radius is None
+        assert fits[0].mode == "winsorize" and fits[0].effective_radius == 3.0
+
+    def test_second_moments_match_winsorized_gram(self):
+        X = _spiked(150, 6, seed=2)
+        S = winsorized_second_moments(X, RADII)
+        assert S.shape == (len(RADII), 6, 6)
+        for Sj, r in zip(S, RADII):
+            ref, _, _ = _reference(X, 1, r)
+            assert np.max(np.abs(Sj - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.array_equal(Sj, Sj.T)
+
+    def test_rows_at_the_boundary(self):
+        # Axis rows make each winsorized square exact up to an ulp, so the
+        # inside/outside decision at r(1 + 5e-13) and r(1 + 2e-12) shows at
+        # 1e-14, far below the 1e-12 slack of the boundary rule.
+        r = 2.0
+        X = np.diag([r, r * (1 + 5e-13), r * (1 + 2e-12), 0.5 * r])
+        S = winsorized_second_moments(X, [r])[0]
+        ref, _, _ = _reference(X, 1, r)
+        assert np.allclose(S, ref, rtol=1e-14, atol=0)
+        assert S[1, 1] == pytest.approx(X[1, 1] ** 2 / 4, rel=1e-15)  # inside
+        assert S[2, 2] == pytest.approx(r * r / 4, rel=1e-15)  # clipped
+        rng = np.random.default_rng(3)
+        Y = rng.standard_normal((40, 4)) * np.sqrt([9.0, 4.0, 2.0, 1.0])
+        norms = np.linalg.norm(Y, axis=1)
+        for i, f in enumerate((1.0, 1 + 5e-13, 1 + 2e-12)):
+            Y[i] *= r * f / norms[i]
+        _assert_path_matches(Y, 2, [r, r * (1 + 5e-13), r * (1 + 2e-12), math.inf])
+
+    def test_outliers_far_beyond_the_radii(self):
+        # Rows at 1e8 times the median norm: a radius below them must not
+        # lose the inliers to cancellation against the outliers' squares.
+        X = _spiked(120, 6, seed=4)
+        med = float(np.median(np.linalg.norm(X, axis=1)))
+        X[:3] = 0.0
+        X[:3, 2] = 1e8 * med
+        radii = [0.3 * med, 2.0 * med, math.inf, 0.8 * med, 5.0 * med]
+        _assert_path_matches(X, 1, radii)
+
+    def test_fewer_rows_than_columns(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((6, 15)) * 2.0
+        fits = _assert_path_matches(X, 2, [2.5, math.inf, 1.0])
+        assert fits[0].spectrum.eigenvalues.shape == (15,)
+
+    def test_d_is_p_minus_one(self):
+        X = _spiked(300, 5, seed=6)
+        fits = _assert_path_matches(X, 4, [4.0, 1.0, math.inf])
+        assert fits[0].spectrum.eigenvalues.shape == (5,)
+
+    def test_eigh_fallback_without_lapacke(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_LAPACKE_DSYEVR", None)
+        _assert_path_matches(_spiked(200, 8, seed=7), 2, RADII)
+
+    def test_rejects_bad_input(self):
+        X = _spiked(20, 3, seed=8)
+        for radii in ([], [0.0], [-1.0], [math.nan], [[1.0]]):
+            with pytest.raises(ValueError):
+                fit_pc_path(X, 1, radii)
+        for d in (0, 4):
+            with pytest.raises(ValueError):
+                fit_pc_path(X, d, [1.0])
+        with pytest.raises(ValueError):
+            fit_pc_path(np.full((4, 2), np.inf), 1, [1.0])
+
+
+class TestTopEigh:
+    def test_matches_full_eigh(self):
+        X = _spiked(50, 7, seed=9)
+        S = X.T @ X / 50
+        w0, V0 = np.linalg.eigh(S)
+        for k in (1, 3, 7):
+            w, V = _kernels.top_eigh(S, k)
+            assert np.all(np.abs(w - w0[::-1][:k]) <= TOL * w0[-1])
+            assert _sin_theta(V, V0[:, ::-1][:, :k]) <= TOL
+            idx = np.argmax(np.abs(V), axis=0)
+            assert np.all(V[idx, np.arange(k)] > 0)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            _kernels.top_eigh(np.eye(3), 0)
+        with pytest.raises(ValueError):
+            _kernels.top_eigh(np.eye(3), 4)
+        with pytest.raises(ValueError):
+            _kernels.top_eigh(np.ones((2, 3)), 1)
+        with pytest.raises(ValueError):
+            _kernels.top_eigh(np.array([[1.0, 0.0], [0.0, np.nan]]), 1)
