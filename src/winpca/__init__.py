@@ -37,8 +37,7 @@ from .bounds import (
     estimate_winsorized_eigenvalues,
     sample_winsorized_spectrum,
     sample_winsorized_spectra,
-    concentration_bound_elliptical,
-    concentration_bound_subgaussian,
+    concentration_bound,
     asymptotic_rate,
     subgaussian_param_winsorized,
     covariance_deviation_bound,
@@ -94,8 +93,7 @@ __all__ = [
     "estimate_winsorized_eigenvalues",
     "sample_winsorized_spectrum",
     "sample_winsorized_spectra",
-    "concentration_bound_elliptical",
-    "concentration_bound_subgaussian",
+    "concentration_bound",
     "asymptotic_rate",
     "subgaussian_param_winsorized",
     "covariance_deviation_bound",

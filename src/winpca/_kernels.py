@@ -1,13 +1,11 @@
-"""Hot loops with numba-compiled and pure-numpy implementations, and a
-partial symmetric eigensolver.
+"""Hot loops in numpy, and a partial symmetric eigensolver.
 
 Two kernels dominate runtime at simulation scale: rescaling every row of a
 data matrix onto a centered ball (winsorization), and accumulating the
 per-coordinate terms of the winsorized second-moment estimator over a large
-batch of draws.  Both are compiled with numba when it is importable; setting
-the environment variable ``WINPCA_NO_NUMBA`` to a truthy value at import time
-forces the numpy implementations instead.  The two paths agree to floating
-point roundoff; ``perfbench/`` measures the package end to end.
+batch of draws.  Every row norm in the package comes from ``row_norms``,
+which stays accurate where a sum of squares overflows or underflows to
+zero; ``perfbench/`` measures the package end to end.
 
 ``top_eigh`` solves for the leading eigenpairs only, through LAPACK's
 ``dsyevr`` (MRRR) in numpy's bundled OpenBLAS when that library exports it,
@@ -22,64 +20,51 @@ import os
 
 import numpy as np
 
-__all__ = ["using_numba", "winsorize_rows", "winsorized_term_sums", "top_eigh"]
+__all__ = ["using_numba", "row_norms", "unit_rows", "winsorize_rows",
+           "winsorized_term_sums", "top_eigh"]
 
 # Rows whose norm exceeds the radius by less than this relative slack are
 # left untouched, so reapplying the transform is an exact no-op.
 BOUNDARY_REL_TOL = 1e-12
 
 
-def _env_disables_numba() -> bool:
-    flag = os.environ.get("WINPCA_NO_NUMBA", "").strip().lower()
-    return flag not in ("", "0", "false", "no")
-
-
-try:  # pragma: no cover - exercised via subprocess in the test suite
-    if _env_disables_numba():
-        raise ImportError("numba disabled by WINPCA_NO_NUMBA")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
 def using_numba() -> bool:
-    """Report whether the compiled kernels are active in this process."""
-    return _HAVE_NUMBA
+    """Always False: the kernels are numpy only; kept for environment records."""
+    return False
 
 
-def _winsorize_rows_numpy(values: np.ndarray, limit: float, guard: float) -> np.ndarray:
-    norms = np.sqrt(np.einsum("ij,ij->i", values, values))
-    out = values.copy()
-    mask = norms > guard
-    if np.any(mask):
-        out[mask] = values[mask] * (limit / norms[mask])[:, None]
-    return out
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a finite matrix.
+
+    ``sqrt(sum x^2)`` serves each row it gets right.  A row whose sum of
+    squares overflows to inf, or underflows to 0 although an entry is
+    nonzero, is recomputed after scaling by its largest magnitude (Blue
+    1978, as in LAPACK ``dnrm2``); a norm is then inf only when it exceeds
+    the float64 range.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    redo = np.flatnonzero(np.isinf(norms) | (norms == 0.0))
+    if redo.size:
+        top = np.max(np.abs(X[redo]), axis=1)
+        keep = top > 0.0  # rows of zeros keep their zero norm
+        redo, top = redo[keep], top[keep]
+        unit = X[redo] / top[:, None]
+        with np.errstate(over="ignore"):
+            norms[redo] = top * np.sqrt(np.einsum("ij,ij->i", unit, unit))
+    return norms
 
 
-@njit(cache=True, nogil=True)
-def _winsorize_rows_numba(values, limit, guard):  # pragma: no cover - compiled
-    n, p = values.shape
-    out = values.copy()
-    for i in range(n):
-        s = 0.0
-        for j in range(p):
-            v = values[i, j]
-            s += v * v
-        norm = np.sqrt(s)
-        if norm > guard:
-            scale = limit / norm
-            for j in range(p):
-                out[i, j] = values[i, j] * scale
+def unit_rows(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``values / norms[:, None]``, also where a norm is inf.
+
+    A row whose norm exceeds the float64 range is divided by its largest
+    magnitude first and then by the norm of what remains.
+    """
+    out = values / norms[:, None]
+    huge = np.isinf(norms)
+    if np.any(huge):
+        scaled = values[huge] / np.max(np.abs(values[huge]), axis=1)[:, None]
+        out[huge] = scaled / row_norms(scaled)[:, None]
     return out
 
 
@@ -89,36 +74,15 @@ def winsorize_rows(values: np.ndarray, limit: float) -> np.ndarray:
     ``values`` must be a C-contiguous float64 matrix; validation lives in the
     calling layer.  Returns a new array, input is never modified.
     """
-    guard = limit * (1.0 + BOUNDARY_REL_TOL)
-    if _HAVE_NUMBA:
-        return _winsorize_rows_numba(values, limit, guard)
-    return _winsorize_rows_numpy(values, limit, guard)
-
-
-def _winsorized_term_sums_numpy(y: np.ndarray, lam: np.ndarray, r2: float):
-    sq = (y * y) * lam
-    s2 = sq.sum(axis=1)
-    factor = np.ones_like(s2)
-    np.divide(r2, s2, out=factor, where=s2 > r2)
-    terms = sq * factor[:, None]
-    return terms.sum(axis=0), (terms * terms).sum(axis=0)
-
-
-@njit(cache=True, nogil=True)
-def _winsorized_term_sums_numba(y, lam, r2):  # pragma: no cover - compiled
-    n, p = y.shape
-    sums = np.zeros(p)
-    sumsq = np.zeros(p)
-    for i in range(n):
-        s2 = 0.0
-        for j in range(p):
-            s2 += lam[j] * y[i, j] * y[i, j]
-        factor = 1.0 if s2 <= r2 else r2 / s2
-        for j in range(p):
-            t = lam[j] * y[i, j] * y[i, j] * factor
-            sums[j] += t
-            sumsq[j] += t * t
-    return sums, sumsq
+    norms = row_norms(values)
+    out = values.copy()
+    mask = norms > limit * (1.0 + BOUNDARY_REL_TOL)
+    if np.any(mask):
+        out[mask] = values[mask] * (limit / norms[mask])[:, None]
+        huge = np.isinf(norms)
+        if np.any(huge):
+            out[huge] = limit * unit_rows(values[huge], norms[huge])
+    return out
 
 
 def winsorized_term_sums(y: np.ndarray, lam: np.ndarray, r2: float):
@@ -129,9 +93,12 @@ def winsorized_term_sums(y: np.ndarray, lam: np.ndarray, r2: float):
     coordinatewise sum and sum of squares across draws, from which the caller
     forms Monte Carlo means and standard errors.
     """
-    if _HAVE_NUMBA:
-        return _winsorized_term_sums_numba(y, lam, r2)
-    return _winsorized_term_sums_numpy(y, lam, r2)
+    sq = (y * y) * lam
+    s2 = sq.sum(axis=1)
+    factor = np.ones_like(s2)
+    np.divide(r2, s2, out=factor, where=s2 > r2)
+    terms = sq * factor[:, None]
+    return terms.sum(axis=0), (terms * terms).sum(axis=0)
 
 
 # Negative eigenvalues of a positive semidefinite matrix within this

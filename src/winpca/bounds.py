@@ -26,8 +26,7 @@ __all__ = [
     "estimate_winsorized_eigenvalues",
     "sample_winsorized_spectrum",
     "sample_winsorized_spectra",
-    "concentration_bound_elliptical",
-    "concentration_bound_subgaussian",
+    "concentration_bound",
     "asymptotic_rate",
     "subgaussian_param_winsorized",
     "covariance_deviation_bound",
@@ -198,16 +197,20 @@ def _gap_at(wspec: WinsorizedSpectrum, d: int) -> float:
     return float(vals[d - 1] - vals[d])
 
 
-def concentration_bound_elliptical(
+def concentration_bound(
     lam1: float, lamp: float, wspec: WinsorizedSpectrum, d: int,
-    eps: float, n: int, p: int,
+    eps: float, n: int, p: int, sigma_sub: float = math.inf,
 ) -> BoundReport:
-    """Expected sin(largest angle) bound for elliptical populations.
+    """Expected sin(largest angle) bound under eps-contamination.
 
-    The bound is ``2 r^2 eps / g + 256 (r^2 lam1 / (p lamp)) *
-    max(sqrt(p/n), p/n) / g`` with g the winsorized eigengap at d; it is
-    infinite when the gap vanishes.
+    The bound is ``2 r^2 eps / g + 256 min(r^2 lam1 / (p lamp),
+    lam1 sigma_sub^2) max(sqrt(p/n), p/n) / g`` with g the winsorized
+    eigengap at d; it is infinite when the gap vanishes.  ``sigma_sub`` is
+    the subgaussian parameter of the whitened vector; the default of inf
+    gives the bound for elliptical populations.
     """
+    if not sigma_sub > 0:
+        raise ValueError(f"sigma_sub must be positive (inf if elliptical), got {sigma_sub}")
     eps = _check_eps(eps)
     n, p = _check_counts(n, p)
     if not (lam1 >= lamp > 0):
@@ -218,40 +221,7 @@ def concentration_bound_elliptical(
         comps = {"contamination": math.inf, "sampling": math.inf}
         return BoundReport(math.inf, comps, {"positive_gap": False})
     contamination = 2.0 * r2 * eps / g
-    sampling = 256.0 * (r2 * lam1 / (p * lamp)) * _dim_ratio(n, p) / g
-    return BoundReport(
-        contamination + sampling,
-        {"contamination": contamination, "sampling": sampling},
-        {"positive_gap": True},
-    )
-
-
-def concentration_bound_subgaussian(
-    lam1: float, lamp: float, sigma_sub: float, wspec: WinsorizedSpectrum,
-    d: int, eps: float, n: int, p: int,
-) -> BoundReport:
-    """Sharper concentration bound when the whitened vector is subgaussian.
-
-    Identical to the elliptical bound except the sampling factor uses
-    ``lam1 * min(r^2 / (p lamp), sigma_sub^2)``.
-    """
-    if math.isinf(sigma_sub):
-        raise ValueError(
-            "sigma_sub is infinite; use concentration_bound_elliptical instead"
-        )
-    if sigma_sub <= 0:
-        raise ValueError("sigma_sub must be positive")
-    eps = _check_eps(eps)
-    n, p = _check_counts(n, p)
-    if not (lam1 >= lamp > 0):
-        raise ValueError("need lam1 >= lamp > 0")
-    g = _gap_at(wspec, int(d))
-    r2 = wspec.radius ** 2
-    if g <= 0.0:
-        comps = {"contamination": math.inf, "sampling": math.inf}
-        return BoundReport(math.inf, comps, {"positive_gap": False})
-    contamination = 2.0 * r2 * eps / g
-    factor = lam1 * min(r2 / (p * lamp), sigma_sub * sigma_sub)
+    factor = min(r2 * lam1 / (p * lamp), lam1 * sigma_sub * sigma_sub)
     sampling = 256.0 * factor * _dim_ratio(n, p) / g
     return BoundReport(
         contamination + sampling,
@@ -294,12 +264,9 @@ def subgaussian_param_winsorized(
     p = int(p)
     if p < 1 or r <= 0:
         raise ValueError("need p >= 1 and r > 0")
-    radius_branch = math.sqrt(lam1 * r * r / (lamp * p))
-    if math.isinf(sigma_sub):
-        return radius_branch
-    if sigma_sub <= 0:
-        raise ValueError("sigma_sub must be positive")
-    return min(math.sqrt(lam1) * sigma_sub, radius_branch)
+    if not sigma_sub > 0:
+        raise ValueError(f"sigma_sub must be positive (inf if elliptical), got {sigma_sub}")
+    return min(math.sqrt(lam1) * sigma_sub, math.sqrt(lam1 * r * r / (lamp * p)))
 
 
 def covariance_deviation_bound(

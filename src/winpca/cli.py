@@ -30,13 +30,12 @@ from . import __version__
 from .bounds import (
     WinsorizedSpectrum,
     breakdown_lower_bounds_from_values,
-    concentration_bound_elliptical,
-    concentration_bound_subgaussian,
+    concentration_bound,
     asymptotic_rate,
     perturbation_bound,
 )
 from .experiments import PRESETS, format_value
-from .subspace import fit_pc_subspace, principal_angles
+from .subspace import ORTHONORMAL_TOL, _is_orthonormal, fit_pc_subspace, principal_angles
 from .transform import RadiusSpec
 
 __all__ = ["main", "read_matrix_csv", "parse_radius"]
@@ -177,11 +176,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _orthonormalize_if_needed(B: np.ndarray, label: str) -> np.ndarray:
-    gram = B.T @ B
-    if np.max(np.abs(gram - np.eye(B.shape[1]))) <= 1e-6:
+    if _is_orthonormal(B):
         return B
-    print(f"warning: {label} is not orthonormal within 1e-6; re-orthonormalizing",
-          file=sys.stderr)
+    print(f"warning: {label} is not orthonormal within {ORTHONORMAL_TOL:g}; "
+          "re-orthonormalizing", file=sys.stderr)
     Q, R = np.linalg.qr(B)
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
@@ -250,15 +248,10 @@ def cmd_bounds_breakdown(args: argparse.Namespace) -> int:
 def cmd_bounds_concentration(args: argparse.Namespace) -> int:
     vals = np.sort(_parse_float_list(args.weigs))[::-1]
     wspec = WinsorizedSpectrum(vals, args.r, "sample")
-    if args.sigma is None:
-        report = concentration_bound_elliptical(
-            args.lam1, args.lamp, wspec, args.d, args.eps, args.n, args.p)
-        family = "elliptical"
-    else:
-        report = concentration_bound_subgaussian(
-            args.lam1, args.lamp, args.sigma, wspec, args.d, args.eps,
-            args.n, args.p)
-        family = "subgaussian"
+    report = concentration_bound(
+        args.lam1, args.lamp, wspec, args.d, args.eps, args.n, args.p,
+        math.inf if args.sigma is None else args.sigma)
+    family = "elliptical" if args.sigma is None else "subgaussian"
     _emit_quantities(
         [("command", "bounds.concentration"), ("family", family),
          ("lam1", args.lam1), ("lamp", args.lamp), ("weigs", args.weigs),

@@ -41,7 +41,7 @@ from .simulate import (
     apply_contamination,
     map_replications,
 )
-from .subspace import fit_pc_path, fit_pc_subspace, principal_angles
+from .subspace import Subspace, fit_pc_path, fit_pc_subspace, principal_angles
 from .transform import RadiusSpec, row_norms
 
 __all__ = [
@@ -136,7 +136,7 @@ def run_effect_of_radius(
     reps = max(2, round(100 * scale))
     eigs = np.concatenate(([100.0], np.ones(p - 1)))
     eps_levels = (0.0, 0.05)
-    target = np.eye(p, d)
+    target = Subspace(np.eye(p, d))
     table = ResultTable(
         ("distribution", "epsilon", "radius_kind", "radius", "statistic",
          "value", "std_error"),
@@ -170,7 +170,7 @@ def run_effect_of_radius(
                     X = apply_contamination(X0, plan)
                 else:
                     X = X0
-                out[ei] = [principal_angles(fit.basis, target).sin_largest
+                out[ei] = [principal_angles(fit.subspace, target).sin_largest
                            for fit in fit_pc_path(X, d, path)]
             return out
 
@@ -225,7 +225,7 @@ def run_high_dim(
             ("spiked", np.concatenate(([9.0 * math.sqrt(p), 4.0 * math.sqrt(p)], fill))),
         )
         plan = ContaminationPlan(m_out, CoordinateSpike(d, float(n) * p))
-        target = np.eye(p, d)
+        target = Subspace(np.eye(p, d))
         for zi, dist in enumerate(dists):
             whitener = (PopulationModel.gaussian(np.ones(p)) if dist == "gaussian"
                         else PopulationModel.student_t(np.ones(p), 3.0))
@@ -239,7 +239,7 @@ def run_high_dim(
                 for mi, (_, eigs) in enumerate(model_eigs):
                     X = apply_contamination(y * np.sqrt(eigs), plan)
                     fits = fit_pc_path(X, d, [r for _, r in radii])
-                    out[mi] = [principal_angles(fit.basis, target).sin_largest
+                    out[mi] = [principal_angles(fit.subspace, target).sin_largest
                                for fit in fits]
                 return out
 
@@ -340,7 +340,7 @@ def run_perturbation_sweep(
             fit = fit_pc_subspace(X, d, RadiusSpec.fixed(r))
         else:
             fit = fit0
-        report = principal_angles(fit.basis, fit0.basis)
+        report = principal_angles(fit.subspace, fit0.subspace)
         bd = perturbation_bound(lam_d, lam_d1, r, eps)
         bound2 = bd.components.get("bound2")
         table.add(m, eps, report.largest, report.sin_largest,

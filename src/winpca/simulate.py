@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import PopulationModel, make_rng
-from .subspace import fit_pc_subspace, principal_angles
+from .subspace import Subspace, fit_pc_subspace, principal_angles
 from .transform import RadiusSpec, as_data_matrix
 
 __all__ = [
@@ -189,7 +189,8 @@ def map_replications(fn, count: int, jobs: int = 1) -> list:
     return [fn(i) for i in range(count)]
 
 
-def _loss_against_target(config: ScenarioConfig, rep: int) -> float:
+def _loss_against_target(config: ScenarioConfig, rep: int,
+                         population: Subspace) -> float:
     rng = make_rng(config.seed, (rep,))
     X0 = config.model.draw(config.n, rng)
     if config.plan is not None and config.plan.m > 0:
@@ -198,10 +199,10 @@ def _loss_against_target(config: ScenarioConfig, rep: int) -> float:
         X = X0
     fit = fit_pc_subspace(X, config.d, config.radius)
     if config.target == "population":
-        target = np.eye(config.model.p, config.d)
+        target = population
     else:
-        target = fit_pc_subspace(X0, config.d, config.radius).basis
-    return principal_angles(fit.basis, target).sin_largest
+        target = fit_pc_subspace(X0, config.d, config.radius).subspace
+    return principal_angles(fit.subspace, target).sin_largest
 
 
 def empirical_sin_theta(config: ScenarioConfig, jobs: int = 1) -> SimulationResult:
@@ -212,8 +213,9 @@ def empirical_sin_theta(config: ScenarioConfig, jobs: int = 1) -> SimulationResu
     loss against the configured target.  The standard error is NaN when
     there is a single replication.
     """
+    population = Subspace(np.eye(config.model.p, config.d))
     vals = np.array(
-        map_replications(lambda rep: _loss_against_target(config, rep),
+        map_replications(lambda rep: _loss_against_target(config, rep, population),
                          config.replications, jobs)
     )
     mean = float(vals.mean())

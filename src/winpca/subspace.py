@@ -27,16 +27,12 @@ from ._kernels import (
     BOUNDARY_REL_TOL,
     _fix_column_signs,
     descending_eigenpairs,
+    row_norms,
     top_eigh,
+    unit_rows,
     winsorize_rows,
 )
-from .transform import (
-    RadiusSpec,
-    _resolve_radius,
-    _spherize_rows,
-    as_data_matrix,
-    row_norms,
-)
+from .transform import RadiusSpec, _resolve_radius, _spherize_rows, as_data_matrix
 
 __all__ = [
     "Spectrum",
@@ -54,6 +50,16 @@ __all__ = [
 
 # Eigenvalue ties at this relative scale make the top-d subspace ill-defined.
 GAP_TIE_TOL = 1e-12
+# Largest entry of |B^T B - I| with which a basis B still counts as orthonormal.
+ORTHONORMAL_TOL = 1e-8
+_OVERFLOW = ("winsorized second moments overflow float64; "
+             "rescale the data or choose a smaller radius")
+
+
+def _is_orthonormal(B: np.ndarray) -> bool:
+    """Whether the p x d matrix ``B`` is finite with orthonormal columns."""
+    return bool(np.all(np.isfinite(B))) and bool(
+        np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= ORTHONORMAL_TOL)
 
 
 @dataclass(frozen=True)
@@ -99,9 +105,9 @@ class Subspace:
             raise ValueError("basis must be a nonempty p x d matrix")
         if B.shape[1] > B.shape[0]:
             raise ValueError(f"subspace dimension {B.shape[1]} exceeds ambient {B.shape[0]}")
-        gram = B.T @ B
-        if np.max(np.abs(gram - np.eye(B.shape[1]))) > 1e-8:
-            raise ValueError("basis columns are not orthonormal within 1e-8")
+        if not _is_orthonormal(B):
+            raise ValueError(
+                f"basis must be finite with columns orthonormal within {ORTHONORMAL_TOL:g}")
         object.__setattr__(self, "basis", B)
 
     @property
@@ -210,7 +216,8 @@ def winsorized_second_moments(A: np.ndarray, radii) -> np.ndarray:
     catastrophically.  Beyond the result, one p x p accumulator is held.
 
     ``A`` must already be validated by ``as_data_matrix``; it is not checked
-    again here.
+    again here.  A matrix whose entries overflow float64, from rows left
+    alone or from a radius too large, raises ``ValueError``.
     """
     radii = _check_radii(radii)
     n, p = A.shape
@@ -223,22 +230,30 @@ def winsorized_second_moments(A: np.ndarray, radii) -> np.ndarray:
     out = np.empty((radii.size, p, p))
     acc = np.zeros((p, p))
     lo = 0
-    for j, cut in zip(by_radius, cuts):
-        if cut > lo:
-            seg = A[order[lo:cut]]
-            acc += seg.T @ seg
-            lo = cut
-        out[j] = acc
-    acc[:] = 0.0
-    hi = n
-    for j, cut in zip(by_radius[::-1], cuts[::-1]):
-        if cut < hi:
-            seg = A[order[cut:hi]]
-            seg /= sorted_norms[cut:hi, None]
-            acc += seg.T @ seg
-            hi = cut
-        if hi < n:
-            out[j] += radii[j] ** 2 * acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, cut in zip(by_radius, cuts):
+            if cut > lo:
+                seg = A[order[lo:cut]]
+                acc += seg.T @ seg
+                lo = cut
+            out[j] = acc
+        acc[:] = 0.0
+        hi = n
+        for j, cut in zip(by_radius[::-1], cuts[::-1]):
+            if cut < hi:
+                seg = A[order[cut:hi]]
+                if math.isinf(sorted_norms[hi - 1]):  # a norm beyond float64
+                    seg = unit_rows(seg, sorted_norms[cut:hi])
+                else:
+                    seg /= sorted_norms[cut:hi, None]
+                acc += seg.T @ seg
+                hi = cut
+            if hi < n:
+                out[j] += radii[j] ** 2 * acc
+    # An entry of a second-moment matrix is at most its larger diagonal
+    # entry in magnitude, so an overflow anywhere shows on the diagonal.
+    if not np.all(np.isfinite(out.diagonal(axis1=1, axis2=2))):
+        raise ValueError(_OVERFLOW)
     out /= n
     return out
 
@@ -247,7 +262,10 @@ def _thin_svd_spectrum(W: np.ndarray) -> Spectrum:
     n, p = W.shape
     _, s, Vh = np.linalg.svd(W, full_matrices=False)
     vals = np.zeros(p)
-    vals[: s.size] = s * s / n
+    with np.errstate(over="ignore"):
+        vals[: s.size] = s * s / n
+    if np.isinf(vals[0]):
+        raise ValueError(_OVERFLOW)
     return Spectrum(vals, _fix_column_signs(Vh.T))
 
 
@@ -315,18 +333,7 @@ def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
 
 
 def _basis_of(S) -> np.ndarray:
-    if isinstance(S, Subspace):
-        return S.basis
-    B = np.ascontiguousarray(S, dtype=np.float64)
-    if B.ndim == 1:
-        B = B[:, None]
-    if B.ndim != 2 or not np.all(np.isfinite(B)):
-        raise ValueError("subspace basis must be a finite p x d matrix")
-    if B.shape[1] > B.shape[0]:
-        raise ValueError(f"subspace dimension {B.shape[1]} exceeds ambient {B.shape[0]}")
-    if np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) > 1e-6:
-        raise ValueError("basis columns are not orthonormal")
-    return B
+    return S.basis if isinstance(S, Subspace) else Subspace(S).basis
 
 
 def _check_pair(U, W) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import BOUNDARY_REL_TOL, winsorize_rows
+from ._kernels import row_norms, unit_rows, winsorize_rows
 
 __all__ = [
     "RadiusSpec",
@@ -88,10 +88,6 @@ def as_data_matrix(X) -> np.ndarray:
     return A
 
 
-def row_norms(X: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", X, X))
-
-
 def _check_radius(r: float) -> float:
     r = float(r)
     if not np.isfinite(r) or r <= 0:
@@ -145,7 +141,7 @@ def _spherize_rows(A: np.ndarray, zero_rows: str = "error") -> np.ndarray:
         norms = norms[~zero]
         if A.shape[0] == 0:
             raise ValueError("all rows are zero; nothing left to spherize")
-    return A / norms[:, None]
+    return unit_rows(A, norms)
 
 
 def resolve_radius(X, spec: RadiusSpec) -> tuple[str, float | None]:

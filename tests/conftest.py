@@ -1,6 +1,6 @@
 from hypothesis import settings
 
-# First call into a compiled kernel pays the JIT cost; wall-clock deadlines
-# would flag that as a slow example.
+# Example timings vary with machine load and BLAS threads; wall-clock
+# deadlines would flag that as a slow example.
 settings.register_profile("winpca", deadline=None, max_examples=60)
 settings.load_profile("winpca")

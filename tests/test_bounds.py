@@ -10,8 +10,7 @@ from winpca import (
     WinsorizedSpectrum,
     asymptotic_rate,
     breakdown_lower_bounds_from_values,
-    concentration_bound_elliptical,
-    concentration_bound_subgaussian,
+    concentration_bound,
     covariance_deviation_bound,
     estimate_winsorized_eigenvalues,
     pca_breakdown_points,
@@ -134,7 +133,7 @@ class TestSampleWinsorizedSpectrum:
 
 class TestConcentrationBounds:
     def test_elliptical_hand_value(self):
-        rep = concentration_bound_elliptical(
+        rep = concentration_bound(
             1.0, 1.0, _wspec([0.75, 0.25], 1.0), d=1, eps=0.1, n=100, p=100)
         assert rep.components["contamination"] == pytest.approx(0.4)
         assert rep.components["sampling"] == pytest.approx(5.12)
@@ -143,12 +142,12 @@ class TestConcentrationBounds:
         assert rep.clipped == 1.0
 
     def test_clean_data_drops_contamination_term(self):
-        rep = concentration_bound_elliptical(
+        rep = concentration_bound(
             1.0, 1.0, _wspec([0.75, 0.25], 1.0), d=1, eps=0.0, n=100, p=100)
         assert rep.components["contamination"] == 0.0
 
     def test_zero_gap_is_infinite(self):
-        rep = concentration_bound_elliptical(
+        rep = concentration_bound(
             1.0, 1.0, _wspec([0.5, 0.5], 1.0), d=1, eps=0.1, n=100, p=100)
         assert math.isinf(rep.value)
         assert not rep.assumptions_met["positive_gap"]
@@ -157,34 +156,44 @@ class TestConcentrationBounds:
         ws = _wspec([0.75, 0.25], 1.0)
         for eps in (-0.1, 0.5, 0.9):
             with pytest.raises(ValueError):
-                concentration_bound_elliptical(1.0, 1.0, ws, 1, eps, 100, 100)
+                concentration_bound(1.0, 1.0, ws, 1, eps, 100, 100)
 
     def test_eigenvalue_ordering_validation(self):
         ws = _wspec([0.75, 0.25], 1.0)
         with pytest.raises(ValueError):
-            concentration_bound_elliptical(1.0, 2.0, ws, 1, 0.1, 100, 100)
+            concentration_bound(1.0, 2.0, ws, 1, 0.1, 100, 100)
 
     def test_subgaussian_matches_elliptical_when_radius_branch_wins(self):
         ws = _wspec([0.75, 0.25], 1.0)
-        ell = concentration_bound_elliptical(1.0, 1.0, ws, 1, 0.1, 100, 100)
+        ell = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100)
         # r^2/(p lamp) = 0.01, so any sigma with sigma^2 >= 0.01 changes nothing
-        sub = concentration_bound_subgaussian(1.0, 1.0, 1.0, ws, 1, 0.1, 100, 100)
+        sub = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100, sigma_sub=1.0)
         assert sub.value == pytest.approx(ell.value)
-        at_branch = concentration_bound_subgaussian(1.0, 1.0, 0.1, ws, 1, 0.1, 100, 100)
+        at_branch = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100, sigma_sub=0.1)
         assert at_branch.value == pytest.approx(ell.value)
 
     def test_subgaussian_sharper_when_sigma_small(self):
         ws = _wspec([0.75, 0.25], 1.0)
-        ell = concentration_bound_elliptical(1.0, 1.0, ws, 1, 0.1, 100, 100)
-        sub = concentration_bound_subgaussian(1.0, 1.0, 0.05, ws, 1, 0.1, 100, 100)
+        ell = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100)
+        sub = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100, sigma_sub=0.05)
         assert sub.components["sampling"] == pytest.approx(1.28)
         assert sub.value < ell.value
 
-    def test_subgaussian_rejects_infinite_sigma(self):
+    def test_infinite_sigma_is_the_elliptical_bound(self):
         ws = _wspec([0.75, 0.25], 1.0)
-        with pytest.raises(ValueError, match="elliptical"):
-            concentration_bound_subgaussian(
-                1.0, 1.0, math.inf, ws, 1, 0.1, 100, 100)
+        ell = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100)
+        sub = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100, sigma_sub=math.inf)
+        assert sub == ell
+
+    @pytest.mark.parametrize("sigma", [math.nan, 0.0, -1.0, -math.inf])
+    @pytest.mark.parametrize("bound", [
+        lambda s: concentration_bound(
+            1.0, 1.0, _wspec([0.75, 0.25], 1.0), 1, 0.1, 100, 100, sigma_sub=s),
+        lambda s: subgaussian_param_winsorized(1.0, 1.0, 4, 2.0, s),
+    ], ids=["concentration_bound", "subgaussian_param_winsorized"])
+    def test_rejects_non_positive_or_nan_sigma(self, bound, sigma):
+        with pytest.raises(ValueError, match="sigma_sub"):
+            bound(sigma)
 
 
 class TestAsymptoticRate:

@@ -209,6 +209,15 @@ class TestAngles:
         assert "re-orthonormalizing" in err
         assert float(meta_of(out)["largest"]) == pytest.approx(math.pi / 2)
 
+    def test_basis_off_by_1e_7_rescued(self, capsys, tmp_path):
+        # The CLI shares the package's 1e-8 orthonormality tolerance.
+        a = self._write_basis(tmp_path, "a.csv", [[1.0 + 1e-7], [0.0]])
+        b = self._write_basis(tmp_path, "b.csv", [[1.0], [0.0]])
+        code, out, err = run_cli(capsys, "angles", a, b)
+        assert code == 0
+        assert "within 1e-08; re-orthonormalizing" in err
+        assert float(meta_of(out)["largest"]) == 0.0
+
     def test_round_trip_with_fit(self, capsys, spiked_data, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -1,37 +1,14 @@
-import importlib.util
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
-import pytest
 
-import winpca
 from winpca import winsorize_dataset
 from winpca._kernels import (
     BOUNDARY_REL_TOL,
-    _winsorize_rows_numpy,
-    _winsorized_term_sums_numpy,
-    using_numba,
+    row_norms,
     winsorize_rows,
     winsorized_term_sums,
 )
-
-needs_numba = pytest.mark.skipif(not using_numba(),
-                                 reason="numba kernels not active")
-
-# The directory holding the imported ``winpca`` package, so a child
-# interpreter imports the same source as this process.
-_PACKAGE_ROOT = os.path.dirname(os.path.dirname(winpca.__file__))
-
-
-def _child_env(flag):
-    """Environment for a child interpreter with ``WINPCA_NO_NUMBA=flag``."""
-    env = dict(os.environ)
-    env["WINPCA_NO_NUMBA"] = flag
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    return env
 
 
 def _cases(seed):
@@ -40,30 +17,54 @@ def _cases(seed):
         yield rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0)
 
 
-class TestPathAgreement:
-    @needs_numba
-    def test_winsorize_paths_agree(self):
+def _winsorize_loop(X, r):
+    """Per-row reference: rows beyond the guarded radius scaled onto the ball."""
+    out = X.copy()
+    for i, row in enumerate(X):
+        norm = math.sqrt(sum(v * v for v in row))
+        if norm > r * (1.0 + BOUNDARY_REL_TOL):
+            out[i] = [v * r / norm for v in row]
+    return out
+
+
+def _term_sums_loop(y, lam, r2):
+    """Per-draw reference for winsorized_term_sums."""
+    sums, sumsq = np.zeros(y.shape[1]), np.zeros(y.shape[1])
+    for row in y:
+        terms = [l * v * v for l, v in zip(lam, row)]
+        factor = min(1.0, r2 / sum(terms))
+        for j, t in enumerate(terms):
+            sums[j] += t * factor
+            sumsq[j] += (t * factor) ** 2
+    return sums, sumsq
+
+
+class TestAgainstLoops:
+    def test_winsorize_rows(self):
         for X in _cases(0):
             r = float(np.median(np.linalg.norm(X, axis=1)))
-            guard = r * (1.0 + BOUNDARY_REL_TOL)
-            compiled = winsorize_rows(X, r)
-            plain = _winsorize_rows_numpy(X, r, guard)
-            assert np.allclose(compiled, plain, rtol=1e-12, atol=0)
-            # the untouched rows must be bitwise identical on both paths
-            inside = np.linalg.norm(X, axis=1) <= guard
-            assert np.array_equal(compiled[inside], plain[inside])
+            got = winsorize_rows(X, r)
+            want = _winsorize_loop(X, r)
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
+            # rows inside the ball are returned bit for bit
+            inside = np.linalg.norm(X, axis=1) <= r
+            assert inside.any()
+            assert np.array_equal(got[inside], X[inside])
 
-    @needs_numba
-    def test_term_sum_paths_agree(self):
+    def test_winsorized_term_sums(self):
         rng = np.random.default_rng(1)
         for p in (1, 4, 16):
-            y = rng.standard_normal((5000, p))
+            y = rng.standard_normal((2000, p))
             lam = np.sort(rng.uniform(0.5, 9.0, p))[::-1].copy()
             r2 = float(np.median(np.sum(lam * y * y, axis=1)))
-            cs, cq = winsorized_term_sums(y, lam, r2)
-            ps, pq = _winsorized_term_sums_numpy(y, lam, r2)
-            assert np.allclose(cs, ps, rtol=1e-10)
-            assert np.allclose(cq, pq, rtol=1e-10)
+            got_s, got_q = winsorized_term_sums(y, lam, r2)
+            want_s, want_q = _term_sums_loop(y, lam, r2)
+            assert np.allclose(got_s, want_s, rtol=1e-10, atol=0)
+            assert np.allclose(got_q, want_q, rtol=1e-10, atol=0)
+
+    def test_row_norms_plain_formula_on_ordinary_rows(self):
+        for X in _cases(3):
+            assert np.array_equal(row_norms(X), np.sqrt(np.einsum("ij,ij->i", X, X)))
 
 
 class TestBoundaryGuard:
@@ -92,52 +93,3 @@ class TestBoundaryGuard:
         snapshot = X.copy()
         winsorize_rows(X, 5.0)
         assert np.array_equal(X, snapshot)
-
-
-class TestEnvironmentSwitch:
-    def test_disable_flag_selects_numpy_path(self):
-        code = (
-            "import numpy as np\n"
-            "import winpca\n"
-            "from winpca._kernels import using_numba, winsorize_rows\n"
-            "assert not using_numba()\n"
-            "x = np.array([[3.0, 4.0], [0.3, 0.4]])\n"
-            "out = winsorize_rows(x, 2.5)\n"
-            "np.set_printoptions(precision=17)\n"
-            "print(winpca.__file__)\n"
-            "print(repr(out.tolist()))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True,
-            env=_child_env("1"),
-        )
-        assert proc.returncode == 0, proc.stderr
-        child_file, result = proc.stdout.strip().splitlines()
-        assert child_file == winpca.__file__
-        fallback = eval(result)
-        here = winsorize_rows(np.array([[3.0, 4.0], [0.3, 0.4]]), 2.5)
-        assert np.array_equal(np.array(fallback), here)
-
-    def test_flag_values(self):
-        code = (
-            "from winpca._kernels import _env_disables_numba, using_numba\n"
-            "print(using_numba())\n"
-            "print(_env_disables_numba())\n"
-        )
-        # Without the flag the compiled kernels run only if numba imports.
-        unset = str(importlib.util.find_spec("numba") is not None)
-        for val, expect, disables in (("0", unset, "False"),
-                                      ("false", unset, "False"),
-                                      ("", unset, "False"),
-                                      ("1", "False", "True"),
-                                      ("yes", "False", "True")):
-            proc = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True, text=True,
-                env=_child_env(val),
-            )
-            assert proc.returncode == 0, proc.stderr
-            active, parsed = proc.stdout.strip().splitlines()
-            assert active == expect, f"WINPCA_NO_NUMBA={val!r}"
-            assert parsed == disables, f"WINPCA_NO_NUMBA={val!r}"

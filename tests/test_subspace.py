@@ -195,6 +195,23 @@ class TestPrincipalAngles:
         with pytest.raises(ValueError):
             principal_angles(np.array([[2.0], [0.0]]), np.eye(2)[:, :1])
 
+    def test_orthonormality_tolerance_is_1e_8(self):
+        off = np.array([[1.0 + 1e-7], [0.0]])
+        with pytest.raises(ValueError, match="orthonormal"):
+            principal_angles(off, np.eye(2)[:, :1])
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(off)
+        close = np.array([[1.0 + 1e-9], [0.0]])
+        assert principal_angles(close, np.eye(2)[:, :1]).largest == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_basis(self, bad):
+        B = np.array([[bad], [0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            Subspace(B)
+        with pytest.raises(ValueError, match="finite"):
+            principal_angles(B, np.eye(2)[:, :1])
+
     def test_symmetry(self):
         rng = np.random.default_rng(21)
         for _ in range(10):

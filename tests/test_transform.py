@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,7 +21,24 @@ vectors = hnp.arrays(
     st.integers(min_value=1, max_value=8),
     elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
 )
+# Every finite float64, subnormals and values near the overflow threshold
+# included: a sum of squares of such entries overflows or underflows.
+wide_vectors = hnp.arrays(
+    np.float64,
+    st.integers(min_value=1, max_value=8),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
 radii = st.floats(min_value=1e-6, max_value=1e4)
+
+
+def _norm(x):
+    """Euclidean norm scaled by the largest magnitude, exact to roundoff for
+    every finite vector; inf only where the norm exceeds the float64 range."""
+    top = float(np.max(np.abs(x)))
+    if top == 0.0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return top * float(np.linalg.norm(x / top))
 
 
 def _rotation(p, seed):
@@ -57,11 +76,11 @@ class TestWinsorizePoint:
         with pytest.raises(ValueError):
             winsorize_point(np.array([np.inf, 0.0]), 1.0)
 
-    @given(x=vectors, r=radii)
+    @given(x=st.one_of(vectors, wide_vectors), r=radii)
     def test_norm_contract(self, x, r):
         out = winsorize_point(x, r)
-        expected = min(float(np.linalg.norm(x)), r)
-        assert abs(np.linalg.norm(out) - expected) <= 1e-12 * max(expected, 1e-300)
+        expected = min(_norm(x), r)
+        assert abs(_norm(out) - expected) <= 1e-12 * max(expected, 1e-300)
 
     @given(x=vectors, r=radii)
     def test_direction_preserved(self, x, r):
@@ -132,6 +151,55 @@ class TestWinsorizeDataset:
             winsorize_dataset(np.array([1.0, 2.0, 3.0]).reshape(1, 3), -1.0)
         with pytest.raises(ValueError):
             winsorize_dataset(np.array([[1.0, np.nan]]), 1.0)
+
+
+class TestHugeAndTinyRows:
+    """Rows whose sum of squares overflows or underflows float64."""
+
+    def test_huge_row_winsorized_onto_the_ball(self):
+        out = winsorize_dataset([[1e160, 1e160], [0.3, 0.4]], 1.0)
+        assert np.allclose(out[0], [0.5**0.5, 0.5**0.5], rtol=1e-15, atol=0)
+        assert np.array_equal(out[1], [0.3, 0.4])
+
+    def test_row_beyond_float_range_winsorized_onto_the_ball(self):
+        big = np.finfo(np.float64).max
+        out = winsorize_dataset([[big, big, -big]], 2.0)
+        assert np.allclose(out[0], np.array([1.0, 1.0, -1.0]) * 2.0 / 3**0.5,
+                           rtol=1e-15, atol=0)
+
+    def test_huge_rows_spherized(self):
+        big = np.finfo(np.float64).max
+        out = spherize_dataset([[1e160, 1e160], [big, -big]])
+        assert np.allclose(out, [[0.5**0.5, 0.5**0.5], [0.5**0.5, -(0.5**0.5)]],
+                           rtol=1e-15, atol=0)
+
+    def test_tiny_row_is_not_a_zero_row(self):
+        out = spherize_dataset([[1e-170, 0.0], [3e-200, 4e-200]])
+        assert np.allclose(out, [[1.0, 0.0], [0.6, 0.8]], rtol=1e-15, atol=0)
+        X = np.array([[1e-170, 1e-170], [0.0, 1e-170], [0.0, 0.0]])
+        assert resolve_radius(X, RadiusSpec.median_norm()) == ("winsorize", 1e-170)
+
+    @pytest.mark.parametrize("spec", [RadiusSpec.fixed(1.0), RadiusSpec.median_norm()])
+    @pytest.mark.parametrize("huge", [[1e160, 0.0], [-1.5e308, 1.5e308]])
+    def test_fit_keeps_a_huge_row(self, spec, huge):
+        # The trace of the winsorized covariance is the mean of min(|x|, r)^2;
+        # a huge row pulled back onto the ball contributes r^2 to it.
+        X = np.array([huge, [0.0, 0.1], [0.0, -0.1]])
+        fit = fit_pc_subspace(X, 1, spec)
+        r = fit.effective_radius
+        expected = (r**2 + 2 * min(0.1, r) ** 2) / 3
+        assert fit.spectrum.eigenvalues.sum() == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("X", [
+        np.array([[1e160, 1e160], [1.0, 0.0], [0.0, 1.0]]),
+        # fewer rows than columns: the thin-SVD route
+        np.array([[1e160, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    ])
+    def test_identity_fit_names_the_overflow(self, X):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                fit_pc_subspace(X, 1, RadiusSpec.none())
 
 
 class TestSpherize:
