@@ -37,6 +37,8 @@ from .bounds import (
     estimate_winsorized_eigenvalues,
     sample_winsorized_spectrum,
     sample_winsorized_spectra,
+    sample_winsorized_values,
+    check_winsorized_spectra,
     concentration_bound,
     asymptotic_rate,
     subgaussian_param_winsorized,
@@ -93,6 +95,8 @@ __all__ = [
     "estimate_winsorized_eigenvalues",
     "sample_winsorized_spectrum",
     "sample_winsorized_spectra",
+    "sample_winsorized_values",
+    "check_winsorized_spectra",
     "concentration_bound",
     "asymptotic_rate",
     "subgaussian_param_winsorized",

@@ -4,8 +4,8 @@ Two kernels dominate runtime at simulation scale: rescaling every row of a
 data matrix onto a centered ball (winsorization), and accumulating the
 per-coordinate terms of the winsorized second-moment estimator over a large
 batch of draws.  Every row norm in the package comes from ``row_norms``,
-which stays accurate where a sum of squares overflows or underflows to
-zero; ``perfbench/`` measures the package end to end.
+which stays accurate where a sum of squares overflows or underflows into
+the subnormal range; ``perfbench/`` measures the package end to end.
 
 ``top_eigh`` solves for the leading eigenpairs only, through LAPACK's
 ``dsyevr`` (MRRR) in numpy's bundled OpenBLAS when that library exports it,
@@ -27,6 +27,10 @@ __all__ = ["using_numba", "row_norms", "unit_rows", "winsorize_rows",
 # left untouched, so reapplying the transform is an exact no-op.
 BOUNDARY_REL_TOL = 1e-12
 
+_TINY = np.finfo(np.float64).tiny
+# Below this norm a sum of squares is subnormal and has lost digits.
+_SQRT_TINY = np.sqrt(_TINY)
+
 
 def using_numba() -> bool:
     """Always False: the kernels are numpy only; kept for environment records."""
@@ -37,13 +41,13 @@ def row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of a finite matrix.
 
     ``sqrt(sum x^2)`` serves each row it gets right.  A row whose sum of
-    squares overflows to inf, or underflows to 0 although an entry is
-    nonzero, is recomputed after scaling by its largest magnitude (Blue
-    1978, as in LAPACK ``dnrm2``); a norm is then inf only when it exceeds
-    the float64 range.
+    squares overflows to inf, or is subnormal or zero although an entry is
+    nonzero (plain norm below ``sqrt(tiny)``), is recomputed after scaling
+    by its largest magnitude (Blue 1978, as in LAPACK ``dnrm2``); a norm is
+    then inf only when it exceeds the float64 range.
     """
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-    redo = np.flatnonzero(np.isinf(norms) | (norms == 0.0))
+    redo = np.flatnonzero(np.isinf(norms) | (norms < _SQRT_TINY))
     if redo.size:
         top = np.max(np.abs(X[redo]), axis=1)
         keep = top > 0.0  # rows of zeros keep their zero norm
@@ -78,27 +82,50 @@ def winsorize_rows(values: np.ndarray, limit: float) -> np.ndarray:
     out = values.copy()
     mask = norms > limit * (1.0 + BOUNDARY_REL_TOL)
     if np.any(mask):
-        out[mask] = values[mask] * (limit / norms[mask])[:, None]
-        huge = np.isinf(norms)
-        if np.any(huge):
-            out[huge] = limit * unit_rows(values[huge], norms[huge])
+        factor = limit / norms[mask]
+        out[mask] = values[mask] * factor[:, None]
+        # A factor that is subnormal or zero has lost digits or the whole
+        # row; such rows (norm beyond the float64 range included) are
+        # divided onto the unit sphere first.
+        far = np.flatnonzero(mask)[factor < _TINY]
+        if far.size:
+            out[far] = limit * unit_rows(values[far], norms[far])
     return out
+
+
+# Entries per block of winsorized_term_sums: 32k, or 256 KiB per
+# float64 scratch buffer, so a block's passes stay in cache.
+_TERM_BLOCK_ENTRIES = 32_768
 
 
 def winsorized_term_sums(y: np.ndarray, lam: np.ndarray, r2: float):
     """Accumulate winsorized second-moment terms over whitened draws.
 
-    For each draw ``y_i`` the term vector is
-    ``lam * y_i**2 * min(1, r2 / sum(lam * y_i**2))``.  Returns the
-    coordinatewise sum and sum of squares across draws, from which the caller
-    forms Monte Carlo means and standard errors.
+    For each draw ``y_i`` the term vector is ``lam * y_i**2 * f_i`` with
+    ``f_i = min(1, r2 / sum(lam * y_i**2))``.  Returns the coordinatewise
+    sum and sum of squares across draws, from which the caller forms Monte
+    Carlo means and standard errors.  They are formed as
+    ``lam * sum_i f_i y_i**2`` and ``lam**2 * sum_i f_i**2 y_i**4``, block
+    by block over about ``_TERM_BLOCK_ENTRIES`` entries through two reused
+    scratch buffers, so no temporary grows with the number of draws.
     """
-    sq = (y * y) * lam
-    s2 = sq.sum(axis=1)
-    factor = np.ones_like(s2)
-    np.divide(r2, s2, out=factor, where=s2 > r2)
-    terms = sq * factor[:, None]
-    return terms.sum(axis=0), (terms * terms).sum(axis=0)
+    n, p = y.shape
+    rows = max(1, _TERM_BLOCK_ENTRIES // p)
+    squares = np.empty((min(rows, n), p))
+    fourths = np.empty_like(squares)
+    sums, sumsq = np.zeros(p), np.zeros(p)
+    for lo in range(0, n, rows):
+        block = y[lo:lo + rows]
+        sq, q = squares[:len(block)], fourths[:len(block)]
+        np.multiply(block, block, out=sq)
+        s2 = sq @ lam
+        factor = np.ones_like(s2)
+        np.divide(r2, s2, out=factor, where=s2 > r2)
+        sums += factor @ sq
+        np.multiply(sq, sq, out=q)
+        factor *= factor
+        sumsq += factor @ q
+    return lam * sums, lam * lam * sumsq
 
 
 # Negative eigenvalues of a positive semidefinite matrix within this

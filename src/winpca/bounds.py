@@ -17,7 +17,7 @@ import numpy as np
 
 from ._kernels import winsorized_term_sums
 from .distributions import PopulationModel, make_rng
-from .subspace import winsorized_second_moments
+from .subspace import _check_radii, _second_moments
 from .transform import as_data_matrix
 
 __all__ = [
@@ -26,6 +26,8 @@ __all__ = [
     "estimate_winsorized_eigenvalues",
     "sample_winsorized_spectrum",
     "sample_winsorized_spectra",
+    "sample_winsorized_values",
+    "check_winsorized_spectra",
     "concentration_bound",
     "asymptotic_rate",
     "subgaussian_param_winsorized",
@@ -58,34 +60,60 @@ class WinsorizedSpectrum:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
-        r = float(self.radius)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("values must be a nonempty 1-D vector")
-        if not np.isfinite(r) or r <= 0:
-            raise ValueError("radius must be finite and positive")
         if self.source not in ("monte_carlo", "sample"):
             raise ValueError(f"unknown source {self.source!r}")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ValueError("winsorized eigenvalues must be finite and nonnegative")
-        if np.any(np.diff(vals) > 0):
-            raise ValueError("winsorized eigenvalues must be sorted descending")
-        r2 = r * r
-        if self.standard_errors is not None:
-            ses = np.asarray(self.standard_errors, dtype=np.float64)
-            if ses.shape != vals.shape:
-                raise ValueError("standard errors must match values in shape")
+        ses = self.standard_errors
+        if ses is not None:
+            ses = np.asarray(ses, dtype=np.float64)
             object.__setattr__(self, "standard_errors", ses)
-            slack = 3.0 * ses
-            sum_slack = 3.0 * float(ses.sum()) + 1e-9 * r2
-        else:
-            slack = np.full_like(vals, 1e-9 * r2)
-            sum_slack = 1e-9 * r2
-        if np.any(vals > r2 + slack + 1e-12):
-            raise ValueError("a winsorized eigenvalue exceeds the radius squared")
-        if vals.sum() > r2 + sum_slack + 1e-12:
-            raise ValueError("winsorized eigenvalues sum to more than the radius squared")
+        check_winsorized_spectra(vals[None], [self.radius],
+                                 None if ses is None else ses[None])
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "radius", float(self.radius))
+
+
+def check_winsorized_spectra(values: np.ndarray, radii, standard_errors=None) -> None:
+    """Check a stack of winsorized spectra, one row of ``values`` per radius.
+
+    ``values`` is an (R, p) array of eigenvalues and ``radii`` holds R
+    radii.  A winsorized vector has squared norm at most r^2, so each row
+    must be finite, nonnegative and descending, and each eigenvalue and each
+    row's sum must stay below r^2 up to roundoff (1e-9 r^2 plus 1e-12) or,
+    when ``standard_errors`` of the same shape are given for estimated
+    values, three Monte Carlo standard errors.  Raises ``ValueError`` on the
+    first check any row fails.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    r = np.asarray(radii, dtype=np.float64)
+    if values.ndim != 2 or r.shape != values.shape[:1]:
+        raise ValueError("need an (R, p) stack of eigenvalues and R radii")
+    if not np.all(np.isfinite(r) & (r > 0)):
+        raise ValueError("radius must be finite and positive")
+    _check_descending(values)
+    r2 = r * r
+    if standard_errors is not None:
+        standard_errors = np.asarray(standard_errors, dtype=np.float64)
+        if standard_errors.shape != values.shape:
+            raise ValueError("standard errors must match values in shape")
+        slack = 3.0 * standard_errors
+        sum_slack = 3.0 * standard_errors.sum(axis=1) + 1e-9 * r2
+    else:
+        slack = (1e-9 * r2)[:, None]
+        sum_slack = 1e-9 * r2
+    if np.any(values > r2[:, None] + slack + 1e-12):
+        raise ValueError("a winsorized eigenvalue exceeds the radius squared")
+    if np.any(values.sum(axis=1) > r2 + sum_slack + 1e-12):
+        raise ValueError("winsorized eigenvalues sum to more than the radius squared")
+
+
+def _check_descending(values: np.ndarray) -> None:
+    """Every row of ``values`` finite, nonnegative and sorted descending."""
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise ValueError("eigenvalues must be finite and nonnegative")
+    if np.any(np.diff(values, axis=-1) > 0):
+        raise ValueError("eigenvalues must be sorted descending")
 
 
 @dataclass(frozen=True)
@@ -154,21 +182,27 @@ def sample_winsorized_spectrum(X, r: float) -> WinsorizedSpectrum:
 
 
 def sample_winsorized_spectra(X, radii) -> list[WinsorizedSpectrum]:
-    """sample_winsorized_spectrum at every radius of a grid, in the order given.
+    """sample_winsorized_spectrum at every radius of a grid, in the order given."""
+    vals = sample_winsorized_values(X, radii)
+    return [WinsorizedSpectrum(values=v, radius=float(r), source="sample")
+            for v, r in zip(vals, np.asarray(radii, dtype=np.float64))]
 
-    ``X`` is validated once, the covariances come from one
-    ``winsorized_second_moments`` call and their eigenvalues from one stacked
-    ``eigvalsh``; each spectrum still passes every ``WinsorizedSpectrum``
-    check.
+
+def sample_winsorized_values(X, radii) -> np.ndarray:
+    """Winsorized sample eigenvalues of ``X`` at every radius, shape (R, p).
+
+    Row j holds the descending eigenvalues of the winsorized sample
+    covariance at ``radii[j]``.  ``X`` and the radii are validated once, the
+    covariances come from one ``winsorized_second_moments`` pass and their
+    eigenvalues from one stacked ``eigvalsh``, and the whole stack passes
+    ``check_winsorized_spectra`` in one call.
     """
     A = as_data_matrix(X)
-    radii = np.asarray(radii, dtype=np.float64)
-    if not np.all(np.isfinite(radii) & (radii > 0)):
-        raise ValueError(f"winsorization radii must be finite and positive, got {radii}")
-    vals = np.linalg.eigvalsh(winsorized_second_moments(A, radii))[:, ::-1].copy()
+    radii = _check_radii(radii, finite=True)
+    vals = np.linalg.eigvalsh(_second_moments(A, radii))[:, ::-1].copy()
     np.clip(vals, 0.0, None, out=vals)
-    return [WinsorizedSpectrum(values=v, radius=float(r), source="sample")
-            for v, r in zip(vals, radii)]
+    check_winsorized_spectra(vals, radii)
+    return vals
 
 
 def _check_eps(eps: float) -> float:
@@ -295,7 +329,7 @@ def pca_breakdown_points(n: int, d: int) -> tuple[float, float]:
     return 1.0 / n, d / n
 
 
-def breakdown_lower_bounds_from_values(values, r2: float, d: int) -> tuple[float, float]:
+def breakdown_lower_bounds_from_values(values, r2, d: int):
     """Breakdown lower bounds from raw descending eigenvalues and a squared radius.
 
     With eigenvalues ``v_1 >= ... >= v_p`` (taken as zero past p): the weak
@@ -303,36 +337,41 @@ def breakdown_lower_bounds_from_values(values, r2: float, d: int) -> tuple[float
     averaged gap ``max_{d0 <= d} (sum_{j<=d0} v_j - v_{d+j}) / (2 r^2 d0)``.
     Both are capped at 1/2, the ceiling of any breakdown point, and floored
     at 0.
+
+    A 1-D ``values`` with a scalar ``r2`` returns the tuple ``(weak,
+    strong)``.  An (R, p) stack with R squared radii returns an (R, 2)
+    array whose rows equal, bit for bit, the one-row results.
     """
     vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim != 1 or vals.size < 1 or not np.all(np.isfinite(vals)):
-        raise ValueError("eigenvalues must be a finite nonempty 1-D vector")
-    if np.any(np.diff(vals) > 0) or vals[-1] < 0:
-        raise ValueError("eigenvalues must be nonnegative and sorted descending")
-    r2 = float(r2)
-    if not np.isfinite(r2) or r2 <= 0:
+    r2 = np.asarray(r2, dtype=np.float64)
+    if vals.ndim not in (1, 2) or vals.size < 1 or r2.shape != vals.shape[:-1]:
+        raise ValueError("need a nonempty 1-D vector of eigenvalues and a scalar r2, "
+                         "or an (R, p) stack and R values of r2")
+    _check_descending(vals)
+    if not np.all(np.isfinite(r2) & (r2 > 0)):
         raise ValueError("squared radius must be finite and positive")
     d = int(d)
-    p = vals.size
+    p = vals.shape[-1]
     if not 1 <= d < p:
         raise ValueError(f"need 1 <= d < p={p}, got d={d}")
+    V = vals.reshape(-1, p)
+    twice_r2 = 2.0 * r2.reshape(-1)
 
-    def v(j: int) -> float:
-        return float(vals[j - 1]) if j <= p else 0.0
+    def v(j: int) -> np.ndarray | float:
+        return V[:, j - 1] if j <= p else 0.0
 
-    weak = (v(d) - v(d + 1)) / (2.0 * r2)
-    strong = -math.inf
-    top = 0.0
-    shifted = 0.0
+    # The same operations, in the same order, as a loop over single rows.
+    weak = (v(d) - v(d + 1)) / twice_r2
+    strong = np.full(V.shape[0], -math.inf)
+    top = shifted = 0.0
     for d0 in range(1, d + 1):
-        top += v(d0)
-        shifted += v(d + d0)
-        strong = max(strong, (top - shifted) / (2.0 * r2 * d0))
-
-    def clamp(x: float) -> float:
-        return min(max(x, 0.0), 0.5)
-
-    return clamp(weak), clamp(strong)
+        top = top + v(d0)
+        shifted = shifted + v(d + d0)
+        strong = np.maximum(strong, (top - shifted) / (twice_r2 * d0))
+    out = np.minimum(np.maximum(np.stack((weak, strong), axis=1), 0.0), 0.5)
+    if vals.ndim == 1:
+        return float(out[0, 0]), float(out[0, 1])
+    return out
 
 
 def wpca_breakdown_lower_bounds(wspec: WinsorizedSpectrum, d: int) -> tuple[float, float]:

@@ -28,9 +28,10 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    breakdown_lower_bounds_from_values,
     perturbation_bound,
-    sample_winsorized_spectra,
     sample_winsorized_spectrum,
+    sample_winsorized_values,
     wpca_breakdown_lower_bounds,
 )
 from .distributions import PopulationModel, make_rng
@@ -282,8 +283,8 @@ def run_breakdown_bounds(
     def one(rep: int) -> np.ndarray:
         rng = make_rng(seed, (rep,))
         X = model.draw(n, rng)
-        return np.array([wpca_breakdown_lower_bounds(wspec, d)
-                         for wspec in sample_winsorized_spectra(X, grid)])
+        return breakdown_lower_bounds_from_values(
+            sample_winsorized_values(X, grid), grid ** 2, d)
 
     stack = np.stack(map_replications(one, int(replications), jobs))
     mean, se = _mean_se(stack)

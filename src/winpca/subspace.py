@@ -189,8 +189,12 @@ def _check_dim(d, p: int) -> int:
     return d
 
 
-def _check_radii(radii) -> np.ndarray:
+def _check_radii(radii, finite: bool = False) -> np.ndarray:
+    """``radii`` as a nonempty 1-D array of positive radii; ``+inf`` leaves
+    rows untouched and is allowed unless ``finite``."""
     r = np.asarray(radii, dtype=np.float64)
+    if finite and not np.all(np.isfinite(r) & (r > 0)):
+        raise ValueError(f"winsorization radii must be finite and positive, got {r}")
     if r.ndim != 1 or r.size < 1:
         raise ValueError("radii must be a nonempty 1-D sequence")
     if not np.all(r > 0):
@@ -219,7 +223,11 @@ def winsorized_second_moments(A: np.ndarray, radii) -> np.ndarray:
     again here.  A matrix whose entries overflow float64, from rows left
     alone or from a radius too large, raises ``ValueError``.
     """
-    radii = _check_radii(radii)
+    return _second_moments(A, _check_radii(radii))
+
+
+def _second_moments(A: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """winsorized_second_moments for radii already checked by ``_check_radii``."""
     n, p = A.shape
     norms = row_norms(A)
     order = np.argsort(norms, kind="stable")
@@ -281,7 +289,7 @@ def _spectra(A: np.ndarray, d: int, radii, eigensolve) -> list[Spectrum]:
     if d <= n < p:
         return [_thin_svd_spectrum(A if math.isinf(r) else winsorize_rows(A, r))
                 for r in radii]
-    return [eigensolve(S) for S in winsorized_second_moments(A, radii)]
+    return [eigensolve(S) for S in _second_moments(A, radii)]
 
 
 def _make_fit(spectrum: Spectrum, d: int, mode: str, r: float | None) -> WPCAFit:
@@ -305,7 +313,7 @@ def fit_pc_subspace(X, d: int, spec: RadiusSpec) -> WPCAFit:
     mode, r = _resolve_radius(A, spec)
     # Spherized rows are the rows a radius of +inf leaves alone.
     W = _spherize_rows(A) if mode == "spherize" else A
-    spectrum = _spectra(W, d, [math.inf if r is None else r], symmetric_eigh)[0]
+    spectrum = _spectra(W, d, np.array([math.inf if r is None else r]), symmetric_eigh)[0]
     return _make_fit(spectrum, d, mode, r)
 
 

@@ -10,12 +10,15 @@ from winpca import (
     WinsorizedSpectrum,
     asymptotic_rate,
     breakdown_lower_bounds_from_values,
+    check_winsorized_spectra,
     concentration_bound,
     covariance_deviation_bound,
     estimate_winsorized_eigenvalues,
     pca_breakdown_points,
     perturbation_bound,
+    sample_winsorized_spectra,
     sample_winsorized_spectrum,
+    sample_winsorized_values,
     subgaussian_param_winsorized,
     wpca_breakdown_lower_bounds,
 )
@@ -70,6 +73,88 @@ class TestWinsorizedSpectrum:
                 np.array([0.5, 0.25]), 1.0, "monte_carlo",
                 standard_errors=np.array([1e-3]),
             )
+
+
+# (values, radius, standard errors or None, accepted?) for one spectrum.
+SPECTRUM_CASES = [
+    ([0.75, 0.25], 1.0, None, True),
+    ([1.0 + 1e-9, 0.0], 1.0, None, True),  # the roundoff slack
+    ([1.0 + 2e-9], 1.0, None, False),
+    ([0.5 + 1e-9, 0.5], 1.0, None, True),  # sum at its slack
+    ([0.5 + 2e-9, 0.5], 1.0, None, False),
+    ([0.7, 0.6], 1.0, None, False),
+    ([0.0, 0.0], 1e-3, None, True),
+    ([0.25, 0.75], 1.0, None, False),
+    ([0.5, -0.1], 1.0, None, False),
+    ([0.5, math.nan], 1.0, None, False),
+    ([math.inf], 1.0, None, False),
+    ([1.5], 1.0, None, False),
+    ([0.5], 0.0, None, False),
+    ([0.5], -1.0, None, False),
+    ([0.5], math.inf, None, False),
+    ([0.5], math.nan, None, False),
+    ([1.0 + 1e-4], 1.0, [1e-3], True),  # three Monte Carlo standard errors
+    ([1.0 + 4e-3], 1.0, [1e-3], False),
+    ([0.6, 0.5], 1.0, [0.02, 0.02], True),
+    ([0.6, 0.5], 1.0, [0.01, 0.01], False),
+    ([0.5, 0.25], 1.0, [1e-3], False),  # shape mismatch
+]
+
+
+class TestStackedSpectrumCheck:
+    @pytest.mark.parametrize("values, radius, ses, accepted", SPECTRUM_CASES)
+    def test_agrees_with_winsorized_spectrum(self, values, radius, ses, accepted):
+        vals = np.asarray(values, dtype=float)
+        se = None if ses is None else np.asarray(ses, dtype=float)
+        source = "sample" if se is None else "monte_carlo"
+        if accepted:
+            WinsorizedSpectrum(vals, radius, source, standard_errors=se)
+        else:
+            with pytest.raises(ValueError):
+                WinsorizedSpectrum(vals, radius, source, standard_errors=se)
+        # The case as one row of a stack between two valid rows.
+        good = np.full_like(vals, 0.1 / vals.size)
+        stack = np.stack((good, vals, good))
+        radii = [1.0, radius, 1.0]
+        se_stack = None
+        if se is not None:
+            se_stack = np.stack((np.zeros_like(se), se, np.zeros_like(se)))
+        if accepted:
+            check_winsorized_spectra(stack, radii, se_stack)
+        else:
+            with pytest.raises(ValueError):
+                check_winsorized_spectra(stack, radii, se_stack)
+
+    def test_one_radius_per_row(self):
+        with pytest.raises(ValueError, match="radii"):
+            check_winsorized_spectra(np.full((3, 2), 0.1), [1.0, 1.0])
+        with pytest.raises(ValueError, match="radii"):
+            check_winsorized_spectra(np.full(2, 0.1), [1.0])
+
+
+class TestSampleWinsorizedValues:
+    def test_rows_are_the_spectra(self):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((80, 4)) * [5.0, 3.0, 1.0, 0.5]
+        radii = [0.5, 2.0, 1.0, 50.0]
+        vals = sample_winsorized_values(X, radii)
+        for row, ws in zip(vals, sample_winsorized_spectra(X, radii)):
+            assert np.array_equal(row, ws.values)
+
+    @pytest.mark.parametrize("radii, message", [
+        ([1.0, math.nan], "finite and positive"),
+        ([1.0, math.inf], "finite and positive"),
+        ([1.0, 0.0], "finite and positive"),
+        ([[1.0, -2.0]], "finite and positive"),
+        (2.0, "nonempty 1-D"),
+        ([], "nonempty 1-D"),
+        ([[1.0, 2.0]], "nonempty 1-D"),
+    ])
+    def test_radii_checked_once_at_the_boundary(self, radii, message):
+        X = np.eye(3)
+        for fn in (sample_winsorized_values, sample_winsorized_spectra):
+            with pytest.raises(ValueError, match=message):
+                fn(X, radii)
 
 
 class TestEstimateWinsorizedEigenvalues:
@@ -278,7 +363,49 @@ class TestPcaBreakdown:
             pca_breakdown_points(10, 0)
 
 
+def _bounds_loop(values, r2, d):
+    """Per-row reference for breakdown_lower_bounds_from_values."""
+    p = len(values)
+
+    def v(j):
+        return float(values[j - 1]) if j <= p else 0.0
+
+    weak = (v(d) - v(d + 1)) / (2.0 * r2)
+    strong, top, shifted = -math.inf, 0.0, 0.0
+    for d0 in range(1, d + 1):
+        top += v(d0)
+        shifted += v(d + d0)
+        strong = max(strong, (top - shifted) / (2.0 * r2 * d0))
+    return min(max(weak, 0.0), 0.5), min(max(strong, 0.0), 0.5)
+
+
 class TestBreakdownLowerBounds:
+    @pytest.mark.parametrize("p", [2, 4, 7])
+    def test_stack_equals_rows_bit_for_bit(self, p):
+        rng = np.random.default_rng(p)
+        R = 300
+        vals = -np.sort(-rng.uniform(0.0, 1.0, (R, p)) ** 3, axis=1)
+        vals[::7, 1:] = vals[::7, :1]  # flat spectra give zero bounds
+        r2 = rng.uniform(0.05, 3.0, R)
+        for d in range(1, p):
+            got = breakdown_lower_bounds_from_values(vals, r2, d)
+            assert got.shape == (R, 2)
+            for row, v, q in zip(got, vals, r2):
+                want = _bounds_loop(v, float(q), d)
+                assert breakdown_lower_bounds_from_values(v, q, d) == want
+                assert tuple(row) == want
+
+    def test_stack_validation(self):
+        vals = np.array([[2.0, 1.0], [1.0, 0.5]])
+        with pytest.raises(ValueError):
+            breakdown_lower_bounds_from_values(vals, 4.0, 1)  # one r2 per row
+        with pytest.raises(ValueError):
+            breakdown_lower_bounds_from_values(vals, [4.0, 0.0], 1)
+        with pytest.raises(ValueError):
+            breakdown_lower_bounds_from_values(vals[:, ::-1], [4.0, 4.0], 1)
+        with pytest.raises(ValueError):
+            breakdown_lower_bounds_from_values(vals[None], [[4.0, 4.0]], 1)
+
     def test_hand_values(self):
         weak, strong = breakdown_lower_bounds_from_values([3.0, 2.0, 1.0, 0.5], 4.0, 2)
         assert weak == pytest.approx(0.125)

@@ -5,12 +5,16 @@ import pytest
 
 from winpca import (
     PRESETS,
+    PopulationModel,
     ResultTable,
     format_value,
+    make_rng,
     run_breakdown_bounds,
     run_effect_of_radius,
     run_high_dim,
     run_perturbation_sweep,
+    sample_winsorized_spectra,
+    wpca_breakdown_lower_bounds,
 )
 
 
@@ -149,6 +153,10 @@ class TestHighDim:
         again = run_high_dim(scale=0.01, seed=3, replications=3)
         assert again.csv_text(timestamp=False) == highdim_table.csv_text(timestamp=False)
 
+    def test_jobs_do_not_change_rows(self, highdim_table):
+        threaded = run_high_dim(scale=0.01, seed=3, replications=3, jobs=3)
+        assert threaded.csv_text(timestamp=False) == highdim_table.csv_text(timestamp=False)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run_high_dim(scale=0.0)
@@ -187,6 +195,27 @@ class TestBreakdownBounds:
     def test_deterministic(self, breakdown_table):
         again = run_breakdown_bounds(seed=5, replications=30, n_radii=8)
         assert again.csv_text(timestamp=False) == breakdown_table.csv_text(timestamp=False)
+
+    def test_jobs_do_not_change_rows(self, breakdown_table):
+        threaded = run_breakdown_bounds(seed=5, replications=30, n_radii=8, jobs=3)
+        assert threaded.csv_text(timestamp=False) == breakdown_table.csv_text(timestamp=False)
+
+    def test_equals_per_spectrum_bounds(self):
+        # The same table through one WinsorizedSpectrum per radius.
+        table = run_breakdown_bounds(seed=9, replications=4, n_radii=6)
+        grid = [row[0] for row in table.rows[::2]]
+        model = PopulationModel.gaussian(np.array([25.0, 25.0, 5.0, 1.0]))
+        stack = np.array([
+            [wpca_breakdown_lower_bounds(ws, 2) for ws in
+             sample_winsorized_spectra(model.draw(1000, make_rng(9, (rep,))), grid)]
+            for rep in range(4)])
+        mean = stack.mean(axis=0)
+        se = stack.std(axis=0, ddof=1) / 2.0
+        want = []
+        for ri, r in enumerate(grid):
+            want.append((r, "weak_lb", mean[ri, 0], se[ri, 0]))
+            want.append((r, "strong_lb", mean[ri, 1], se[ri, 1]))
+        assert table.rows == want
 
 
 class TestPerturbationSweep:

@@ -3,7 +3,10 @@ import math
 import numpy as np
 
 from winpca import winsorize_dataset
+import pytest
+
 from winpca._kernels import (
+    _TERM_BLOCK_ENTRIES,
     BOUNDARY_REL_TOL,
     row_norms,
     winsorize_rows,
@@ -62,9 +65,43 @@ class TestAgainstLoops:
             assert np.allclose(got_s, want_s, rtol=1e-10, atol=0)
             assert np.allclose(got_q, want_q, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("p", [1, 4, 16])
+    @pytest.mark.parametrize("extra_blocks, extra_rows", [(0, -1), (1, 0), (1, 1), (3, 7)])
+    def test_winsorized_term_sums_across_block_boundaries(self, p, extra_blocks, extra_rows):
+        block = _TERM_BLOCK_ENTRIES // p
+        n = extra_blocks * block + extra_rows if extra_blocks else block + extra_rows
+        rng = np.random.default_rng(p * 100 + n)
+        y = rng.standard_normal((n, p))
+        lam = np.sort(rng.uniform(0.5, 9.0, p))[::-1].copy()
+        s2 = np.sum(lam * y * y, axis=1)
+        # no row clipped, every row clipped, and about half of them
+        for r2 in (2.0 * s2.max(), 0.5 * s2.min(), float(np.median(s2))):
+            got_s, got_q = winsorized_term_sums(y, lam, r2)
+            want_s, want_q = _term_sums_loop(y, lam, r2)
+            assert np.allclose(got_s, want_s, rtol=1e-10, atol=0)
+            assert np.allclose(got_q, want_q, rtol=1e-10, atol=0)
+
     def test_row_norms_plain_formula_on_ordinary_rows(self):
         for X in _cases(3):
             assert np.array_equal(row_norms(X), np.sqrt(np.einsum("ij,ij->i", X, X)))
+
+
+class TestTinyNorms:
+    def test_subnormal_sum_of_squares_keeps_its_digits(self):
+        # 3e-160**2 + 4e-160**2 is subnormal; the plain formula loses digits.
+        X = np.array([[3e-160, 4e-160], [0.0, 5e-324], [0.0, 0.0], [3.0, 4.0]])
+        got = row_norms(X)
+        assert np.allclose(got, [5e-160, 5e-324, 0.0, 5.0], rtol=1e-15, atol=0)
+
+    def test_winsorized_subnormal_row_lands_on_the_ball(self):
+        out = winsorize_rows(np.array([[3e-160, 4e-160]]), 1e-160)
+        assert np.allclose(out[0], [6e-161, 8e-161], rtol=1e-15, atol=0)
+
+    def test_row_whose_scale_factor_underflows_lands_on_the_ball(self):
+        # 1e-300 / 1e300 underflows to zero, 1e-300 / 3e10 is subnormal.
+        X = np.array([[1e300, 0.0], [3e10, 4e10]])
+        out = winsorize_rows(X, 1e-300)
+        assert np.allclose(out, [[1e-300, 0.0], [6e-301, 8e-301]], rtol=1e-15, atol=0)
 
 
 class TestBoundaryGuard:
