@@ -52,12 +52,9 @@ from .simulate import (
     ConstantVector,
     CoordinateSpike,
     ContaminationPlan,
-    ScenarioConfig,
-    SimulationResult,
     sample_gaussian,
     sample_student_t,
     apply_contamination,
-    empirical_sin_theta,
 )
 from .experiments import (
     ResultTable,
@@ -108,12 +105,9 @@ __all__ = [
     "ConstantVector",
     "CoordinateSpike",
     "ContaminationPlan",
-    "ScenarioConfig",
-    "SimulationResult",
     "sample_gaussian",
     "sample_student_t",
     "apply_contamination",
-    "empirical_sin_theta",
     "ResultTable",
     "format_value",
     "run_effect_of_radius",

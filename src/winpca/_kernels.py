@@ -141,12 +141,11 @@ def _fix_column_signs(V: np.ndarray) -> np.ndarray:
     return V * signs
 
 
-def descending_eigenpairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _descending_eigenpairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reverse ascending eigenpairs, clamp roundoff negatives, orient columns."""
     w = w[::-1].copy()
-    top = w[0] if w.size else 0.0
-    if top > 0:
-        w[(w < 0) & (w >= -NEG_EIG_REL_TOL * top)] = 0.0
+    if w[0] > 0:
+        w[(w < 0) & (w >= -NEG_EIG_REL_TOL * w[0])] = 0.0
     return w, _fix_column_signs(V[:, ::-1])
 
 
@@ -179,10 +178,10 @@ def top_eigh(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading ``k`` eigenpairs of a symmetric matrix, eigenvalues descending.
 
     Only the lower triangle of ``S`` is read.  Returns ``(w, V)`` with ``w``
-    of length k and ``V`` of shape p x k; post-processing matches
-    ``subspace.symmetric_eigh``: roundoff negatives within 1e-10 of the
-    largest eigenvalue are clamped to zero and each column's
-    largest-magnitude entry is positive.
+    of length k and ``V`` of shape p x k.  Roundoff negatives within 1e-10
+    of the largest eigenvalue are clamped to zero and each column's
+    largest-magnitude entry is positive.  Every eigensolve of the package
+    runs here, ``k = p`` giving the full decomposition.
     """
     # A private copy: dsyevr overwrites its input.
     A = np.array(S, dtype=np.float64, order="F")
@@ -195,7 +194,7 @@ def top_eigh(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix contains non-finite entries")
     if _LAPACKE_DSYEVR is None:
         w, V = np.linalg.eigh(A)
-        return descending_eigenpairs(w[p - k:], V[:, p - k:])
+        return _descending_eigenpairs(w[p - k:], V[:, p - k:])
     w = np.empty(p)
     Z = np.empty((p, k), order="F")
     isuppz = np.empty(2 * k, dtype=np.int64)
@@ -207,4 +206,4 @@ def top_eigh(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if info != 0 or found.value != k:
         raise np.linalg.LinAlgError(
             f"dsyevr failed (info={info}, {found.value} of {k} eigenpairs)")
-    return descending_eigenpairs(w[:k], Z)
+    return _descending_eigenpairs(w[:k], Z)

@@ -18,7 +18,7 @@ import numpy as np
 from ._kernels import winsorized_term_sums
 from .distributions import PopulationModel, make_rng
 from .subspace import _check_radii, _second_moments
-from .transform import as_data_matrix
+from .transform import _check_radius, as_data_matrix
 
 __all__ = [
     "WinsorizedSpectrum",
@@ -146,9 +146,7 @@ def estimate_winsorized_eigenvalues(
     n_draws = int(n_draws)
     if n_draws < 1000:
         raise ValueError(f"need at least 1000 draws for a usable estimate, got {n_draws}")
-    r = float(r)
-    if not np.isfinite(r) or r <= 0:
-        raise ValueError("radius must be finite and positive")
+    r = _check_radius(r)
     lam = model.sigma_eigenvalues
     rng = make_rng(seed)
     batch = max(1, _BATCH_ENTRIES // model.p)
@@ -183,9 +181,10 @@ def sample_winsorized_spectrum(X, r: float) -> WinsorizedSpectrum:
 
 def sample_winsorized_spectra(X, radii) -> list[WinsorizedSpectrum]:
     """sample_winsorized_spectrum at every radius of a grid, in the order given."""
-    vals = sample_winsorized_values(X, radii)
+    # Each spectrum is checked once, by its own constructor.
+    vals, radii = _sample_values(X, radii)
     return [WinsorizedSpectrum(values=v, radius=float(r), source="sample")
-            for v, r in zip(vals, np.asarray(radii, dtype=np.float64))]
+            for v, r in zip(vals, radii)]
 
 
 def sample_winsorized_values(X, radii) -> np.ndarray:
@@ -197,12 +196,18 @@ def sample_winsorized_values(X, radii) -> np.ndarray:
     eigenvalues from one stacked ``eigvalsh``, and the whole stack passes
     ``check_winsorized_spectra`` in one call.
     """
+    vals, radii = _sample_values(X, radii)
+    check_winsorized_spectra(vals, radii)
+    return vals
+
+
+def _sample_values(X, radii) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked (R, p) winsorized sample eigenvalues, and the validated radii."""
     A = as_data_matrix(X)
     radii = _check_radii(radii, finite=True)
     vals = np.linalg.eigvalsh(_second_moments(A, radii))[:, ::-1].copy()
     np.clip(vals, 0.0, None, out=vals)
-    check_winsorized_spectra(vals, radii)
-    return vals
+    return vals, radii
 
 
 def _check_eps(eps: float) -> float:
@@ -296,8 +301,9 @@ def subgaussian_param_winsorized(
     if not (lam1 >= lamp > 0):
         raise ValueError("need lam1 >= lamp > 0")
     p = int(p)
-    if p < 1 or r <= 0:
-        raise ValueError("need p >= 1 and r > 0")
+    if p < 1:
+        raise ValueError("need p >= 1")
+    r = _check_radius(r)
     if not sigma_sub > 0:
         raise ValueError(f"sigma_sub must be positive (inf if elliptical), got {sigma_sub}")
     return min(math.sqrt(lam1) * sigma_sub, math.sqrt(lam1 * r * r / (lamp * p)))
@@ -314,8 +320,8 @@ def covariance_deviation_bound(
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"contamination fraction must lie in [0, 1], got {eps}")
-    if r < 0 or sigma_r <= 0:
-        raise ValueError("need r >= 0 and sigma_r > 0")
+    if not (math.isfinite(r) and r >= 0 and sigma_r > 0):
+        raise ValueError("need a finite r >= 0 and sigma_r > 0")
     n, p = _check_counts(n, p)
     q = 8.0 * p / n
     return eps * r * r + 16.0 * sigma_r * sigma_r * max(q, math.sqrt(q))
@@ -395,8 +401,7 @@ def perturbation_bound(
     available bound.
     """
     eps = _check_eps(eps)
-    if r <= 0 or not np.isfinite(r):
-        raise ValueError("radius must be finite and positive")
+    r = _check_radius(r)
     lam_d_r, lam_d1_r = float(lam_d_r), float(lam_d1_r)
     if lam_d_r < lam_d1_r or lam_d1_r < 0:
         raise ValueError("need lam_d_r >= lam_d1_r >= 0")

@@ -281,10 +281,11 @@ def cmd_bounds_rate(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    preset = args.preset
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    run = PRESETS[preset]
+    run = PRESETS[args.preset]
+    if args.scale is not None and not args.scale > 0:
+        raise ValueError(f"--scale must be positive, got {args.scale}")
+    if args.replications is not None and args.replications < 1:
+        raise ValueError(f"--replications must be at least 1, got {args.replications}")
     # Flags the preset does not take keep its own defaults.
     params = inspect.signature(run).parameters
     kwargs = {"seed": args.seed}
@@ -300,13 +301,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             kwargs["replications"] = max(1, round(default * args.scale))
         else:
             ignored.append("--scale")
-    if args.replications:
+    if args.replications is not None:
         if "replications" in params:
             kwargs["replications"] = args.replications
         else:
             ignored.append("--replications")
     if ignored:
-        print(f"note: {preset} takes no {' or '.join(ignored)}; ignored", file=sys.stderr)
+        print(f"note: {args.preset} takes no {' or '.join(ignored)}; ignored", file=sys.stderr)
     _emit(run(**kwargs).csv_text(), args.out)
     return 0
 

@@ -30,9 +30,7 @@ from . import __version__
 from .bounds import (
     breakdown_lower_bounds_from_values,
     perturbation_bound,
-    sample_winsorized_spectrum,
     sample_winsorized_values,
-    wpca_breakdown_lower_bounds,
 )
 from .distributions import PopulationModel, make_rng
 from .simulate import (
@@ -203,6 +201,8 @@ def run_high_dim(
         raise ValueError("scale must lie in (0, 1]")
     if not float(filler) > 0:
         raise ValueError("filler eigenvalue must be positive")
+    if int(replications) < 1:
+        raise ValueError("need at least one replication")
     base = max(2, round(1000 * scale))
     d, m_out = 2, 2
     table = ResultTable(
@@ -320,9 +320,10 @@ def run_perturbation_sweep(
     X0 = model.draw(n, make_rng(seed))
     norms = row_norms(X0)
     r = float(np.median(norms))
-    wspec = sample_winsorized_spectrum(X0, r)
     fit0 = fit_pc_subspace(X0, d, RadiusSpec.fixed(r))
-    weak_lb, strong_lb = wpca_breakdown_lower_bounds(wspec, d)
+    # The pure fit's full spectrum is the winsorized sample spectrum at r.
+    vals = fit0.spectrum.eigenvalues
+    weak_lb, strong_lb = breakdown_lower_bounds_from_values(vals, r * r, d)
     outlier = ConstantVector((0.0, float(norms.max()) ** 2 + 100.0))
     table = ResultTable(
         ("m", "epsilon", "observed_angle", "observed_sin", "bound1", "bound2",
@@ -333,7 +334,6 @@ def run_perturbation_sweep(
             weak_lb=weak_lb, strong_lb=strong_lb,
         ),
     )
-    lam_d, lam_d1 = float(wspec.values[0]), float(wspec.values[1])
     for m in range(m_max + 1):
         eps = m / n
         if m:
@@ -342,7 +342,7 @@ def run_perturbation_sweep(
         else:
             fit = fit0
         report = principal_angles(fit.subspace, fit0.subspace)
-        bd = perturbation_bound(lam_d, lam_d1, r, eps)
+        bd = perturbation_bound(vals[d - 1], vals[d], r, eps)
         bound2 = bd.components.get("bound2")
         table.add(m, eps, report.largest, report.sin_largest,
                   bd.components["bound1"], bound2, bd.value, weak_lb)

@@ -1,12 +1,11 @@
-"""Seeded data generation, contamination injection, and empirical losses.
+"""Seeded data generation, contamination injection, and replication mapping.
 
 Pure datasets come from the elliptical samplers in ``distributions``;
-contamination replaces a chosen set of rows with adversarial vectors; the
-loss of a fit is the sine of the largest principal angle against either the
-population subspace (span of the leading coordinate axes for the diagonal
-models used here) or the subspace fitted on the uncontaminated data.  Every
-replication derives its generator from (seed, replication index), so results
-are identical across runs and across worker counts.
+contamination replaces a chosen set of rows with adversarial vectors; and
+``map_replications`` runs the replication bodies of the preset experiments,
+optionally on a thread pool.  Every replication derives its generator from
+(seed, replication index), so results are identical across runs and across
+worker counts.
 """
 
 from __future__ import annotations
@@ -18,19 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import PopulationModel, make_rng
-from .subspace import Subspace, fit_pc_subspace, principal_angles
-from .transform import RadiusSpec, as_data_matrix
+from .transform import as_data_matrix
 
 __all__ = [
     "ConstantVector",
     "CoordinateSpike",
     "ContaminationPlan",
-    "ScenarioConfig",
-    "SimulationResult",
     "sample_gaussian",
     "sample_student_t",
     "apply_contamination",
-    "empirical_sin_theta",
 ]
 
 
@@ -141,46 +136,6 @@ def apply_contamination(X0, plan: ContaminationPlan) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A full simulation cell: model, contamination, radius policy, and target.
-
-    ``target`` is ``"population"`` (span of the first d coordinate axes,
-    matching the diagonal population models) or ``"pure"`` (the subspace
-    fitted on the uncontaminated draw with the same radius policy).
-    """
-
-    n: int
-    d: int
-    model: PopulationModel
-    radius: RadiusSpec
-    plan: ContaminationPlan | None
-    target: str
-    replications: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.target not in ("population", "pure"):
-            raise ValueError("target must be 'population' or 'pure'")
-        if int(self.replications) < 1:
-            raise ValueError("need at least one replication")
-        if not 1 <= int(self.d) < self.model.p:
-            raise ValueError(f"need 1 <= d < p={self.model.p}, got d={self.d}")
-        if int(self.n) < 1:
-            raise ValueError("need n >= 1")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "replications", int(self.replications))
-        object.__setattr__(self, "seed", int(self.seed))
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    mean: float
-    std_error: float
-    values: np.ndarray
-
-
 def map_replications(fn, count: int, jobs: int = 1) -> list:
     """Evaluate fn(0..count-1), optionally on a thread pool, preserving order."""
     if jobs and int(jobs) > 1:
@@ -188,39 +143,3 @@ def map_replications(fn, count: int, jobs: int = 1) -> list:
             return list(pool.map(fn, range(count)))
     return [fn(i) for i in range(count)]
 
-
-def _loss_against_target(config: ScenarioConfig, rep: int,
-                         population: Subspace) -> float:
-    rng = make_rng(config.seed, (rep,))
-    X0 = config.model.draw(config.n, rng)
-    if config.plan is not None and config.plan.m > 0:
-        X = apply_contamination(X0, config.plan)
-    else:
-        X = X0
-    fit = fit_pc_subspace(X, config.d, config.radius)
-    if config.target == "population":
-        target = population
-    else:
-        target = fit_pc_subspace(X0, config.d, config.radius).subspace
-    return principal_angles(fit.subspace, target).sin_largest
-
-
-def empirical_sin_theta(config: ScenarioConfig, jobs: int = 1) -> SimulationResult:
-    """Monte Carlo estimate of the expected sin(largest angle) loss.
-
-    Each replication draws fresh pure data, contaminates it per the plan,
-    fits the subspace under the configured radius policy, and measures the
-    loss against the configured target.  The standard error is NaN when
-    there is a single replication.
-    """
-    population = Subspace(np.eye(config.model.p, config.d))
-    vals = np.array(
-        map_replications(lambda rep: _loss_against_target(config, rep, population),
-                         config.replications, jobs)
-    )
-    mean = float(vals.mean())
-    if vals.size > 1:
-        se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    else:
-        se = math.nan
-    return SimulationResult(mean, se, vals)

@@ -26,7 +26,6 @@ import numpy as np
 from ._kernels import (
     BOUNDARY_REL_TOL,
     _fix_column_signs,
-    descending_eigenpairs,
     row_norms,
     top_eigh,
     unit_rows,
@@ -66,11 +65,11 @@ def _is_orthonormal(B: np.ndarray) -> bool:
 class Spectrum:
     """The leading k <= p eigenvalues, descending, with orthonormal eigenvectors.
 
-    ``eigenvectors`` has p rows and at most k columns.  ``fit_pc_subspace``
-    and ``symmetric_eigh`` give all p eigenvalues; ``fit_pc_path`` gives the
-    top ``min(p, d + 1)`` with as many columns.  On the thin-SVD route
-    (``d <= n < p``) all p eigenvalues are given, the trailing ones exact
-    zeros, with only ``n`` columns.
+    ``eigenvectors`` has p rows and at most k columns.  From ``top_eigh``
+    there are as many columns as eigenvalues: all p for ``symmetric_eigh``
+    and ``fit_pc_subspace``, the top ``min(p, d + 1)`` for ``fit_pc_path``.
+    On the thin-SVD route (``d <= n < p``) all p eigenvalues are given, the
+    trailing ones exact zeros, with only ``n`` columns.
     """
 
     eigenvalues: np.ndarray
@@ -140,10 +139,12 @@ class AngleReport:
 
 @dataclass(frozen=True)
 class WPCAFit:
-    """Result of a PC-subspace fit: basis, full spectrum, and how the radius resolved.
+    """Result of a PC-subspace fit: basis, spectrum, and how the radius resolved.
 
-    ``degenerate_gap`` flags an eigenvalue tie at the subspace boundary; the
-    fit is still returned but downstream gap-based bounds will be infinite.
+    A single fit carries the full spectrum, a path fit its top d + 1
+    eigenvalues (see ``Spectrum``).  ``degenerate_gap`` flags an eigenvalue
+    tie at the subspace boundary; the fit is still returned but downstream
+    gap-based bounds will be infinite.
     """
 
     subspace: Subspace
@@ -169,17 +170,17 @@ def symmetric_eigh(S) -> Spectrum:
     Input must be symmetric within 1e-8 relative; it is symmetrized before
     factorization.  Negative eigenvalues within roundoff of zero (1e-10
     relative to the largest) are clamped to exactly zero.  Each eigenvector is
-    oriented so its largest-magnitude entry is positive.
+    oriented so its largest-magnitude entry is positive.  This is
+    ``top_eigh`` with every eigenpair.
     """
     A = np.ascontiguousarray(S, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
-    scale = np.max(np.abs(A)) if A.size else 0.0
-    if np.max(np.abs(A - A.T)) > 1e-8 * max(scale, 1e-300):
+    if np.max(np.abs(A - A.T)) > 1e-8 * max(np.max(np.abs(A)), 1e-300):
         raise ValueError("matrix is not symmetric within 1e-8 relative")
-    return Spectrum(*descending_eigenpairs(*np.linalg.eigh((A + A.T) / 2.0)))
+    return Spectrum(*top_eigh((A + A.T) / 2.0, A.shape[0]))
 
 
 def _check_dim(d, p: int) -> int:
@@ -277,19 +278,20 @@ def _thin_svd_spectrum(W: np.ndarray) -> Spectrum:
     return Spectrum(vals, _fix_column_signs(Vh.T))
 
 
-def _spectra(A: np.ndarray, d: int, radii, eigensolve) -> list[Spectrum]:
+def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[Spectrum]:
     """The spectrum of the winsorized rows of ``A`` at every radius.
 
     With fewer rows than columns the thin SVD of the winsorized rows is
     cheaper than the p x p Gram, and exact zeros fill the missing
     eigenvalues; it has only n eigenvectors, so it needs n >= d.  Otherwise
-    ``eigensolve`` takes each matrix of ``winsorized_second_moments``.
+    ``top_eigh`` solves for the top ``k`` eigenpairs of each matrix of
+    ``winsorized_second_moments``.
     """
     n, p = A.shape
     if d <= n < p:
         return [_thin_svd_spectrum(A if math.isinf(r) else winsorize_rows(A, r))
                 for r in radii]
-    return [eigensolve(S) for S in _second_moments(A, radii)]
+    return [Spectrum(*top_eigh(S, k)) for S in _second_moments(A, radii)]
 
 
 def _make_fit(spectrum: Spectrum, d: int, mode: str, r: float | None) -> WPCAFit:
@@ -303,17 +305,16 @@ def _make_fit(spectrum: Spectrum, d: int, mode: str, r: float | None) -> WPCAFit
 def fit_pc_subspace(X, d: int, spec: RadiusSpec) -> WPCAFit:
     """Fit the top-d PC subspace of ``X`` after applying a radius policy.
 
-    The pipeline is: resolve the radius policy, winsorize / spherize / leave
-    the rows alone accordingly, form the uncentered covariance, and take the
-    top-d eigenvectors.  The full spectrum travels with the result so bound
-    computations can consume the winsorized sample eigenvalues.
+    The radius policy is resolved first; the rest is the one-radius case of
+    ``fit_pc_path``, solving for all p eigenpairs, so bound computations can
+    consume the full winsorized sample spectrum.
     """
     A = as_data_matrix(X)
     d = _check_dim(d, A.shape[1])
     mode, r = _resolve_radius(A, spec)
     # Spherized rows are the rows a radius of +inf leaves alone.
     W = _spherize_rows(A) if mode == "spherize" else A
-    spectrum = _spectra(W, d, np.array([math.inf if r is None else r]), symmetric_eigh)[0]
+    spectrum = _spectra(W, d, np.array([math.inf if r is None else r]), A.shape[1])[0]
     return _make_fit(spectrum, d, mode, r)
 
 
@@ -321,20 +322,20 @@ def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
     """Top-d PC subspaces of ``X`` along a path of winsorization radii.
 
     Fit j equals ``fit_pc_subspace(X, d, RadiusSpec.fixed(radii[j]))``, or
-    ``RadiusSpec.none()`` where the radius is ``+inf``, to roundoff; radii
-    may come in any order and repeat.  ``X`` is validated once, every
-    covariance comes from one ``winsorized_second_moments`` call, and only
-    the top ``min(p, d + 1)`` eigenpairs of each are solved for, which is
-    what the subspace and its gap flag use.  With ``d <= n < p`` each radius
+    ``RadiusSpec.none()`` where the radius is ``+inf``, to roundoff, and
+    bit for bit where both solve the same eigenpairs (``d + 1 = p``, or the
+    thin SVD); radii may come in any order and repeat.  ``X`` is validated
+    once, every covariance comes from one ``winsorized_second_moments``
+    call, and only the top ``min(p, d + 1)`` eigenpairs of each are solved
+    for, which is what the subspace and its gap flag use.  With ``d <= n < p`` each radius
     takes the thin SVD of its winsorized rows instead, as in
     ``fit_pc_subspace``.
     """
     A = as_data_matrix(X)
     p = A.shape[1]
     d = _check_dim(d, p)
-    k = min(p, d + 1)
     radii = _check_radii(radii)
-    spectra = _spectra(A, d, radii, lambda S: Spectrum(*top_eigh(S, k)))
+    spectra = _spectra(A, d, radii, min(p, d + 1))
     return [_make_fit(s, d, "identity", None) if math.isinf(r)
             else _make_fit(s, d, "winsorize", float(r))
             for s, r in zip(spectra, radii)]

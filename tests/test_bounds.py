@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import winpca.bounds
 from winpca import (
     BoundReport,
     PopulationModel,
@@ -140,6 +141,22 @@ class TestSampleWinsorizedValues:
         vals = sample_winsorized_values(X, radii)
         for row, ws in zip(vals, sample_winsorized_spectra(X, radii)):
             assert np.array_equal(row, ws.values)
+
+    def test_each_spectrum_checked_once(self, monkeypatch):
+        rows = []
+        check = winpca.bounds.check_winsorized_spectra
+
+        def counting(values, *args, **kwargs):
+            rows.append(len(values))
+            return check(values, *args, **kwargs)
+
+        monkeypatch.setattr(winpca.bounds, "check_winsorized_spectra", counting)
+        X = np.random.default_rng(7).standard_normal((50, 3))
+        spectra = sample_winsorized_spectra(X, [0.5, 2.0, 1.0, 9.0])
+        assert len(spectra) == 4
+        assert rows == [1, 1, 1, 1]
+        sample_winsorized_values(X, [0.5, 2.0, 1.0, 9.0])
+        assert rows[4:] == [4]
 
     @pytest.mark.parametrize("radii, message", [
         ([1.0, math.nan], "finite and positive"),
@@ -316,6 +333,8 @@ class TestSubgaussianParam:
     def test_validation(self):
         with pytest.raises(ValueError):
             subgaussian_param_winsorized(1.0, 2.0, 4, 2.0, 1.0)
+        with pytest.raises(ValueError, match="p >= 1"):
+            subgaussian_param_winsorized(1.0, 1.0, 0, 2.0, 1.0)
         with pytest.raises(ValueError):
             subgaussian_param_winsorized(1.0, 1.0, 4, 0.0, 1.0)
         with pytest.raises(ValueError):
@@ -340,6 +359,14 @@ class TestCovarianceDeviationBound:
         # 8p/n = 0.08 < 1 so the square root dominates
         v = covariance_deviation_bound(0.0, 1.0, 1.0, 100, 1)
         assert v == pytest.approx(16.0 * math.sqrt(0.08))
+
+    @pytest.mark.parametrize("r, sigma_r", [
+        (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
+        (1.0, math.nan), (1.0, 0.0), (1.0, -1.0),
+    ])
+    def test_rejects_nan_or_out_of_range(self, r, sigma_r):
+        with pytest.raises(ValueError, match="r >= 0 and sigma_r > 0"):
+            covariance_deviation_bound(0.1, r, sigma_r, 100, 10)
 
     def test_eps_range_is_full_unit_interval(self):
         covariance_deviation_bound(1.0, 1.0, 1.0, 10, 2)
@@ -505,3 +532,20 @@ class TestBoundReport:
         assert BoundReport(5.52, {}, {}).clipped == 1.0
         assert BoundReport(0.3, {}, {}).clipped == 0.3
         assert BoundReport(math.inf, {}, {}).clipped == 1.0
+
+
+# Every scalar radius of the bounds passes one check: finite and positive.
+RADIUS_CALLS = {
+    "estimate_winsorized_eigenvalues": lambda r: estimate_winsorized_eigenvalues(
+        PopulationModel.gaussian(np.array([1.0])), r, 1000, seed=0),
+    "perturbation_bound": lambda r: perturbation_bound(1.0, 0.0, r, 0.1),
+    "subgaussian_param_winsorized": lambda r: subgaussian_param_winsorized(
+        4.0, 1.0, 10, r, 1.0),
+}
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(RADIUS_CALLS))
+def test_scalar_radius_must_be_finite_and_positive(name, r):
+    with pytest.raises(ValueError, match="finite and positive"):
+        RADIUS_CALLS[name](r)

@@ -384,6 +384,24 @@ class TestExperiment:
         assert code == 0
         assert calls[0]["replications"] == 4
 
+    @pytest.mark.parametrize("preset, flags", [
+        ("fig2", ("--replications", "0")),
+        ("fig3", ("--replications", "0")),
+        ("fig3", ("--replications", "-2")),
+        ("fig3", ("--scale", "0")),
+        ("fig3", ("--scale", "-1")),
+        ("fig3", ("--scale", "nan")),
+        ("fig1", ("--scale", "0")),
+        ("fig4", ("--replications", "0")),
+    ])
+    def test_rejects_non_positive_sizes(self, capsys, monkeypatch, preset, flags):
+        calls = []
+        monkeypatch.setitem(PRESETS, preset, _fake_preset(PRESETS[preset], calls))
+        code, _, err = run_cli(capsys, "experiment", preset, *flags)
+        assert code == 2
+        assert calls == []
+        assert f"{flags[0]} must be" in err
+
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "fig9")
         assert code == 2

@@ -164,6 +164,8 @@ class TestHighDim:
             run_high_dim(scale=2.0)
         with pytest.raises(ValueError):
             run_high_dim(scale=0.01, filler=0.0)
+        with pytest.raises(ValueError, match="at least one replication"):
+            run_high_dim(scale=0.01, replications=0)
 
 
 class TestBreakdownBounds:
@@ -199,6 +201,13 @@ class TestBreakdownBounds:
     def test_jobs_do_not_change_rows(self, breakdown_table):
         threaded = run_breakdown_bounds(seed=5, replications=30, n_radii=8, jobs=3)
         assert threaded.csv_text(timestamp=False) == breakdown_table.csv_text(timestamp=False)
+
+    def test_single_replication_has_nan_se(self):
+        table = run_breakdown_bounds(seed=5, replications=1, n_radii=3)
+        assert np.all(np.isnan(_col(table, "std_error")))
+        assert np.all(np.isfinite(_col(table, "value")))
+        with pytest.raises(ValueError, match="at least one replication"):
+            run_breakdown_bounds(replications=0)
 
     def test_equals_per_spectrum_bounds(self):
         # The same table through one WinsorizedSpectrum per radius.

@@ -16,6 +16,7 @@ from winpca import (
     _kernels,
     fit_pc_path,
     fit_pc_subspace,
+    symmetric_eigh,
     winsorize_dataset,
     winsorized_second_moments,
 )
@@ -127,6 +128,42 @@ class TestFitPcPath:
         X = _spiked(300, 5, seed=6)
         fits = _assert_path_matches(X, 4, [4.0, 1.0, math.inf])
         assert fits[0].spectrum.eigenvalues.shape == (5,)
+
+    # (n, p, d, r) where a single fit and the one-radius path solve the same
+    # eigenpairs: all of them when d + 1 = p, or the thin SVD when
+    # d <= n < p.  Elsewhere the path solves only the top d + 1, which
+    # agrees to roundoff (see _assert_path_matches), not bit for bit.
+    @pytest.mark.parametrize("n, p, d, r", [
+        (1000, 2, 1, 4.0),
+        (300, 5, 4, 3.0),
+        (300, 5, 4, math.inf),
+        (6, 15, 2, 2.5),
+        (6, 15, 2, math.inf),
+    ])
+    def test_single_fit_is_the_one_radius_path(self, n, p, d, r):
+        X = _spiked(n, p, seed=10)
+        one = fit_pc_subspace(X, d, _spec(r))
+        path = fit_pc_path(X, d, [r])[0]
+        assert np.array_equal(one.basis, path.basis)
+        k = min(p, d + 1)
+        assert np.array_equal(one.spectrum.eigenvalues[:k],
+                              path.spectrum.eigenvalues[:k])
+        assert (one.mode, one.effective_radius) == (path.mode, path.effective_radius)
+
+    @pytest.mark.skipif(_kernels._LAPACKE_DSYEVR is None,
+                        reason="numpy's OpenBLAS exports no LAPACKE_dsyevr")
+    def test_no_full_eigh_when_dsyevr_is_loaded(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        X = _spiked(200, 8, seed=11)
+        for spec in (RadiusSpec.median_norm(), RadiusSpec.none(),
+                     RadiusSpec.spherical()):
+            assert fit_pc_subspace(X, 2, spec).spectrum.eigenvalues.shape == (8,)
+        spectrum = symmetric_eigh(X.T @ X / 200)
+        assert spectrum.eigenvalues.shape == (8,)
+        assert spectrum.eigenvectors.shape == (8, 8)
 
     def test_eigh_fallback_without_lapacke(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_LAPACKE_DSYEVR", None)

@@ -7,10 +7,7 @@ from winpca import (
     ContaminationPlan,
     CoordinateSpike,
     PopulationModel,
-    RadiusSpec,
-    ScenarioConfig,
     apply_contamination,
-    empirical_sin_theta,
     make_rng,
     sample_gaussian,
     sample_student_t,
@@ -156,78 +153,3 @@ class TestContamination:
             CoordinateSpike(-1, 5.0)
         with pytest.raises(ValueError):
             CoordinateSpike(0, np.nan)
-
-
-def _config(**overrides):
-    base = dict(
-        n=100,
-        d=1,
-        model=PopulationModel.gaussian(np.array([25.0, 1.0])),
-        radius=RadiusSpec.median_norm(),
-        plan=None,
-        target="population",
-        replications=4,
-        seed=0,
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
-
-
-class TestEmpiricalSinTheta:
-    def test_pure_target_without_contamination_is_exactly_zero(self):
-        # the fit and its target are the same computation on the same rows
-        res = empirical_sin_theta(_config(target="pure"))
-        assert np.all(res.values == 0.0)
-        assert res.mean == 0.0
-
-    def test_population_recovery_at_large_n(self):
-        lam = np.zeros(10) + 1.0
-        lam[0] = 100.0
-        cfg = _config(
-            n=10_000, model=PopulationModel.gaussian(lam),
-            radius=RadiusSpec.none(), replications=3,
-        )
-        res = empirical_sin_theta(cfg)
-        assert res.mean < 0.05
-
-    def test_contamination_hurts_classical_fit(self):
-        plan = ContaminationPlan(10, CoordinateSpike(1, 1e6))
-        clean = empirical_sin_theta(_config(radius=RadiusSpec.none()))
-        dirty = empirical_sin_theta(_config(radius=RadiusSpec.none(), plan=plan))
-        assert dirty.mean > clean.mean + 0.5
-
-    def test_winsorizing_absorbs_the_same_contamination(self):
-        plan = ContaminationPlan(10, CoordinateSpike(1, 1e6))
-        res = empirical_sin_theta(_config(plan=plan, n=1000, replications=3))
-        assert res.mean < 0.25
-
-    def test_values_are_sines_in_unit_interval(self):
-        res = empirical_sin_theta(_config(replications=6))
-        assert res.values.shape == (6,)
-        assert np.all((res.values >= 0.0) & (res.values <= 1.0))
-
-    def test_thread_count_does_not_change_results(self):
-        cfg = _config(replications=6)
-        serial = empirical_sin_theta(cfg, jobs=1)
-        threaded = empirical_sin_theta(cfg, jobs=3)
-        assert np.array_equal(serial.values, threaded.values)
-
-    def test_single_replication_has_nan_se(self):
-        res = empirical_sin_theta(_config(replications=1))
-        assert np.isnan(res.std_error)
-
-    def test_mean_and_se_match_values(self):
-        res = empirical_sin_theta(_config(replications=8))
-        assert res.mean == pytest.approx(res.values.mean())
-        assert res.std_error == pytest.approx(
-            res.values.std(ddof=1) / np.sqrt(8))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            _config(target="other")
-        with pytest.raises(ValueError):
-            _config(replications=0)
-        with pytest.raises(ValueError):
-            _config(d=2)
-        with pytest.raises(ValueError):
-            _config(n=0)
