@@ -79,17 +79,15 @@ def winsorize_rows(values: np.ndarray, limit: float) -> np.ndarray:
     calling layer.  Returns a new array, input is never modified.
     """
     norms = row_norms(values)
-    out = values.copy()
-    mask = norms > limit * (1.0 + BOUNDARY_REL_TOL)
-    if np.any(mask):
-        factor = limit / norms[mask]
-        out[mask] = values[mask] * factor[:, None]
-        # A factor that is subnormal or zero has lost digits or the whole
-        # row; such rows (norm beyond the float64 range included) are
-        # divided onto the unit sphere first.
-        far = np.flatnonzero(mask)[factor < _TINY]
-        if far.size:
-            out[far] = limit * unit_rows(values[far], norms[far])
+    clip = norms > limit * (1.0 + BOUNDARY_REL_TOL)
+    factor = np.divide(limit, norms, out=np.ones_like(norms), where=clip)
+    out = values * factor[:, None]
+    # A factor that is subnormal or zero has lost digits or the whole row;
+    # such rows (norm beyond the float64 range included) are divided onto
+    # the unit sphere first.
+    far = np.flatnonzero(factor < _TINY)
+    if far.size:
+        out[far] = limit * unit_rows(values[far], norms[far])
     return out
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "BoundReport",
     "estimate_winsorized_eigenvalues",
     "sample_winsorized_spectrum",
-    "sample_winsorized_spectra",
     "sample_winsorized_values",
     "check_winsorized_spectra",
     "concentration_bound",
@@ -176,15 +175,9 @@ def estimate_winsorized_eigenvalues(
 
 def sample_winsorized_spectrum(X, r: float) -> WinsorizedSpectrum:
     """Eigenvalues of the winsorized sample covariance of ``X`` at radius ``r``."""
-    return sample_winsorized_spectra(X, [r])[0]
-
-
-def sample_winsorized_spectra(X, radii) -> list[WinsorizedSpectrum]:
-    """sample_winsorized_spectrum at every radius of a grid, in the order given."""
-    # Each spectrum is checked once, by its own constructor.
-    vals, radii = _sample_values(X, radii)
-    return [WinsorizedSpectrum(values=v, radius=float(r), source="sample")
-            for v, r in zip(vals, radii)]
+    # The spectrum is checked once, by its own constructor.
+    vals, radii = _sample_values(X, [r])
+    return WinsorizedSpectrum(values=vals[0], radius=float(radii[0]), source="sample")
 
 
 def sample_winsorized_values(X, radii) -> np.ndarray:

@@ -7,10 +7,11 @@ evaluation), ``experiment`` (preset result tables).  Every output starts with
 with 17 significant digits, files are written atomically, and exit codes are
 0 (success), 2 (usage or input error), 1 (internal error).
 
-A flat key=value config file can preload flags for any command: section
-names match the command ("fit", "angles", "experiment", "bounds.perturbation"
-and friends); explicit command-line flags win over file values.  Relative
-output paths resolve under $WINPCA_OUT_DIR when it is set.
+A flat key=value config file (one ``--config`` per run) can preload flags
+for any command: section names match the command ("fit", "angles",
+"experiment", "bounds.perturbation" and friends); explicit command-line
+flags win over file values.  Relative output paths resolve under
+$WINPCA_OUT_DIR when it is set.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .bounds import (
     asymptotic_rate,
     perturbation_bound,
 )
-from .experiments import PRESETS, format_value
+from .experiments import PRESETS, ResultTable, format_value
 from .subspace import ORTHONORMAL_TOL, _is_orthonormal, fit_pc_subspace, principal_angles
 from .transform import RadiusSpec
 
@@ -42,6 +43,8 @@ __all__ = ["main", "read_matrix_csv", "parse_radius"]
 
 # Config keys that map to flag presence rather than a value.
 _BOOL_KEYS = {"center", "subgaussian"}
+# Columns of every ``bounds`` output: one named quantity per row.
+_QUANTITY = ("quantity", "value")
 
 
 def parse_radius(text: str) -> RadiusSpec:
@@ -126,8 +129,10 @@ def _emit(text: str, out: str | None) -> None:
         raise
 
 
-def _meta_lines(pairs: list[tuple[str, object]]) -> list[str]:
-    return [f"# {k}={v if isinstance(v, str) else format_value(v)}" for k, v in pairs]
+def _emit_table(columns, rows, metadata: dict[str, object], out: str | None) -> None:
+    """Write one table in the ``ResultTable`` format, metadata and all."""
+    meta = {key: format_value(val) for key, val in metadata.items()}
+    _emit(ResultTable(tuple(columns), list(rows), meta).csv_text(timestamp=False), out)
 
 
 def _parse_float_list(text: str) -> np.ndarray:
@@ -151,27 +156,24 @@ def cmd_fit(args: argparse.Namespace) -> int:
         X = X - X.mean(axis=0)
     spec = parse_radius(args.radius)
     fit = fit_pc_subspace(X, args.d, spec)
-    lines = _meta_lines([
-        ("command", "fit"),
-        ("input", args.input),
-        ("n", n),
-        ("p", p),
-        ("d", args.d),
-        ("radius", args.radius),
-        ("center", str(bool(args.center)).lower()),
-        ("mode", fit.mode),
-        ("effective_radius",
-         fit.effective_radius if fit.effective_radius is not None else "none"),
-        ("eigenvalues", ",".join(format_value(v) for v in fit.spectrum.eigenvalues)),
-        ("degenerate_gap", str(fit.degenerate_gap).lower()),
-    ])
+    meta = {
+        "command": "fit",
+        "input": args.input,
+        "n": n,
+        "p": p,
+        "d": args.d,
+        "radius": args.radius,
+        "center": str(bool(args.center)).lower(),
+        "mode": fit.mode,
+        "effective_radius":
+            fit.effective_radius if fit.effective_radius is not None else "none",
+        "eigenvalues": ",".join(format_value(v) for v in fit.spectrum.eigenvalues),
+        "degenerate_gap": str(fit.degenerate_gap).lower(),
+    }
     if fit.degenerate_gap:
-        lines.append("# warning=eigen-gap at d is degenerate; the subspace is not unique")
-        print("warning: eigen-gap at d is degenerate; the subspace is not unique",
-              file=sys.stderr)
-    header = ",".join(f"basis_{j + 1}" for j in range(args.d))
-    body = [",".join(format_value(v) for v in row) for row in fit.basis]
-    _emit("\n".join(lines + [header] + body) + "\n", args.out)
+        meta["warning"] = "eigen-gap at d is degenerate; the subspace is not unique"
+        print(f"warning: {meta['warning']}", file=sys.stderr)
+    _emit_table([f"basis_{j + 1}" for j in range(args.d)], fit.basis, meta, args.out)
     return 0
 
 
@@ -194,40 +196,29 @@ def cmd_angles(args: argparse.Namespace) -> int:
     A = _orthonormalize_if_needed(A, args.basis_a)
     B = _orthonormalize_if_needed(B, args.basis_b)
     report = principal_angles(A, B)
-    lines = _meta_lines([
-        ("command", "angles"),
-        ("basis_a", args.basis_a),
-        ("basis_b", args.basis_b),
-        ("smallest", report.smallest),
-        ("largest", report.largest),
-        ("sin_largest", report.sin_largest),
-    ])
-    body = ["index,angle"]
-    for j, ang in enumerate(report.angles):
-        body.append(f"{j + 1},{format_value(float(ang))}")
-    _emit("\n".join(lines + body) + "\n", args.out)
+    meta = {
+        "command": "angles",
+        "basis_a": args.basis_a,
+        "basis_b": args.basis_b,
+        "smallest": report.smallest,
+        "largest": report.largest,
+        "sin_largest": report.sin_largest,
+    }
+    _emit_table(("index", "angle"), enumerate(report.angles, start=1), meta, args.out)
     return 0
-
-
-def _emit_quantities(meta: list[tuple[str, object]],
-                     quantities: list[tuple[str, object]], out: str | None) -> None:
-    lines = _meta_lines(meta)
-    body = ["quantity,value"]
-    for name, val in quantities:
-        body.append(f"{name},{format_value(val)}")
-    _emit("\n".join(lines + body) + "\n", out)
 
 
 def cmd_bounds_perturbation(args: argparse.Namespace) -> int:
     if args.gap < 0:
         raise ValueError("gap must be nonnegative")
     report = perturbation_bound(args.gap, 0.0, args.r, args.eps)
-    _emit_quantities(
-        [("command", "bounds.perturbation"), ("gap", args.gap), ("r", args.r),
-         ("eps", args.eps)],
+    _emit_table(
+        _QUANTITY,
         [("bound1", report.components["bound1"]),
          ("bound2", report.components.get("bound2")),
          ("min_bound", report.value)],
+        {"command": "bounds.perturbation", "gap": args.gap, "r": args.r,
+         "eps": args.eps},
         args.out,
     )
     return 0
@@ -236,10 +227,11 @@ def cmd_bounds_perturbation(args: argparse.Namespace) -> int:
 def cmd_bounds_breakdown(args: argparse.Namespace) -> int:
     vals = _parse_float_list(args.eigs)
     weak, strong = breakdown_lower_bounds_from_values(vals, args.r2, args.d)
-    _emit_quantities(
-        [("command", "bounds.breakdown"), ("eigs", args.eigs), ("r2", args.r2),
-         ("d", args.d)],
+    _emit_table(
+        _QUANTITY,
         [("weak_lb", weak), ("strong_lb", strong)],
+        {"command": "bounds.breakdown", "eigs": args.eigs, "r2": args.r2,
+         "d": args.d},
         args.out,
     )
     return 0
@@ -252,16 +244,16 @@ def cmd_bounds_concentration(args: argparse.Namespace) -> int:
         args.lam1, args.lamp, wspec, args.d, args.eps, args.n, args.p,
         math.inf if args.sigma is None else args.sigma)
     family = "elliptical" if args.sigma is None else "subgaussian"
-    _emit_quantities(
-        [("command", "bounds.concentration"), ("family", family),
-         ("lam1", args.lam1), ("lamp", args.lamp), ("weigs", args.weigs),
-         ("r", args.r), ("d", args.d), ("eps", args.eps), ("n", args.n),
-         ("p", args.p),
-         ("sigma", args.sigma if args.sigma is not None else "none")],
+    _emit_table(
+        _QUANTITY,
         [("value", report.value),
          ("contamination", report.components["contamination"]),
          ("sampling", report.components["sampling"]),
          ("clipped", report.clipped)],
+        {"command": "bounds.concentration", "family": family,
+         "lam1": args.lam1, "lamp": args.lamp, "weigs": args.weigs,
+         "r": args.r, "d": args.d, "eps": args.eps, "n": args.n, "p": args.p,
+         "sigma": args.sigma if args.sigma is not None else "none"},
         args.out,
     )
     return 0
@@ -270,11 +262,12 @@ def cmd_bounds_concentration(args: argparse.Namespace) -> int:
 def cmd_bounds_rate(args: argparse.Namespace) -> int:
     term1, term2 = asymptotic_rate(args.beta, args.p, args.n, args.eps,
                                    args.subgaussian)
-    _emit_quantities(
-        [("command", "bounds.rate"), ("beta", args.beta), ("p", args.p),
-         ("n", args.n), ("eps", args.eps),
-         ("subgaussian", str(bool(args.subgaussian)).lower())],
+    _emit_table(
+        _QUANTITY,
         [("contamination_term", term1), ("sampling_term", term2)],
+        {"command": "bounds.rate", "beta": args.beta, "p": args.p,
+         "n": args.n, "eps": args.eps,
+         "subgaussian": str(bool(args.subgaussian)).lower()},
         args.out,
     )
     return 0
@@ -325,7 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output path (default stdout); relative paths resolve "
                             "under $WINPCA_OUT_DIR")
-        p.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
     p_fit = sub.add_parser("fit", help="fit a PC subspace from a data CSV")
     p_fit.add_argument("input", help="CSV with n rows and p numeric columns")

@@ -45,6 +45,7 @@ from .transform import RadiusSpec, row_norms
 
 __all__ = [
     "ResultTable",
+    "format_value",
     "run_effect_of_radius",
     "run_high_dim",
     "run_breakdown_bounds",
@@ -102,7 +103,7 @@ class ResultTable:
 def _base_metadata(preset: str, seed: int, **extra) -> dict[str, str]:
     meta = {"preset": preset, "seed": str(int(seed)), "build": f"winpca-{__version__}"}
     for key, val in extra.items():
-        meta[key] = val if isinstance(val, str) else format_value(val)
+        meta[key] = format_value(val)
     return meta
 
 
@@ -190,21 +191,23 @@ def run_high_dim(
 ) -> ResultTable:
     """Loss of three radius policies as dimension grows ("fig2").
 
-    For k in 1..4: p = round(1000*scale)*k and n = 2*k*p, so p/n = 1/(2k)
-    shrinks as p grows.  Radii are 1, sqrt(p), and sqrt(p log p); models are
-    non-spiked diag(9, 4, filler...) and spiked diag(9 sqrt(p), 4 sqrt(p),
-    filler...); d=2; two rows are replaced by a spike of magnitude n*p in
-    coordinate 3.  The same whitened draw feeds both models within a
+    For k in 1..4: p = max(3, round(1000*scale))*k and n = 2*k*p, so
+    p/n = 1/(2k) shrinks as p grows.  Radii are 1, sqrt(p), and
+    sqrt(p log p); models are non-spiked diag(9, 4, filler...) and spiked
+    diag(9 sqrt(p), 4 sqrt(p), filler...); d=2; two rows are replaced by a
+    spike of magnitude n*p in coordinate 3.  The same whitened draw feeds both models within a
     replication, pairing their losses.
     """
     if not 0 < scale <= 1:
         raise ValueError("scale must lie in (0, 1]")
     if not float(filler) > 0:
         raise ValueError("filler eigenvalue must be positive")
-    if int(replications) < 1:
+    replications = int(replications)
+    if replications < 1:
         raise ValueError("need at least one replication")
-    base = max(2, round(1000 * scale))
     d, m_out = 2, 2
+    # p >= d + 1, so the contamination spike in coordinate d exists.
+    base = max(d + 1, round(1000 * scale))
     table = ResultTable(
         ("k", "p", "n", "distribution", "model", "radius_label", "radius",
          "statistic", "value", "std_error"),
@@ -244,7 +247,7 @@ def run_high_dim(
                                for fit in fits]
                 return out
 
-            stack = np.stack(map_replications(one, int(replications), jobs))
+            stack = np.stack(map_replications(one, replications, jobs))
             mean, se = _mean_se(stack)
             for mi, (mname, _) in enumerate(model_eigs):
                 for ri, (rlabel, r) in enumerate(radii):
@@ -265,7 +268,8 @@ def run_breakdown_bounds(
     of a reference draw.
     """
     n, p, d = 1000, 4, 2
-    if int(replications) < 1:
+    replications = int(replications)
+    if replications < 1:
         raise ValueError("need at least one replication")
     model = PopulationModel.gaussian(np.array([25.0, 25.0, 5.0, 1.0]))
     ref = model.draw(n, make_rng(seed, (_REF_KEY,)))
@@ -275,7 +279,7 @@ def run_breakdown_bounds(
     table = ResultTable(
         ("radius", "statistic", "value", "std_error"),
         metadata=_base_metadata(
-            "fig3", seed, n=n, p=p, d=d, replications=int(replications),
+            "fig3", seed, n=n, p=p, d=d, replications=replications,
             r_grid=f"geomspace({format_value(grid[0])},{format_value(grid[-1])},{int(n_radii)})",
         ),
     )
@@ -286,7 +290,7 @@ def run_breakdown_bounds(
         return breakdown_lower_bounds_from_values(
             sample_winsorized_values(X, grid), grid ** 2, d)
 
-    stack = np.stack(map_replications(one, int(replications), jobs))
+    stack = np.stack(map_replications(one, replications, jobs))
     mean, se = _mean_se(stack)
     for ri, r in enumerate(grid):
         table.add(float(r), "weak_lb", float(mean[ri, 0]), float(se[ri, 0]))

@@ -203,7 +203,7 @@ def _check_radii(radii, finite: bool = False) -> np.ndarray:
     return r
 
 
-def winsorized_second_moments(A: np.ndarray, radii) -> np.ndarray:
+def winsorized_second_moments(A, radii) -> np.ndarray:
     """Winsorized second-moment matrices of ``A`` at every radius, shape (R, p, p).
 
     Entry j is the uncentered covariance of ``winsorize_dataset(A, radii[j])``,
@@ -220,15 +220,15 @@ def winsorized_second_moments(A: np.ndarray, radii) -> np.ndarray:
     part: with rows of norm 1e6 in the total, that difference would cancel
     catastrophically.  Beyond the result, one p x p accumulator is held.
 
-    ``A`` must already be validated by ``as_data_matrix``; it is not checked
-    again here.  A matrix whose entries overflow float64, from rows left
-    alone or from a radius too large, raises ``ValueError``.
+    ``A`` is validated by ``as_data_matrix``.  A matrix whose entries
+    overflow float64, from rows left alone or from a radius too large,
+    raises ``ValueError``.
     """
-    return _second_moments(A, _check_radii(radii))
+    return _second_moments(as_data_matrix(A), _check_radii(radii))
 
 
 def _second_moments(A: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """winsorized_second_moments for radii already checked by ``_check_radii``."""
+    """winsorized_second_moments on a validated matrix and checked radii."""
     n, p = A.shape
     norms = row_norms(A)
     order = np.argsort(norms, kind="stable")

@@ -18,8 +18,6 @@ from ._kernels import row_norms, unit_rows, winsorize_rows
 
 __all__ = [
     "RadiusSpec",
-    "as_data_matrix",
-    "row_norms",
     "winsorize_point",
     "winsorize_dataset",
     "spherize_dataset",

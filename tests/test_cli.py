@@ -486,6 +486,16 @@ class TestConfigFile:
                                "--config", str(tmp_path / "nope.ini"))
         assert code == 2 and "error:" in err
 
+    def test_second_config_is_rejected(self, capsys, tmp_path):
+        first, second = tmp_path / "a.ini", tmp_path / "b.ini"
+        first.write_text("[bounds.breakdown]\nr2 = 4\n")
+        second.write_text("[bounds.breakdown]\nr2 = 9\n")
+        code, out, err = run_cli(capsys, "bounds", "breakdown", "--eigs", "3,2,1,0.5",
+                                 "--d", "2", "--config", str(first),
+                                 "--config", str(second))
+        assert code == 2 and out == ""
+        assert "--config" in err
+
     def test_unrelated_section_is_ignored(self, capsys, tmp_path, unit_square):
         cfg = tmp_path / "winpca.ini"
         cfg.write_text("[experiment]\nseed = 7\n")

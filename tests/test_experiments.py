@@ -7,13 +7,14 @@ from winpca import (
     PRESETS,
     PopulationModel,
     ResultTable,
+    WinsorizedSpectrum,
     format_value,
     make_rng,
     run_breakdown_bounds,
     run_effect_of_radius,
     run_high_dim,
     run_perturbation_sweep,
-    sample_winsorized_spectra,
+    sample_winsorized_values,
     wpca_breakdown_lower_bounds,
 )
 
@@ -167,6 +168,19 @@ class TestHighDim:
         with pytest.raises(ValueError, match="at least one replication"):
             run_high_dim(scale=0.01, replications=0)
 
+    @pytest.mark.parametrize("scale", [0.001, 0.0025])
+    def test_tiny_scale_keeps_p_above_d(self, scale):
+        # p = 2 = d left no coordinate for the contamination spike.
+        table = run_high_dim(scale=scale, seed=3, replications=2)
+        assert table.metadata["base_p"] == "3"
+        assert sorted(set(_col(table, "p"))) == [3, 6, 9, 12]
+
+    def test_fractional_replications_recorded_as_run(self):
+        table = run_high_dim(scale=0.003, seed=3, replications=2.7)
+        assert table.metadata["replications"] == "2"
+        again = run_high_dim(scale=0.003, seed=3, replications=2)
+        assert table.csv_text(timestamp=False) == again.csv_text(timestamp=False)
+
 
 class TestBreakdownBounds:
     def test_layout(self, breakdown_table):
@@ -215,8 +229,9 @@ class TestBreakdownBounds:
         grid = [row[0] for row in table.rows[::2]]
         model = PopulationModel.gaussian(np.array([25.0, 25.0, 5.0, 1.0]))
         stack = np.array([
-            [wpca_breakdown_lower_bounds(ws, 2) for ws in
-             sample_winsorized_spectra(model.draw(1000, make_rng(9, (rep,))), grid)]
+            [wpca_breakdown_lower_bounds(WinsorizedSpectrum(v, r, "sample"), 2)
+             for v, r in zip(sample_winsorized_values(
+                 model.draw(1000, make_rng(9, (rep,))), grid), grid)]
             for rep in range(4)])
         mean = stack.mean(axis=0)
         se = stack.std(axis=0, ddof=1) / 2.0

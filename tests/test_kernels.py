@@ -125,6 +125,17 @@ class TestBoundaryGuard:
         twice = winsorize_dataset(once, 1.5)
         assert np.array_equal(once, twice)
 
+    def test_clipped_row_is_scaled_by_r_over_its_norm(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((200, 5)) * np.geomspace(1e-3, 1e6, 200)[:, None]
+        r = 2.5
+        out = winsorize_rows(X, r)
+        norms = row_norms(X)
+        clip = norms > r * (1.0 + BOUNDARY_REL_TOL)
+        assert clip.any() and not clip.all()
+        assert np.array_equal(out[clip], X[clip] * (r / norms[clip])[:, None])
+        assert np.array_equal(out[~clip], X[~clip])
+
     def test_input_not_modified(self):
         X = np.array([[30.0, 40.0]])
         snapshot = X.copy()

@@ -181,6 +181,18 @@ class TestFitPcPath:
             fit_pc_path(np.full((4, 2), np.inf), 1, [1.0])
 
 
+    @pytest.mark.parametrize("A", [[[3.0, 4.0], [1.0, 0.0]], np.array([[3, 4], [1, 0]])])
+    def test_second_moments_take_lists_and_int_arrays(self, A):
+        W = winsorize_dataset(np.array([[3.0, 4.0], [1.0, 0.0]]), 2.0)
+        assert np.allclose(winsorized_second_moments(A, [2.0])[0], W.T @ W / 2,
+                           rtol=1e-15, atol=0)
+
+    def test_second_moments_reject_nan(self):
+        # Not the overflow message: a NaN entry is invalid input.
+        with pytest.raises(ValueError, match="non-finite"):
+            winsorized_second_moments(np.array([[3.0, np.nan], [1.0, 0.0]]), [2.0])
+
+
 class TestTopEigh:
     def test_matches_full_eigh(self):
         X = _spiked(50, 7, seed=9)
