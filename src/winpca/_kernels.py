@@ -10,18 +10,29 @@ the subnormal range; ``perfbench/`` measures the package end to end.
 ``top_eigh`` solves for the leading eigenpairs only, through LAPACK's
 ``dsyevr`` (MRRR) in numpy's bundled OpenBLAS when that library exports it,
 and through a full ``numpy.linalg.eigh`` otherwise.
+
+``one_blas_thread`` pins that OpenBLAS to one thread for the duration of a
+block or call.  Gram and ``dsyevr`` results change in their last bits with
+the BLAS thread count, so every fit, public covariance, eigensolve and
+angle routine, and replication pool of the package runs under the pin:
+output bytes do not depend on ``OPENBLAS_NUM_THREADS`` or ``--jobs``, and
+replication workers are the only parallelism.  The
+library is opened once, and ``dsyevr`` and the thread symbols come from
+that one handle; without them the pin leaves the threads alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import os
+import threading
 
 import numpy as np
 
 __all__ = ["using_numba", "row_norms", "unit_rows", "winsorize_rows",
-           "winsorized_term_sums", "top_eigh"]
+           "winsorized_term_sums", "top_eigh", "blas_threads", "one_blas_thread"]
 
 # Rows whose norm exceeds the radius by less than this relative slack are
 # left untouched, so reapplying the transform is an exact no-op.
@@ -147,28 +158,82 @@ def _descending_eigenpairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np
     return w, _fix_column_signs(V[:, ::-1])
 
 
-def _load_dsyevr():
-    """``LAPACKE_dsyevr`` (64-bit integers) from numpy's bundled OpenBLAS, or None.
+def _load_openblas():
+    """numpy's bundled ``libscipy_openblas64_``, or None.
 
-    Only numpy wheels bundle ``libscipy_openblas64_``; builds against
-    Accelerate, MKL or a system BLAS get None and the eigh fallback.
+    Only numpy wheels bundle it; builds against Accelerate, MKL or a system
+    BLAS get None, and with it the ``eigh`` fallback and a pin that leaves
+    the BLAS threads alone.
     """
     libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas64_*"))):
         try:
-            fn = ctypes.CDLL(path).scipy_LAPACKE_dsyevr64_
-        except (OSError, AttributeError):
+            return ctypes.CDLL(path)
+        except OSError:
             continue
-        i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
-                       i64, ptr, i64, ctypes.c_double, ctypes.c_double, i64, i64,
-                       ctypes.c_double, ctypes.POINTER(i64), ptr, ptr, i64, ptr]
-        fn.restype = i64
-        return fn
     return None
 
 
-_LAPACKE_DSYEVR = _load_dsyevr()
+def _symbol(lib, name: str, restype, argtypes):
+    """The typed function ``name`` of ``lib``, or None where it is missing."""
+    fn = getattr(lib, name, None)
+    if fn is not None:
+        fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+_OPENBLAS = _load_openblas()
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+# LAPACKE_dsyevr with 64-bit integers.
+_LAPACKE_DSYEVR = _symbol(
+    _OPENBLAS, "scipy_LAPACKE_dsyevr64_", _I64,
+    [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char, _I64, _PTR, _I64,
+     ctypes.c_double, ctypes.c_double, _I64, _I64, ctypes.c_double,
+     ctypes.POINTER(_I64), _PTR, _PTR, _I64, _PTR])
+_SET_THREADS = _symbol(_OPENBLAS, "scipy_openblas_set_num_threads64_", None, [ctypes.c_int])
+_GET_THREADS = _symbol(_OPENBLAS, "scipy_openblas_get_num_threads64_", ctypes.c_int, [])
+
+
+def blas_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS, or None without it."""
+    return None if _GET_THREADS is None else _GET_THREADS()
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Run a block with numpy's bundled OpenBLAS on one thread.
+
+    The thread count is a setting of the whole process, so there is one
+    pin per process, ``one_blas_thread``.  A lock-guarded depth counter
+    makes nested and concurrent entries safe: the first entry saves the
+    count and sets it to 1, the last exit restores the saved count, and
+    entries in between touch nothing.  Without the OpenBLAS symbols the pin
+    leaves the threads alone.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: int | None = None
+
+    def __enter__(self) -> "_OneBlasThread":
+        with self._lock:
+            if self._depth == 0 and _SET_THREADS is not None and _GET_THREADS is not None:
+                self._saved = _GET_THREADS()
+                _SET_THREADS(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._saved is not None:
+                _SET_THREADS(self._saved)
+                self._saved = None
+
+
+one_blas_thread = _OneBlasThread()
+
+
 _LAPACK_COL_MAJOR = 102
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import winsorized_term_sums
+from ._kernels import one_blas_thread, winsorized_term_sums
 from .distributions import PopulationModel, make_rng
 from .subspace import _check_radii, _second_moments
 from .transform import _check_radius, as_data_matrix
@@ -194,6 +194,7 @@ def sample_winsorized_values(X, radii) -> np.ndarray:
     return vals
 
 
+@one_blas_thread
 def _sample_values(X, radii) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked (R, p) winsorized sample eigenvalues, and the validated radii."""
     A = as_data_matrix(X)

@@ -279,11 +279,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise ValueError(f"--scale must be positive, got {args.scale}")
     if args.replications is not None and args.replications < 1:
         raise ValueError(f"--replications must be at least 1, got {args.replications}")
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     # Flags the preset does not take keep its own defaults.
     params = inspect.signature(run).parameters
     kwargs = {"seed": args.seed}
-    if "jobs" in params:
-        kwargs["jobs"] = args.jobs
     ignored = []
     if args.scale is not None:
         if "scale" in params:
@@ -294,11 +294,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             kwargs["replications"] = max(1, round(default * args.scale))
         else:
             ignored.append("--scale")
-    if args.replications is not None:
-        if "replications" in params:
-            kwargs["replications"] = args.replications
-        else:
-            ignored.append("--replications")
+    for name in ("replications", "jobs"):
+        value = getattr(args, name)
+        if value is not None:
+            if name in params:
+                kwargs[name] = value
+            else:
+                ignored.append(f"--{name}")
     if ignored:
         print(f"note: {args.preset} takes no {' or '.join(ignored)}; ignored", file=sys.stderr)
     _emit(run(**kwargs).csv_text(), args.out)
@@ -389,8 +391,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="size multiplier (fig1: n and replications; fig2: p; "
                             "fig3: replications)")
     p_exp.add_argument("--seed", type=int, default=42)
-    p_exp.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for replication-level parallelism")
+    p_exp.add_argument("--jobs", type=int, default=None,
+                       help="worker threads for replication-level parallelism "
+                            "(fig1, fig2, fig3; default 1); BLAS runs on one "
+                            "thread, so output bytes do not depend on this")
     p_exp.add_argument("--replications", type=int, default=None,
                        help="override the preset replication count (fig2, fig3)")
     add_out(p_exp)

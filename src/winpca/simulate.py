@@ -3,9 +3,9 @@
 Pure datasets come from the elliptical samplers in ``distributions``;
 contamination replaces a chosen set of rows with adversarial vectors; and
 ``map_replications`` runs the replication bodies of the preset experiments,
-optionally on a thread pool.  Every replication derives its generator from
-(seed, replication index), so results are identical across runs and across
-worker counts.
+optionally on a thread pool, with OpenBLAS pinned to one thread.  Every
+replication derives its generator from (seed, replication index), so
+results are identical across runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import one_blas_thread
 from .distributions import PopulationModel, make_rng
 from .transform import as_data_matrix
 
@@ -137,9 +138,17 @@ def apply_contamination(X0, plan: ContaminationPlan) -> np.ndarray:
 
 
 def map_replications(fn, count: int, jobs: int = 1) -> list:
-    """Evaluate fn(0..count-1), optionally on a thread pool, preserving order."""
-    if jobs and int(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
+    """Evaluate fn(0..count-1), on ``jobs`` worker threads, preserving order.
+
+    The whole map runs with OpenBLAS pinned to one thread, so workers never
+    change the setting and ``jobs`` is the only parallelism.
+    """
+    jobs = int(jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    with one_blas_thread:
+        if jobs == 1:
+            return [fn(i) for i in range(count)]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
 

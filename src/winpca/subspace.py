@@ -26,6 +26,7 @@ import numpy as np
 from ._kernels import (
     BOUNDARY_REL_TOL,
     _fix_column_signs,
+    one_blas_thread,
     row_norms,
     top_eigh,
     unit_rows,
@@ -158,12 +159,14 @@ class WPCAFit:
         return self.subspace.basis
 
 
+@one_blas_thread
 def sample_covariance(X) -> np.ndarray:
     """Uncentered sample covariance ``X.T @ X / n``; no mean subtraction."""
     A = as_data_matrix(X)
     return A.T @ A / A.shape[0]
 
 
+@one_blas_thread
 def symmetric_eigh(S) -> Spectrum:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
@@ -203,6 +206,7 @@ def _check_radii(radii, finite: bool = False) -> np.ndarray:
     return r
 
 
+@one_blas_thread
 def winsorized_second_moments(A, radii) -> np.ndarray:
     """Winsorized second-moment matrices of ``A`` at every radius, shape (R, p, p).
 
@@ -278,6 +282,7 @@ def _thin_svd_spectrum(W: np.ndarray) -> Spectrum:
     return Spectrum(vals, _fix_column_signs(Vh.T))
 
 
+@one_blas_thread
 def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[Spectrum]:
     """The spectrum of the winsorized rows of ``A`` at every radius.
 
@@ -354,6 +359,7 @@ def _check_pair(U, W) -> tuple[np.ndarray, np.ndarray]:
     return Ub, Wb
 
 
+@one_blas_thread
 def principal_angles(U, W) -> AngleReport:
     """Principal angles between two d-dimensional subspaces of R^p.
 
@@ -371,6 +377,7 @@ def principal_angles(U, W) -> AngleReport:
     return AngleReport(np.arccos(np.clip(sigma, 0.0, 1.0)))
 
 
+@one_blas_thread
 def sin_theta_operator(U, W) -> float:
     """Sine of the largest principal angle via an orthonormal complement.
 

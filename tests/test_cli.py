@@ -365,6 +365,12 @@ class TestExperiment:
         assert "ignored" in err
         assert meta_of(out)["preset"] == "fig4"
 
+    def test_fig4_ignores_jobs_with_note(self, capsys):
+        code, out, err = run_cli(capsys, "experiment", "fig4", "--jobs", "2")
+        assert code == 0
+        assert "fig4 takes no --jobs; ignored" in err
+        assert meta_of(out)["preset"] == "fig4"
+
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_runs_each_preset_with_its_own_defaults(self, capsys, monkeypatch, preset):
         calls = []
@@ -393,6 +399,9 @@ class TestExperiment:
         ("fig3", ("--scale", "nan")),
         ("fig1", ("--scale", "0")),
         ("fig4", ("--replications", "0")),
+        ("fig1", ("--jobs", "0")),
+        ("fig1", ("--jobs", "-3")),
+        ("fig3", ("--jobs", "0")),
     ])
     def test_rejects_non_positive_sizes(self, capsys, monkeypatch, preset, flags):
         calls = []
