@@ -243,8 +243,9 @@ def top_eigh(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Only the lower triangle of ``S`` is read.  Returns ``(w, V)`` with ``w``
     of length k and ``V`` of shape p x k.  Roundoff negatives within 1e-10
     of the largest eigenvalue are clamped to zero and each column's
-    largest-magnitude entry is positive.  Every eigensolve of the package
-    runs here, ``k = p`` giving the full decomposition.
+    largest-magnitude entry is positive; ``k = p`` gives the full
+    decomposition.  Fits of wide matrices (d <= n < p) take a thin SVD
+    instead, and the fig3 grid of sample spectra a stacked ``eigvalsh``.
     """
     # A private copy: dsyevr overwrites its input.
     A = np.array(S, dtype=np.float64, order="F")

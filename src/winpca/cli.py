@@ -120,6 +120,10 @@ def _emit(text: str, out: str | None) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".winpca-", dir=directory, text=True)
     try:
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -275,8 +279,8 @@ def cmd_bounds_rate(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     run = PRESETS[args.preset]
-    if args.scale is not None and not args.scale > 0:
-        raise ValueError(f"--scale must be positive, got {args.scale}")
+    if args.scale is not None and not 0 < args.scale < math.inf:
+        raise ValueError(f"--scale must be positive and finite, got {args.scale}")
     if args.replications is not None and args.replications < 1:
         raise ValueError(f"--replications must be at least 1, got {args.replications}")
     if args.jobs is not None and args.jobs < 1:
@@ -290,8 +294,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             kwargs["scale"] = args.scale
         elif "replications" in params:
             # A preset without a size parameter scales its replication count.
-            default = params["replications"].default
-            kwargs["replications"] = max(1, round(default * args.scale))
+            scaled = params["replications"].default * args.scale
+            if scaled == math.inf:
+                raise ValueError("--scale must be small enough for a finite "
+                                 f"replication count, got {args.scale}")
+            kwargs["replications"] = max(1, round(scaled))
         else:
             ignored.append("--scale")
     for name in ("replications", "jobs"):

@@ -11,8 +11,7 @@ eigenvalues.  All randomness flows through a counter-based generator keyed by
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +36,12 @@ class PopulationModel:
     """Elliptical population with diagonal covariance.
 
     ``sigma_eigenvalues`` are the covariance eigenvalues, descending and
-    positive.  ``sigma_sub`` is the subgaussian parameter of the whitened
-    vector: 1 for the Gaussian model, infinity for Student-t (heavy tails
-    admit no finite value).
+    positive.
     """
 
     sigma_eigenvalues: np.ndarray
     distribution: str
     dof: float | None = None
-    sigma_sub: float = field(default=math.inf)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.sigma_eigenvalues, dtype=np.float64)
@@ -58,21 +54,16 @@ class PopulationModel:
         if self.distribution == "gaussian":
             if self.dof is not None:
                 raise ValueError("gaussian model takes no degrees of freedom")
-            if not self.sigma_sub > 0:
-                raise ValueError("sigma_sub must be positive")
         elif self.distribution == "student_t":
             if self.dof is None or not self.dof > 2:
                 raise ValueError("student_t requires dof > 2 for a finite covariance")
-            if not math.isinf(self.sigma_sub):
-                raise ValueError("student_t has no finite subgaussian parameter")
         else:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         object.__setattr__(self, "sigma_eigenvalues", vals)
 
     @classmethod
-    def gaussian(cls, eigenvalues, sigma_sub: float = 1.0) -> "PopulationModel":
-        return cls(np.asarray(eigenvalues, dtype=np.float64), "gaussian",
-                   sigma_sub=float(sigma_sub))
+    def gaussian(cls, eigenvalues) -> "PopulationModel":
+        return cls(np.asarray(eigenvalues, dtype=np.float64), "gaussian")
 
     @classmethod
     def student_t(cls, eigenvalues, dof: float) -> "PopulationModel":

@@ -33,13 +33,7 @@ from .bounds import (
     sample_winsorized_values,
 )
 from .distributions import PopulationModel, make_rng
-from .simulate import (
-    ContaminationPlan,
-    CoordinateSpike,
-    ConstantVector,
-    apply_contamination,
-    map_replications,
-)
+from .simulate import apply_contamination, map_replications
 from .subspace import Subspace, fit_pc_path, fit_pc_subspace, principal_angles
 from .transform import RadiusSpec, row_norms
 
@@ -129,11 +123,14 @@ def run_effect_of_radius(
     from 0.05x the median reference norm to 2x the max, plus a no-winsorize
     endpoint reported with radius +inf.
     """
-    if not scale > 0:
-        raise ValueError("scale must be positive")
+    if not (scale > 0 and math.isfinite(200 * scale)):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    if n_radii < 1:
+        raise ValueError(f"n_radii must be at least 1, got {n_radii}")
     p, d = 100, 1
     n = max(4, round(200 * scale))
     reps = max(2, round(100 * scale))
+    spike = np.eye(1, p, 1)[0] * (100.0 * n * p)
     eigs = np.concatenate(([100.0], np.ones(p - 1)))
     eps_levels = (0.0, 0.05)
     target = Subspace(np.eye(p, d))
@@ -164,12 +161,7 @@ def run_effect_of_radius(
             out = np.empty((len(eps_levels), n_radii + 1))
             for ei, eps in enumerate(eps_levels):
                 m = round(eps * n)
-                if m:
-                    plan = ContaminationPlan(
-                        m, CoordinateSpike(1, 100.0 * n * p))
-                    X = apply_contamination(X0, plan)
-                else:
-                    X = X0
+                X = apply_contamination(X0, m, spike) if m else X0
                 out[ei] = [principal_angles(fit.subspace, target).sin_largest
                            for fit in fit_pc_path(X, d, path)]
             return out
@@ -186,22 +178,19 @@ def run_effect_of_radius(
 
 
 def run_high_dim(
-    scale: float = 0.2, seed: int = 42, replications: int = 10,
-    filler: float = 1.0, jobs: int = 1,
+    scale: float = 0.2, seed: int = 42, replications: int = 10, jobs: int = 1,
 ) -> ResultTable:
     """Loss of three radius policies as dimension grows ("fig2").
 
     For k in 1..4: p = max(3, round(1000*scale))*k and n = 2*k*p, so
     p/n = 1/(2k) shrinks as p grows.  Radii are 1, sqrt(p), and
-    sqrt(p log p); models are non-spiked diag(9, 4, filler...) and spiked
-    diag(9 sqrt(p), 4 sqrt(p), filler...); d=2; two rows are replaced by a
-    spike of magnitude n*p in coordinate 3.  The same whitened draw feeds both models within a
-    replication, pairing their losses.
+    sqrt(p log p); models are non-spiked diag(9, 4, 1...) and spiked
+    diag(9 sqrt(p), 4 sqrt(p), 1...); d=2; two rows are replaced by a spike
+    of magnitude n*p in coordinate 3.  The same whitened draw feeds both
+    models within a replication, pairing their losses.
     """
     if not 0 < scale <= 1:
         raise ValueError("scale must lie in (0, 1]")
-    if not float(filler) > 0:
-        raise ValueError("filler eigenvalue must be positive")
     replications = int(replications)
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -212,7 +201,7 @@ def run_high_dim(
         ("k", "p", "n", "distribution", "model", "radius_label", "radius",
          "statistic", "value", "std_error"),
         metadata=_base_metadata("fig2", seed, scale=scale, replications=replications,
-                                filler=float(filler), base_p=base),
+                                filler=1.0, base_p=base),
     )
     dists = ("gaussian", "t3")
     for ki, k in enumerate((1, 2, 3, 4)):
@@ -223,25 +212,25 @@ def run_high_dim(
             ("r_sqrt_p", math.sqrt(p)),
             ("r_sqrt_plogp", math.sqrt(p * math.log(p))),
         )
-        fill = np.full(p - d, float(filler))
+        fill = np.ones(p - d)
         model_eigs = (
             ("non_spiked", np.concatenate(([9.0, 4.0], fill))),
             ("spiked", np.concatenate(([9.0 * math.sqrt(p), 4.0 * math.sqrt(p)], fill))),
         )
-        plan = ContaminationPlan(m_out, CoordinateSpike(d, float(n) * p))
+        spike = np.eye(1, p, d)[0] * (float(n) * p)
         target = Subspace(np.eye(p, d))
         for zi, dist in enumerate(dists):
             whitener = (PopulationModel.gaussian(np.ones(p)) if dist == "gaussian"
                         else PopulationModel.student_t(np.ones(p), 3.0))
 
             def one(rep: int, whitener=whitener, ki=ki, zi=zi, p=p, n=n,
-                    radii=radii, model_eigs=model_eigs, plan=plan,
+                    radii=radii, model_eigs=model_eigs, spike=spike,
                     target=target) -> np.ndarray:
                 rng = make_rng(seed, (ki, zi, rep))
                 y = whitener.draw_whitened(n, rng)
                 out = np.empty((len(model_eigs), len(radii)))
                 for mi, (_, eigs) in enumerate(model_eigs):
-                    X = apply_contamination(y * np.sqrt(eigs), plan)
+                    X = apply_contamination(y * np.sqrt(eigs), m_out, spike)
                     fits = fit_pc_path(X, d, [r for _, r in radii])
                     out[mi] = [principal_angles(fit.subspace, target).sin_largest
                                for fit in fits]
@@ -271,6 +260,8 @@ def run_breakdown_bounds(
     replications = int(replications)
     if replications < 1:
         raise ValueError("need at least one replication")
+    if int(n_radii) < 1:
+        raise ValueError(f"n_radii must be at least 1, got {n_radii}")
     model = PopulationModel.gaussian(np.array([25.0, 25.0, 5.0, 1.0]))
     ref = model.draw(n, make_rng(seed, (_REF_KEY,)))
     norms = row_norms(ref)
@@ -328,20 +319,20 @@ def run_perturbation_sweep(
     # The pure fit's full spectrum is the winsorized sample spectrum at r.
     vals = fit0.spectrum.eigenvalues
     weak_lb, strong_lb = breakdown_lower_bounds_from_values(vals, r * r, d)
-    outlier = ConstantVector((0.0, float(norms.max()) ** 2 + 100.0))
+    outlier = np.array([0.0, float(norms.max()) ** 2 + 100.0])
     table = ResultTable(
         ("m", "epsilon", "observed_angle", "observed_sin", "bound1", "bound2",
          "min_bound", "weak_lb"),
         metadata=_base_metadata(
             "fig4", seed, n=n, p=p, d=d, radius=r,
-            outlier=format_value(outlier.values[1]),
+            outlier=outlier[1],
             weak_lb=weak_lb, strong_lb=strong_lb,
         ),
     )
     for m in range(m_max + 1):
         eps = m / n
         if m:
-            X = apply_contamination(X0, ContaminationPlan(m, outlier))
+            X = apply_contamination(X0, m, outlier)
             fit = fit_pc_subspace(X, d, RadiusSpec.fixed(r))
         else:
             fit = fit0

@@ -116,29 +116,17 @@ def winsorize_dataset(X, r: float) -> np.ndarray:
     return winsorize_rows(A, r)
 
 
-def spherize_dataset(X, zero_rows: str = "error") -> np.ndarray:
-    """Normalize every row to unit Euclidean norm.
-
-    Zero rows have no direction; ``zero_rows`` selects the policy:
-    ``"error"`` (default) raises, ``"drop"`` removes them from the output.
-    """
-    if zero_rows not in ("error", "drop"):
-        raise ValueError(f"zero_rows must be 'error' or 'drop', got {zero_rows!r}")
-    return _spherize_rows(as_data_matrix(X), zero_rows)
+def spherize_dataset(X) -> np.ndarray:
+    """Normalize every row to unit Euclidean norm; zero rows have no direction and raise."""
+    return _spherize_rows(as_data_matrix(X))
 
 
-def _spherize_rows(A: np.ndarray, zero_rows: str = "error") -> np.ndarray:
+def _spherize_rows(A: np.ndarray) -> np.ndarray:
     """spherize_dataset on a matrix already validated by ``as_data_matrix``."""
     norms = row_norms(A)
-    zero = norms == 0.0
-    if np.any(zero):
-        if zero_rows == "error":
-            idx = np.flatnonzero(zero)
-            raise ValueError(f"cannot spherize zero rows at indices {idx.tolist()}")
-        A = A[~zero]
-        norms = norms[~zero]
-        if A.shape[0] == 0:
-            raise ValueError("all rows are zero; nothing left to spherize")
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"cannot spherize zero rows at indices {zero.tolist()}")
     return unit_rows(A, norms)
 
 

@@ -16,8 +16,6 @@ import pytest
 import scipy.stats
 
 from winpca import (
-    ConstantVector,
-    ContaminationPlan,
     PopulationModel,
     RadiusSpec,
     WinsorizedSpectrum,
@@ -25,6 +23,7 @@ from winpca import (
     breakdown_lower_bounds_from_values,
     estimate_winsorized_eigenvalues,
     fit_pc_subspace,
+    make_rng,
     perturbation_bound,
     principal_angles,
     run_breakdown_bounds,
@@ -32,7 +31,6 @@ from winpca import (
     run_high_dim,
     run_perturbation_sweep,
     sample_covariance,
-    sample_gaussian,
     sample_winsorized_spectrum,
     sin_theta_operator,
     winsorize_dataset,
@@ -70,15 +68,14 @@ def _contaminated_pair(rng):
     p = int(rng.integers(2, 7))
     n = int(rng.integers(40, 160))
     eigs = np.sort(rng.uniform(0.5, 30.0, p))[::-1]
-    X0 = sample_gaussian(n, eigs, seed=int(rng.integers(2**31)))
+    X0 = PopulationModel.gaussian(eigs).draw(n, make_rng(int(rng.integers(2**31))))
     norms = np.linalg.norm(X0, axis=1)
     r = float(rng.uniform(0.5 * np.median(norms), 2.0 * norms.max()))
     m = int(rng.integers(1, int(0.4 * n)))
     direction = rng.standard_normal(p)
     direction /= np.linalg.norm(direction)
     magnitude = 10.0 ** rng.uniform(1.0, 6.0) * norms.max()
-    plan = ContaminationPlan(m, ConstantVector(tuple(magnitude * direction)))
-    return X0, apply_contamination(X0, plan), r, m / n
+    return X0, apply_contamination(X0, m, magnitude * direction), r, m / n
 
 
 def test_contamination_bound_dominates_observed_loss(report):
@@ -256,7 +253,7 @@ def test_outlier_sweep_transitions(report):
 def test_single_outlier_breaks_classical_fit_only(report):
     failures = []
     n = 200
-    X0 = sample_gaussian(n, [25.0, 4.0, 1.0], seed=42)
+    X0 = PopulationModel.gaussian([25.0, 4.0, 1.0]).draw(n, make_rng(42))
     fit0 = fit_pc_subspace(X0, 1, RadiusSpec.none())
     u0 = fit0.basis[:, 0]
     axis = int(np.argmin(np.abs(u0)))

@@ -20,7 +20,8 @@ import winpca
 from winpca import _kernels
 from winpca._kernels import blas_threads, one_blas_thread
 from winpca.bounds import sample_winsorized_values
-from winpca.simulate import map_replications, sample_gaussian
+from winpca.distributions import PopulationModel, make_rng
+from winpca.simulate import map_replications
 from winpca.subspace import (
     fit_pc_path,
     fit_pc_subspace,
@@ -64,7 +65,8 @@ class TestOutputBytes:
         lam = np.ones(100)
         lam[:3] = [25.0, 16.0, 9.0]
         path = tmp_path / "spiked.csv"
-        np.savetxt(path, sample_gaussian(100, lam, seed=1), delimiter=",", fmt="%.17g")
+        X = PopulationModel.gaussian(lam).draw(100, make_rng(1))
+        np.savetxt(path, X, delimiter=",", fmt="%.17g")
         argv = ("fit", str(path), "--d", "3")
         assert _cli_output("2", *argv) == _cli_output("1", *argv)
 
@@ -164,7 +166,7 @@ class TestPin:
         assert fake_blas.sets == [1, 2]
 
     def test_fits_and_pools_run_pinned(self, fake_blas):
-        X = sample_gaussian(60, [4.0, 2.0, 1.0], seed=2)
+        X = PopulationModel.gaussian([4.0, 2.0, 1.0]).draw(60, make_rng(2))
         fit_pc_subspace(X, 1, RadiusSpec.median_norm())
         assert fake_blas.sets == [1, 2]
         fit_pc_path(X, 1, [1.0, 2.0])
@@ -174,7 +176,7 @@ class TestPin:
         assert fake_blas.sets == [1, 2] * 4
 
     def test_public_linear_algebra_runs_pinned(self, fake_blas):
-        X = sample_gaussian(60, [4.0, 2.0, 1.0], seed=2)
+        X = PopulationModel.gaussian([4.0, 2.0, 1.0]).draw(60, make_rng(2))
         U = fit_pc_subspace(X, 1, RadiusSpec.none()).subspace
         W = fit_pc_subspace(X, 1, RadiusSpec.median_norm()).subspace
         S = X.T @ X / 60
@@ -204,7 +206,7 @@ class TestPin:
         real_get, before = _kernels._GET_THREADS, blas_threads()
         monkeypatch.setattr(_kernels, "_GET_THREADS", None)
         monkeypatch.setattr(_kernels, "_SET_THREADS", None)
-        X = sample_gaussian(60, [4.0, 2.0, 1.0], seed=2)
+        X = PopulationModel.gaussian([4.0, 2.0, 1.0]).draw(60, make_rng(2))
         with one_blas_thread:
             assert blas_threads() is None
             if real_get is not None:

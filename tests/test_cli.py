@@ -1,11 +1,12 @@
 import inspect
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
 
-from winpca import principal_angles, sample_gaussian
+from winpca import PopulationModel, make_rng, principal_angles
 from winpca.cli import main, parse_radius, read_matrix_csv
 from winpca.experiments import PRESETS, ResultTable
 
@@ -44,7 +45,7 @@ def unit_square(tmp_path):
 
 @pytest.fixture
 def spiked_data(tmp_path):
-    X = sample_gaussian(500, [25.0, 1.0], seed=3)
+    X = PopulationModel.gaussian([25.0, 1.0]).draw(500, make_rng(3))
     path = tmp_path / "data.csv"
     path.write_text("\n".join(",".join(map(str, row)) for row in X) + "\n")
     return str(path)
@@ -402,6 +403,9 @@ class TestExperiment:
         ("fig1", ("--jobs", "0")),
         ("fig1", ("--jobs", "-3")),
         ("fig3", ("--jobs", "0")),
+        ("fig1", ("--scale", "inf")),
+        ("fig3", ("--scale", "1e308")),
+        ("fig3", ("--scale", "inf")),
     ])
     def test_rejects_non_positive_sizes(self, capsys, monkeypatch, preset, flags):
         calls = []
@@ -446,6 +450,21 @@ class TestOutputRouting:
         target = tmp_path / "results" / "basis.csv"
         run_cli(capsys, "fit", unit_square, "--d", "1", "--out", str(target))
         assert [p.name for p in target.parent.iterdir()] == ["basis.csv"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077],
+                             ids=["022", "002", "077"])
+    def test_out_file_mode_follows_umask(self, capsys, tmp_path, unit_square, umask):
+        # The atomic write goes through a private temp file; the result gets
+        # the mode a plain open() would give it.
+        target = tmp_path / "basis.csv"
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_cli(capsys, "fit", unit_square, "--d", "1",
+                                 "--out", str(target))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
 
 class TestConfigFile:

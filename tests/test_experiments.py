@@ -126,6 +126,10 @@ class TestEffectOfRadius:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             run_effect_of_radius(scale=0.0)
+        # 1e308 is finite, but its row count 200 * scale is not.
+        for scale in (math.inf, math.nan, 1e308):
+            with pytest.raises(ValueError, match="scale must be positive and finite"):
+                run_effect_of_radius(scale=scale)
 
 
 class TestHighDim:
@@ -163,8 +167,6 @@ class TestHighDim:
             run_high_dim(scale=0.0)
         with pytest.raises(ValueError):
             run_high_dim(scale=2.0)
-        with pytest.raises(ValueError):
-            run_high_dim(scale=0.01, filler=0.0)
         with pytest.raises(ValueError, match="at least one replication"):
             run_high_dim(scale=0.01, replications=0)
 
@@ -292,6 +294,13 @@ class TestPerturbationSweep:
             run_perturbation_sweep(n=2)
         with pytest.raises(ValueError):
             run_perturbation_sweep(n=100, m_max=50)
+
+
+@pytest.mark.parametrize("run", [run_effect_of_radius, run_breakdown_bounds])
+@pytest.mark.parametrize("n_radii", [0, -2])
+def test_empty_radius_grid_raises_value_error(run, n_radii):
+    with pytest.raises(ValueError, match="n_radii must be at least 1"):
+        run(n_radii=n_radii)
 
 
 class TestPresetRegistry:

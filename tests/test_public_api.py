@@ -20,8 +20,7 @@ PUBLIC = {
     "subgaussian_param_winsorized", "covariance_deviation_bound",
     "pca_breakdown_points", "breakdown_lower_bounds_from_values",
     "wpca_breakdown_lower_bounds", "perturbation_bound",
-    "ConstantVector", "CoordinateSpike", "ContaminationPlan", "sample_gaussian",
-    "sample_student_t", "apply_contamination",
+    "apply_contamination",
     "ResultTable", "format_value", "run_effect_of_radius", "run_high_dim",
     "run_breakdown_bounds", "run_perturbation_sweep", "PRESETS",
 }

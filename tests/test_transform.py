@@ -218,20 +218,6 @@ class TestSpherize:
         with pytest.raises(ValueError, match=r"\[1\]"):
             spherize_dataset(X)
 
-    def test_zero_row_drop_policy(self):
-        X = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
-        out = spherize_dataset(X, zero_rows="drop")
-        assert out.shape == (2, 2)
-        assert np.allclose(out[1], [0.6, 0.8])
-
-    def test_all_zero_rows_error_even_when_dropping(self):
-        with pytest.raises(ValueError):
-            spherize_dataset(np.zeros((3, 2)), zero_rows="drop")
-
-    def test_bad_policy(self):
-        with pytest.raises(ValueError):
-            spherize_dataset(np.eye(2), zero_rows="ignore")
-
     def test_spherize_equals_small_radius_winsorize_subspace(self):
         # winsorizing below every row norm is a rank-preserving row scaling,
         # so the fitted subspace matches the spherized fit
