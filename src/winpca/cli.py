@@ -20,6 +20,7 @@ import argparse
 import configparser
 import csv
 import inspect
+import itertools
 import math
 import os
 import sys
@@ -65,43 +66,82 @@ def parse_radius(text: str) -> RadiusSpec:
     )
 
 
-def _is_numeric_row(cells: list[str]) -> bool:
+def _parses(cell: str) -> bool:
     try:
-        for c in cells:
-            float(c)
+        float(cell)
     except ValueError:
         return False
     return True
 
 
-def read_matrix_csv(path: str) -> np.ndarray:
-    """Read a numeric matrix from CSV: '#' comment lines skipped, header auto-detected."""
-    records: list[list[str]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.reader(fh):
-            if not rec or not any(c.strip() for c in rec):
-                continue
-            if rec[0].lstrip().startswith("#"):
-                continue
-            records.append([c.strip() for c in rec])
+def _data_lines(fh):
+    """The lines of ``fh`` that are neither blank nor '#' comments.
+
+    A line that leaves a quoted cell open raises ``ValueError``: its record
+    spans lines, which only the record loop reads as one record.
+    """
+    for line in fh:
+        if '"' in line:
+            try:
+                next(csv.reader((line,), strict=True))
+            except csv.Error:
+                raise ValueError("quoted cell spans lines") from None
+        head = line.lstrip()
+        if head and not head.startswith("#"):
+            yield line
+
+
+def _read_fast(fh) -> np.ndarray:
+    """Parse through numpy's C reader; ``ValueError`` on anything it rejects."""
+    lines = _data_lines(fh)
+    first = next(lines, None)
+    if first is not None and not any(map(_parses, next(csv.reader((first,))))):
+        first = next(lines, None)  # a header: no cell is a number
+    if first is None:
+        raise ValueError("no data rows")  # loadtxt warns on empty input
+    return np.loadtxt(itertools.chain((first,), lines), delimiter=",",
+                      comments=None, quotechar='"', ndmin=2)
+
+
+def _read_records(fh, path: str) -> np.ndarray:
+    """The record loop: accepts all ``float()`` does, errors name file lines."""
+    reader = csv.reader(fh)
+    records = [(reader.line_num, cells) for rec in reader
+               if any(cells := [c.strip() for c in rec]) and not cells[0].startswith("#")]
     if not records:
         raise ValueError(f"{path}: no data rows")
-    start = 0 if _is_numeric_row(records[0]) else 1
-    data = records[start:]
-    if not data:
-        raise ValueError(f"{path}: header present but no data rows")
-    width = len(data[0])
-    out = np.empty((len(data), width))
-    for i, rec in enumerate(data):
+    if not any(map(_parses, records[0][1])):
+        records = records[1:]
+        if not records:
+            raise ValueError(f"{path}: header present but no data rows")
+    width = len(records[0][1])
+    out = np.empty((len(records), width))
+    for i, (line, rec) in enumerate(records):
         if len(rec) != width:
             raise ValueError(
-                f"{path}: ragged CSV, row {i + start + 1} has {len(rec)} cells, expected {width}"
-            )
+                f"{path}: ragged CSV, row {line} has {len(rec)} cells, expected {width}")
         try:
             out[i] = [float(c) for c in rec]
         except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric cell in row {i + start + 1}: {exc}") from None
+            raise ValueError(f"{path}: non-numeric cell in row {line}: {exc}") from None
     return out
+
+
+def read_matrix_csv(path: str) -> np.ndarray:
+    """Read a numeric matrix from CSV: blank and '#' lines skipped, and a
+    first row with no numeric cell taken as a header.
+
+    numpy's C reader parses the file; only when it fails (or the input is a
+    pipe) does the record loop read it, to accept what ``float()`` accepts or
+    to name the bad line.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        if fh.seekable():
+            try:
+                return _read_fast(fh)
+            except ValueError:
+                fh.seek(0)
+        return _read_records(fh, path)
 
 
 def _resolve_out_path(out: str) -> str:
@@ -197,6 +237,9 @@ def cmd_angles(args: argparse.Namespace) -> int:
     B = read_matrix_csv(args.basis_b)
     if A.shape != B.shape:
         raise ValueError(f"basis shapes differ: {A.shape} vs {B.shape}")
+    for M, label in ((A, args.basis_a), (B, args.basis_b)):
+        if not np.isfinite(M).all():
+            raise ValueError(f"{label}: basis must be finite")
     A = _orthonormalize_if_needed(A, args.basis_a)
     B = _orthonormalize_if_needed(B, args.basis_b)
     report = principal_angles(A, B)

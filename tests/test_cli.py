@@ -6,7 +6,9 @@ import stat
 import numpy as np
 import pytest
 
-from winpca import PopulationModel, make_rng, principal_angles
+from hypothesis import given, settings, strategies as st
+
+from winpca import PopulationModel, cli, make_rng, principal_angles
 from winpca.cli import main, parse_radius, read_matrix_csv
 from winpca.experiments import PRESETS, ResultTable
 
@@ -101,6 +103,109 @@ class TestReadMatrixCsv:
         path.write_text("1,2\n3,oops\n")
         with pytest.raises(ValueError, match="row 2"):
             read_matrix_csv(str(path))
+
+    @pytest.mark.parametrize("text", ["1,\n3,4\n", "0x10,2\n3,4\n"])
+    def test_first_row_with_one_bad_cell_is_data(self, tmp_path, text):
+        # Only a row with no numeric cell is a header; a mixed row is data.
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="non-numeric cell in row 1"):
+            read_matrix_csv(str(path))
+
+    def test_utf8_bom_keeps_first_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        assert read_matrix_csv(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("text, message", [
+        ("# c\n\n1,2\n3\n", "ragged CSV, row 4 has 1 cells, expected 2"),
+        ("# c\n\n1,2\n3,x\n", "non-numeric cell in row 4"),
+        ('1,2\n"3\n",x\n', "non-numeric cell in row 3"),
+        # The '#' line inside a quoted cell is cell text, not a comment.
+        ('1,2\n"3\n#x\n",4\n', "non-numeric cell in row 4"),
+    ])
+    def test_errors_name_the_file_line(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_matrix_csv(str(path))
+
+    @pytest.mark.parametrize("text, expected, fast", [
+        ('"x","y"\n"1",2\n3,"4"\n', [[1.0, 2.0], [3.0, 4.0]], True),
+        ("a,b\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]], True),
+        ("1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]], True),
+        (" 1 ,\t2\t\n\t3,  4 \n", [[1.0, 2.0], [3.0, 4.0]], True),
+        ("x\n1\n2\n3\n", [[1.0], [2.0], [3.0]], True),
+        ("a,b,c\n1,2,3\n", [[1.0, 2.0, 3.0]], True),
+        ("  # indented comment\n1,2\n", [[1.0, 2.0]], True),
+        # Forms numpy's reader rejects, which the record loop reads.
+        ("1_000,2\n3,4_5\n", [[1000.0, 2.0], [3.0, 45.0]], False),
+        ("1,2\n,,\n3,4\n", [[1.0, 2.0], [3.0, 4.0]], False),
+        ('1,"2\n"\n', [[1.0, 2.0]], False),
+    ], ids=["quoted", "crlf", "no-final-newline", "whitespace", "one-column",
+            "one-row", "indented-comment", "underscores", "blank-cells-line",
+            "cell-spans-lines"])
+    def test_accepted_forms(self, tmp_path, text, expected, fast):
+        path = tmp_path / "m.csv"
+        path.write_text(text, newline="")
+        X = read_matrix_csv(str(path))
+        assert X.shape == np.shape(expected)
+        assert X.tolist() == expected
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            if fast:
+                assert cli._read_fast(fh).tolist() == expected
+            else:
+                with pytest.raises(ValueError):
+                    cli._read_fast(fh)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_input_reads_through_the_record_loop(self):
+        # A pipe cannot be re-read, so it skips the fast route.
+        r, w = os.pipe()
+        os.write(w, b"a,b\n1_000,2\n")
+        os.close(w)
+        try:
+            assert read_matrix_csv(f"/dev/fd/{r}").tolist() == [[1000.0, 2.0]]
+        finally:
+            os.close(r)
+
+    def test_infinities_and_nan(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("inf,-Infinity,nan\n1,2,-nan\n")
+        X = read_matrix_csv(str(path))
+        assert X[0, 0] == math.inf and X[0, 1] == -math.inf
+        assert np.isnan(X[0, 2]) and np.isnan(X[1, 2])
+        # The sign bit of "-nan" survives, as with float().
+        assert np.signbit(X[1, 2]) and not np.signbit(X[0, 2])
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# c\na,b\n\n")
+        with pytest.raises(ValueError, match="header present but no data rows"):
+            read_matrix_csv(str(path))
+
+    @pytest.mark.parametrize("text", ["1,2#x\n3,4\n", "1,2\n3,4 # x\n"])
+    def test_mid_line_hash_is_not_a_comment(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="non-numeric cell"):
+            read_matrix_csv(str(path))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5),
+           st.booleans())
+    def test_fast_route_matches_record_loop(self, tmp_path_factory, seed, n, p, header):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-300, 300, (n, p))
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        np.savetxt(path, X, fmt="%.17g", delimiter=",", comments="",
+                   header=",".join(f"x{j}" for j in range(p)) if header else "")
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            fast = cli._read_fast(fh)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            loop = cli._read_records(fh, str(path))
+        assert fast.shape == loop.shape == (n, p)
+        assert fast.tobytes() == loop.tobytes() == X.tobytes()
 
 
 class TestFit:
@@ -218,6 +323,13 @@ class TestAngles:
         assert code == 0
         assert "within 1e-08; re-orthonormalizing" in err
         assert float(meta_of(out)["largest"]) == 0.0
+
+    def test_non_finite_basis_rejected_before_rescue(self, capsys, tmp_path):
+        a = self._write_basis(tmp_path, "a.csv", [[1.0], [0.0]])
+        b = self._write_basis(tmp_path, "b.csv", [[float("nan")], [1.0]])
+        code, _, err = run_cli(capsys, "angles", a, b)
+        assert code == 2
+        assert err == f"error: {b}: basis must be finite\n"
 
     def test_round_trip_with_fit(self, capsys, spiked_data, tmp_path):
         a = tmp_path / "a.csv"
