@@ -2,8 +2,8 @@
 
 Two kernels dominate runtime at simulation scale: rescaling every row of a
 data matrix onto a centered ball (winsorization), and accumulating the
-per-coordinate terms of the winsorized second-moment estimator over a large
-batch of draws.  Every row norm in the package comes from ``row_norms``,
+per-coordinate terms of the winsorized second-moment estimator over a
+stream of draws, block by block.  Every row norm comes from ``row_norms``,
 which stays accurate where a sum of squares overflows or underflows into
 the subnormal range; ``perfbench/`` measures the package end to end.
 
@@ -102,39 +102,41 @@ def winsorize_rows(values: np.ndarray, limit: float) -> np.ndarray:
     return out
 
 
-# Entries per block of winsorized_term_sums: 32k, or 256 KiB per
-# float64 scratch buffer, so a block's passes stay in cache.
+# Entries per block of winsorized_term_sums: 32k, or 256 KiB per float64
+# temporary, so a block's passes stay in cache.
 _TERM_BLOCK_ENTRIES = 32_768
 
 
-def winsorized_term_sums(y: np.ndarray, lam: np.ndarray, r2: float):
+def winsorized_term_sums(y, lam: np.ndarray, r2):
     """Accumulate winsorized second-moment terms over whitened draws.
 
     For each draw ``y_i`` the term vector is ``lam * y_i**2 * f_i`` with
     ``f_i = min(1, r2 / sum(lam * y_i**2))``.  Returns the coordinatewise
-    sum and sum of squares across draws, from which the caller forms Monte
-    Carlo means and standard errors.  They are formed as
-    ``lam * sum_i f_i y_i**2`` and ``lam**2 * sum_i f_i**2 y_i**4``, block
-    by block over about ``_TERM_BLOCK_ENTRIES`` entries through two reused
-    scratch buffers, so no temporary grows with the number of draws.
+    sum and sum of squares across draws, shape (p,), or (R, p) when ``r2``
+    is a vector of R squared radii, from which the caller forms Monte Carlo
+    means and standard errors.  ``y`` is an (n, p) array, split into blocks
+    of ``_TERM_BLOCK_ENTRIES // p`` rows, or an iterable of such blocks, so
+    a stream of draws never exists at once.  Each block is squared once for
+    all radii; the sums ``sum_i f_i y_i**2`` and ``sum_i f_i**2 y_i**4`` are
+    scaled by ``lam`` and ``lam**2`` once at the end, so equal blocks give
+    equal bits however the stream was drawn.
     """
-    n, p = y.shape
-    rows = max(1, _TERM_BLOCK_ENTRIES // p)
-    squares = np.empty((min(rows, n), p))
-    fourths = np.empty_like(squares)
-    sums, sumsq = np.zeros(p), np.zeros(p)
-    for lo in range(0, n, rows):
-        block = y[lo:lo + rows]
-        sq, q = squares[:len(block)], fourths[:len(block)]
-        np.multiply(block, block, out=sq)
+    rows = max(1, _TERM_BLOCK_ENTRIES // lam.size)
+    blocks = np.split(y, range(rows, len(y), rows)) if isinstance(y, np.ndarray) else y
+    r2s = np.atleast_1d(np.asarray(r2, dtype=np.float64))
+    sums, sumsq = np.zeros((r2s.size, lam.size)), np.zeros((r2s.size, lam.size))
+    for block in blocks:
+        sq = block * block
+        q = sq * sq
         s2 = sq @ lam
-        factor = np.ones_like(s2)
-        np.divide(r2, s2, out=factor, where=s2 > r2)
-        sums += factor @ sq
-        np.multiply(sq, sq, out=q)
-        factor *= factor
-        sumsq += factor @ q
-    return lam * sums, lam * lam * sumsq
+        for j, r2j in enumerate(r2s):
+            factor = np.ones_like(s2)
+            np.divide(r2j, s2, out=factor, where=s2 > r2j)
+            sums[j] += factor @ sq
+            factor *= factor
+            sumsq[j] += factor @ q
+    sums, sumsq = lam * sums, lam * lam * sumsq
+    return (sums, sumsq) if np.ndim(r2) else (sums[0], sumsq[0])
 
 
 # Negative eigenvalues of a positive semidefinite matrix within this

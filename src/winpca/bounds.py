@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import one_blas_thread, winsorized_term_sums
+from ._kernels import _TERM_BLOCK_ENTRIES, one_blas_thread, winsorized_term_sums
 from .distributions import PopulationModel, make_rng
 from .subspace import _check_radii, _second_moments
 from .transform import _check_radius, as_data_matrix
@@ -24,6 +24,7 @@ __all__ = [
     "WinsorizedSpectrum",
     "BoundReport",
     "estimate_winsorized_eigenvalues",
+    "estimate_winsorized_spectra",
     "sample_winsorized_spectrum",
     "sample_winsorized_values",
     "check_winsorized_spectra",
@@ -36,10 +37,6 @@ __all__ = [
     "wpca_breakdown_lower_bounds",
     "perturbation_bound",
 ]
-
-# Draws per Monte Carlo batch are capped so the whitened block stays small.
-_BATCH_ENTRIES = 20_000_000
-
 
 @dataclass(frozen=True)
 class WinsorizedSpectrum:
@@ -138,39 +135,38 @@ def estimate_winsorized_eigenvalues(
     ``E[lam_j * y_j**2 * min(1, r**2 / s**2)]`` with ``s**2`` the squared
     norm of the unwinsorized draw; the expectation runs over the whitened
     spherical generator y.  Standard errors of each coordinate travel with
-    the result.
+    the result.  The one-radius case of ``estimate_winsorized_spectra``.
+    """
+    return estimate_winsorized_spectra(model, [r], n_draws, seed)[0]
+
+
+def estimate_winsorized_spectra(
+    model: PopulationModel, radii, n_draws: int, seed: int
+) -> list[WinsorizedSpectrum]:
+    """``estimate_winsorized_eigenvalues`` at every radius, from one stream of draws.
+
+    Each block of ``_TERM_BLOCK_ENTRIES // p`` draws adds its terms at every
+    radius before the next is drawn, so memory stays at one block and each
+    draw serves the whole grid.  Entry j is bitwise the one-radius estimate.
     """
     if not isinstance(model, PopulationModel):
         raise ValueError("model must be a PopulationModel")
     n_draws = int(n_draws)
     if n_draws < 1000:
         raise ValueError(f"need at least 1000 draws for a usable estimate, got {n_draws}")
-    r = _check_radius(r)
-    lam = model.sigma_eigenvalues
+    radii = _check_radii(radii, finite=True)
     rng = make_rng(seed)
-    batch = max(1, _BATCH_ENTRIES // model.p)
-    sums = np.zeros(model.p)
-    sumsq = np.zeros(model.p)
-    left = n_draws
-    while left > 0:
-        take = min(batch, left)
-        y = model.draw_whitened(take, rng)
-        s, q = winsorized_term_sums(y, lam, r * r)
-        sums += s
-        sumsq += q
-        left -= take
+    rows = max(1, _TERM_BLOCK_ENTRIES // model.p)
+    blocks = (model.draw_whitened(min(rows, n_draws - lo), rng)
+              for lo in range(0, n_draws, rows))
+    sums, sumsq = winsorized_term_sums(blocks, model.sigma_eigenvalues, radii * radii)
     means = sums / n_draws
-    var = np.maximum(sumsq - n_draws * means * means, 0.0) / max(n_draws - 1, 1)
+    var = np.maximum(sumsq - n_draws * means * means, 0.0) / (n_draws - 1)
     ses = np.sqrt(var / n_draws)
-    order = np.argsort(-means, kind="stable")
-    return WinsorizedSpectrum(
-        values=means[order],
-        radius=r,
-        source="monte_carlo",
-        standard_errors=ses[order],
-        n_draws=n_draws,
-        seed=int(seed),
-    )
+    order = np.argsort(-means, axis=1, kind="stable")
+    return [WinsorizedSpectrum(values=m[o], radius=r, source="monte_carlo",
+                               standard_errors=e[o], n_draws=n_draws, seed=int(seed))
+            for m, e, o, r in zip(means, ses, order, radii)]
 
 
 def sample_winsorized_spectrum(X, r: float) -> WinsorizedSpectrum:

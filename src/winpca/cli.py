@@ -106,8 +106,11 @@ def _read_fast(fh) -> np.ndarray:
 def _read_records(fh, path: str) -> np.ndarray:
     """The record loop: accepts all ``float()`` does, errors name file lines."""
     reader = csv.reader(fh)
-    records = [(reader.line_num, cells) for rec in reader
-               if any(cells := [c.strip() for c in rec]) and not cells[0].startswith("#")]
+    try:
+        records = [(reader.line_num, cells) for rec in reader
+                   if any(cells := [c.strip() for c in rec]) and not cells[0].startswith("#")]
+    except csv.Error as exc:
+        raise ValueError(f"{path}: unreadable CSV in row {reader.line_num}: {exc}") from None
     if not records:
         raise ValueError(f"{path}: no data rows")
     if not any(map(_parses, records[0][1])):

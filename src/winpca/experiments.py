@@ -51,6 +51,17 @@ __all__ = [
 # any replication index so the two stream families never collide.
 _REF_KEY = 1_000_000
 
+# Entries over all fits past which a run is refused before anything is drawn:
+# the default fig1 fits 8e6 in about 8 s, so 1e12 is about two weeks of work.
+_MAX_FIT_ENTRIES = 10**12
+
+
+def _check_size(fits: int, n: int, p: int) -> None:
+    """Refuse a run of ``fits`` fits of datasets of up to n x p entries past the cap."""
+    if fits * n * p > _MAX_FIT_ENTRIES:
+        raise ValueError(f"run too large: its fits read 10^{math.log10(fits * n * p):.1f} "
+                         f"entries, past the cap of {_MAX_FIT_ENTRIES:.0e}")
+
 
 def format_value(v) -> str:
     """CSV cell formatting: 17 significant digits, '+inf' sentinel, '' for None."""
@@ -130,6 +141,7 @@ def run_effect_of_radius(
     p, d = 100, 1
     n = max(4, round(200 * scale))
     reps = max(2, round(100 * scale))
+    _check_size(4 * reps, n, p)  # 2 distributions x 2 contamination levels
     spike = np.eye(1, p, 1)[0] * (100.0 * n * p)
     eigs = np.concatenate(([100.0], np.ones(p - 1)))
     eps_levels = (0.0, 0.05)
@@ -197,6 +209,7 @@ def run_high_dim(
     d, m_out = 2, 2
     # p >= d + 1, so the contamination spike in coordinate d exists.
     base = max(d + 1, round(1000 * scale))
+    _check_size(16 * replications, 8 * base, 4 * base)  # 4 k x 2 dists x 2 models
     table = ResultTable(
         ("k", "p", "n", "distribution", "model", "radius_label", "radius",
          "statistic", "value", "std_error"),
@@ -262,6 +275,7 @@ def run_breakdown_bounds(
         raise ValueError("need at least one replication")
     if int(n_radii) < 1:
         raise ValueError(f"n_radii must be at least 1, got {n_radii}")
+    _check_size(replications, n, p)
     model = PopulationModel.gaussian(np.array([25.0, 25.0, 5.0, 1.0]))
     ref = model.draw(n, make_rng(seed, (_REF_KEY,)))
     norms = row_norms(ref)
@@ -311,6 +325,7 @@ def run_perturbation_sweep(
     m_max = int(m_max)
     if not 0 <= m_max < n / 2:
         raise ValueError("m_max must keep the contamination fraction below 1/2")
+    _check_size(m_max + 1, n, p)
     model = PopulationModel.gaussian(np.array([25.0, 1.0]))
     X0 = model.draw(n, make_rng(seed))
     norms = row_norms(X0)

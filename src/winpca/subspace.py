@@ -240,25 +240,28 @@ def _second_moments(A: np.ndarray, radii: np.ndarray) -> np.ndarray:
     by_radius = np.argsort(radii, kind="stable")
     cuts = np.searchsorted(sorted_norms, radii[by_radius] * (1.0 + BOUNDARY_REL_TOL),
                            side="right")
+    # Segments are views of one sorted copy, made unit rows after the raw Grams.
+    As = A[order]
     out = np.empty((radii.size, p, p))
     acc = np.zeros((p, p))
     lo = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for j, cut in zip(by_radius, cuts):
             if cut > lo:
-                seg = A[order[lo:cut]]
+                seg = As[lo:cut]
                 acc += seg.T @ seg
                 lo = cut
             out[j] = acc
+        outer, outer_norms = As[cuts[0]:], sorted_norms[cuts[0]:]
+        if math.isinf(sorted_norms[-1]):  # a norm beyond float64
+            outer[:] = unit_rows(outer, outer_norms)
+        else:
+            outer /= outer_norms[:, None]
         acc[:] = 0.0
         hi = n
         for j, cut in zip(by_radius[::-1], cuts[::-1]):
             if cut < hi:
-                seg = A[order[cut:hi]]
-                if math.isinf(sorted_norms[hi - 1]):  # a norm beyond float64
-                    seg = unit_rows(seg, sorted_norms[cut:hi])
-                else:
-                    seg /= sorted_norms[cut:hi, None]
+                seg = As[cut:hi]
                 acc += seg.T @ seg
                 hi = cut
             if hi < n:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import winpca.bounds
+from winpca._kernels import _TERM_BLOCK_ENTRIES, winsorized_term_sums
 from winpca import (
     BoundReport,
     PopulationModel,
@@ -15,6 +17,8 @@ from winpca import (
     concentration_bound,
     covariance_deviation_bound,
     estimate_winsorized_eigenvalues,
+    estimate_winsorized_spectra,
+    make_rng,
     pca_breakdown_points,
     perturbation_bound,
     sample_winsorized_spectrum,
@@ -213,6 +217,68 @@ class TestEstimateWinsorizedEigenvalues:
         a = estimate_winsorized_eigenvalues(model, 1.5, 2_000, seed=5)
         b = estimate_winsorized_eigenvalues(model, 1.5, 2_000, seed=6)
         assert not np.array_equal(a.values, b.values)
+
+
+class TestEstimateWinsorizedSpectra:
+    """The estimator streams its draws in blocks of ``_TERM_BLOCK_ENTRIES // p`` rows."""
+
+    MODELS = {
+        "gaussian": PopulationModel.gaussian(np.array([25.0, 25.0, 5.0, 1.0])),
+        "student_t": PopulationModel.student_t(np.array([9.0, 4.0, 1.0]), dof=3),
+    }
+
+    @pytest.mark.parametrize("dist", sorted(MODELS))
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_grid_equals_one_radius_calls_bit_for_bit(self, dist, blocks, extra):
+        model = self.MODELS[dist]
+        n = blocks * (_TERM_BLOCK_ENTRIES // model.p) + extra
+        radii = [0.5, 3.0, 7.5, 1e3]
+        grid = estimate_winsorized_spectra(model, radii, n, seed=9)
+        assert len(grid) == len(radii)
+        for r, got in zip(radii, grid):
+            want = estimate_winsorized_eigenvalues(model, r, n, seed=9)
+            assert got.radius == want.radius == r
+            assert got.n_draws == n and got.seed == 9
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.standard_errors, want.standard_errors)
+
+    @pytest.mark.parametrize("n", [1000, 3 * (_TERM_BLOCK_ENTRIES // 4) + 7])
+    def test_gaussian_stream_equals_one_shot_draw(self, n):
+        # Philox fills normals in sequence, so drawing block by block gives
+        # the numbers one call gives, and the sums add in the same order.
+        model = self.MODELS["gaussian"]
+        lam = model.sigma_eigenvalues
+        for r in (2.0, 6.0):
+            spec = estimate_winsorized_eigenvalues(model, r, n, seed=4)
+            s, _ = winsorized_term_sums(model.draw_whitened(n, make_rng(4)), lam, r * r)
+            assert np.array_equal(spec.values, np.sort(s / n)[::-1])
+
+    def test_memory_stays_at_one_block(self):
+        model = self.MODELS["gaussian"]
+        estimate_winsorized_eigenvalues(model, 6.0, 1000, seed=1)  # warm caches
+        tracemalloc.start()
+        try:
+            estimate_winsorized_eigenvalues(model, 6.0, 1_000_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_student_t_huge_radius_recovers_population_eigenvalues(self):
+        lam = np.array([4.0, 1.0])
+        model = PopulationModel.student_t(lam, dof=5)
+        ws = estimate_winsorized_eigenvalues(model, 1e6, 200_000, seed=7)
+        assert np.all(np.abs(ws.values - lam) <= 4.0 * ws.standard_errors)
+
+    @pytest.mark.parametrize("radii, message", [
+        ([], "nonempty"),
+        ([[1.0, 2.0]], "nonempty"),
+        ([1.0, math.inf], "finite and positive"),
+        ([1.0, 0.0], "finite and positive"),
+    ])
+    def test_radii_validated(self, radii, message):
+        with pytest.raises(ValueError, match=message):
+            estimate_winsorized_spectra(self.MODELS["gaussian"], radii, 1000, seed=0)
 
 
 class TestSampleWinsorizedSpectrum:

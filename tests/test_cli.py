@@ -8,7 +8,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from winpca import PopulationModel, cli, make_rng, principal_angles
+from winpca import PopulationModel, cli, experiments, make_rng, principal_angles
 from winpca.cli import main, parse_radius, read_matrix_csv
 from winpca.experiments import PRESETS, ResultTable
 
@@ -129,6 +129,15 @@ class TestReadMatrixCsv:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             read_matrix_csv(str(path))
+
+    def test_cell_over_the_csv_field_limit_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n1," + "x" * 200_000 + "\n")
+        with pytest.raises(ValueError, match="row 2"):
+            read_matrix_csv(str(path))
+        code, _, err = run_cli(capsys, "fit", str(path), "--d", "1")
+        assert code == 2
+        assert err.startswith("error:") and "field larger than field limit" in err
 
     @pytest.mark.parametrize("text, expected, fast", [
         ('"x","y"\n"1",2\n3,"4"\n', [[1.0, 2.0], [3.0, 4.0]], True),
@@ -526,6 +535,20 @@ class TestExperiment:
         assert code == 2
         assert calls == []
         assert f"{flags[0]} must be" in err
+
+    @pytest.mark.parametrize("preset, flags", [
+        ("fig3", ("--scale", "1e300")),
+        ("fig1", ("--scale", "1e300")),
+        ("fig2", ("--scale", "1", "--replications", "1000000")),
+    ])
+    def test_rejects_absurd_sizes_before_drawing(self, capsys, monkeypatch, preset, flags):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a run too large to finish started drawing")
+
+        monkeypatch.setattr(experiments, "make_rng", no_draws)
+        code, _, err = run_cli(capsys, "experiment", preset, *flags)
+        assert code == 2
+        assert "too large" in err
 
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "fig9")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from winpca import experiments
 from winpca import (
     PRESETS,
     PopulationModel,
@@ -294,6 +295,22 @@ class TestPerturbationSweep:
             run_perturbation_sweep(n=2)
         with pytest.raises(ValueError):
             run_perturbation_sweep(n=100, m_max=50)
+
+
+@pytest.mark.parametrize("run, kwargs", [
+    (run_effect_of_radius, {"scale": 1e300}),
+    (run_effect_of_radius, {"scale": 1e4}),
+    (run_high_dim, {"scale": 1.0, "replications": 10**6}),
+    (run_breakdown_bounds, {"replications": 10**12}),
+    (run_perturbation_sweep, {"n": 10**7}),
+])
+def test_absurd_sizes_refused_before_drawing(monkeypatch, run, kwargs):
+    def no_draws(*args, **kw):
+        raise AssertionError("a run too large to finish started drawing")
+
+    monkeypatch.setattr(experiments, "make_rng", no_draws)
+    with pytest.raises(ValueError, match="too large"):
+        run(**kwargs)
 
 
 @pytest.mark.parametrize("run", [run_effect_of_radius, run_breakdown_bounds])

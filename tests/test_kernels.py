@@ -81,6 +81,22 @@ class TestAgainstLoops:
             assert np.allclose(got_s, want_s, rtol=1e-10, atol=0)
             assert np.allclose(got_q, want_q, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("p", [1, 4, 16])
+    def test_blocks_and_radius_vector_equal_one_radius_arrays(self, p):
+        rows = _TERM_BLOCK_ENTRIES // p
+        rng = np.random.default_rng(p)
+        y = rng.standard_normal((2 * rows + 5, p))
+        lam = np.sort(rng.uniform(0.5, 9.0, p))[::-1].copy()
+        s2 = np.sum(lam * y * y, axis=1)
+        r2 = np.array([0.5 * s2.min(), float(np.median(s2)), 2.0 * s2.max()])
+        blocks = (y[lo:lo + rows] for lo in range(0, len(y), rows))
+        got_s, got_q = winsorized_term_sums(blocks, lam, r2)
+        assert got_s.shape == got_q.shape == (3, p)
+        for j, r2j in enumerate(r2):
+            want_s, want_q = winsorized_term_sums(y, lam, r2j)
+            assert np.array_equal(got_s[j], want_s)
+            assert np.array_equal(got_q[j], want_q)
+
     def test_row_norms_plain_formula_on_ordinary_rows(self):
         for X in _cases(3):
             assert np.array_equal(row_norms(X), np.sqrt(np.einsum("ij,ij->i", X, X)))

@@ -15,7 +15,7 @@ PUBLIC = {
     "fit_pc_path", "principal_angles", "sin_theta_operator",
     "PopulationModel", "make_rng",
     "WinsorizedSpectrum", "BoundReport", "estimate_winsorized_eigenvalues",
-    "sample_winsorized_spectrum", "sample_winsorized_values",
+    "estimate_winsorized_spectra", "sample_winsorized_spectrum", "sample_winsorized_values",
     "check_winsorized_spectra", "concentration_bound", "asymptotic_rate",
     "subgaussian_param_winsorized", "covariance_deviation_bound",
     "pca_breakdown_points", "breakdown_lower_bounds_from_values",
