@@ -272,6 +272,8 @@ def asymptotic_rate(
     """
     n, p = _check_counts(n, p)
     eps = _check_eps(eps)
+    if not math.isfinite(beta):
+        raise ValueError(f"power-law exponent must be finite, got {beta}")
     b = max(float(beta), 0.0)
     term1 = p ** (1.0 + 2.0 * b) * eps
     term2 = _dim_ratio(n, p)
@@ -393,8 +395,8 @@ def perturbation_bound(
     eps = _check_eps(eps)
     r = _check_radius(r)
     lam_d_r, lam_d1_r = float(lam_d_r), float(lam_d1_r)
-    if lam_d_r < lam_d1_r or lam_d1_r < 0:
-        raise ValueError("need lam_d_r >= lam_d1_r >= 0")
+    if not (math.isfinite(lam_d_r) and lam_d_r >= lam_d1_r >= 0):
+        raise ValueError(f"need finite lam_d_r >= lam_d1_r >= 0, got {lam_d_r}, {lam_d1_r}")
     g = lam_d_r - lam_d1_r
     r2 = r * r
     components: dict[str, float] = {}

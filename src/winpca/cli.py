@@ -44,8 +44,6 @@ __all__ = ["main", "read_matrix_csv", "parse_radius"]
 
 # Config keys that map to flag presence rather than a value.
 _BOOL_KEYS = {"center", "subgaussian"}
-# Columns of every ``bounds`` output: one named quantity per row.
-_QUANTITY = ("quantity", "value")
 
 
 def parse_radius(text: str) -> RadiusSpec:
@@ -227,12 +225,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def _orthonormalize_if_needed(B: np.ndarray, label: str) -> np.ndarray:
     if _is_orthonormal(B):
         return B
+    Q, R = np.linalg.qr(B)
+    diag = np.abs(np.diag(R))  # shorter than the column count when B is wide
+    if diag.size < B.shape[1] or diag.min() <= ORTHONORMAL_TOL * diag.max():
+        raise ValueError(f"{label}: basis columns are linearly dependent")
     print(f"warning: {label} is not orthonormal within {ORTHONORMAL_TOL:g}; "
           "re-orthonormalizing", file=sys.stderr)
-    Q, R = np.linalg.qr(B)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    return Q * signs
+    return Q * np.sign(np.diag(R))
 
 
 def cmd_angles(args: argparse.Namespace) -> int:
@@ -258,68 +257,80 @@ def cmd_angles(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bounds_perturbation(args: argparse.Namespace) -> int:
-    if args.gap < 0:
+def _perturbation(a: argparse.Namespace):
+    if a.gap < 0:
         raise ValueError("gap must be nonnegative")
-    report = perturbation_bound(args.gap, 0.0, args.r, args.eps)
-    _emit_table(
-        _QUANTITY,
-        [("bound1", report.components["bound1"]),
-         ("bound2", report.components.get("bound2")),
-         ("min_bound", report.value)],
-        {"command": "bounds.perturbation", "gap": args.gap, "r": args.r,
-         "eps": args.eps},
-        args.out,
-    )
-    return 0
+    report = perturbation_bound(a.gap, 0.0, a.r, a.eps)
+    return {}, [("bound1", report.components["bound1"]),
+                ("bound2", report.components.get("bound2")),
+                ("min_bound", report.value)]
 
 
-def cmd_bounds_breakdown(args: argparse.Namespace) -> int:
-    vals = _parse_float_list(args.eigs)
-    weak, strong = breakdown_lower_bounds_from_values(vals, args.r2, args.d)
-    _emit_table(
-        _QUANTITY,
-        [("weak_lb", weak), ("strong_lb", strong)],
-        {"command": "bounds.breakdown", "eigs": args.eigs, "r2": args.r2,
-         "d": args.d},
-        args.out,
-    )
-    return 0
+def _breakdown(a: argparse.Namespace):
+    weak, strong = breakdown_lower_bounds_from_values(_parse_float_list(a.eigs), a.r2, a.d)
+    return {}, [("weak_lb", weak), ("strong_lb", strong)]
 
 
-def cmd_bounds_concentration(args: argparse.Namespace) -> int:
-    vals = np.sort(_parse_float_list(args.weigs))[::-1]
-    wspec = WinsorizedSpectrum(vals, args.r, "sample")
-    report = concentration_bound(
-        args.lam1, args.lamp, wspec, args.d, args.eps, args.n, args.p,
-        math.inf if args.sigma is None else args.sigma)
-    family = "elliptical" if args.sigma is None else "subgaussian"
-    _emit_table(
-        _QUANTITY,
-        [("value", report.value),
-         ("contamination", report.components["contamination"]),
-         ("sampling", report.components["sampling"]),
-         ("clipped", report.clipped)],
-        {"command": "bounds.concentration", "family": family,
-         "lam1": args.lam1, "lamp": args.lamp, "weigs": args.weigs,
-         "r": args.r, "d": args.d, "eps": args.eps, "n": args.n, "p": args.p,
-         "sigma": args.sigma if args.sigma is not None else "none"},
-        args.out,
-    )
-    return 0
+def _concentration(a: argparse.Namespace):
+    wspec = WinsorizedSpectrum(np.sort(_parse_float_list(a.weigs))[::-1], a.r, "sample")
+    report = concentration_bound(a.lam1, a.lamp, wspec, a.d, a.eps, a.n, a.p,
+                                 math.inf if a.sigma is None else a.sigma)
+    family = "elliptical" if a.sigma is None else "subgaussian"
+    rows = [("value", report.value), *report.components.items(), ("clipped", report.clipped)]
+    return {"family": family}, rows
 
 
-def cmd_bounds_rate(args: argparse.Namespace) -> int:
-    term1, term2 = asymptotic_rate(args.beta, args.p, args.n, args.eps,
-                                   args.subgaussian)
-    _emit_table(
-        _QUANTITY,
-        [("contamination_term", term1), ("sampling_term", term2)],
-        {"command": "bounds.rate", "beta": args.beta, "p": args.p,
-         "n": args.n, "eps": args.eps,
-         "subgaussian": str(bool(args.subgaussian)).lower()},
-        args.out,
-    )
+def _rate(a: argparse.Namespace):
+    terms = asymptotic_rate(a.beta, a.p, a.n, a.eps, a.subgaussian)
+    return {}, zip(("contamination_term", "sampling_term"), terms)
+
+
+# The ``bounds`` subcommands: help text, flags in metadata order as
+# (name, type, default, help), and the function from the parsed flags to
+# (leading metadata, quantity rows).  A default of ``...`` marks a required
+# flag; type ``bool`` marks a switch.
+_BOUNDS = {
+    "perturbation": ("contamination perturbation bounds", [
+        ("gap", float, ..., "winsorized sample eigen-gap at d"),
+        ("r", float, 1.0, "winsorization radius"),
+        ("eps", float, ..., "contamination fraction in [0, 0.5)"),
+    ], _perturbation),
+    "breakdown": ("breakdown-point lower bounds", [
+        ("eigs", str, ..., "comma-separated descending winsorized sample eigenvalues"),
+        ("r2", float, ..., "radius squared"),
+        ("d", int, ..., None),
+    ], _breakdown),
+    "concentration": ("expected-loss concentration bounds", [
+        ("lam1", float, ..., "largest population eigenvalue"),
+        ("lamp", float, ..., "smallest population eigenvalue"),
+        ("weigs", str, ..., "comma-separated winsorized eigenvalues (length > d)"),
+        ("r", float, ..., "winsorization radius"),
+        ("d", int, ..., None),
+        ("eps", float, ..., None),
+        ("n", int, ..., None),
+        ("p", int, ..., None),
+        ("sigma", float, None, "subgaussian parameter of the whitened vector; "
+                               "omit for the elliptical bound"),
+    ], _concentration),
+    "rate": ("asymptotic rate shapes for power-law radii", [
+        ("beta", float, ..., None),
+        ("p", int, ..., None),
+        ("n", int, ..., None),
+        ("eps", float, 0.0, None),
+        ("subgaussian", bool, False, None),
+    ], _rate),
+}
+
+
+def cmd_bounds(args: argparse.Namespace) -> int:
+    """Evaluate one ``bounds`` subcommand; echo every flag, unset ones as none."""
+    _, flags, quantities = _BOUNDS[args.bounds_command]
+    lead, rows = quantities(args)
+    meta = {"command": f"bounds.{args.bounds_command}", **lead}
+    for name, kind, _, _ in flags:
+        value = getattr(args, name)
+        meta[name] = str(value).lower() if kind is bool else "none" if value is None else value
+    _emit_table(("quantity", "value"), rows, meta, args.out)
     return 0
 
 
@@ -393,50 +404,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="evaluate closed-form bounds")
     bsub = p_bounds.add_subparsers(dest="bounds_command", required=True)
-
-    p_pert = bsub.add_parser("perturbation", help="contamination perturbation bounds")
-    p_pert.add_argument("--gap", type=float, required=True,
-                        help="winsorized sample eigen-gap at d")
-    p_pert.add_argument("--r", type=float, default=1.0, help="winsorization radius")
-    p_pert.add_argument("--eps", type=float, required=True,
-                        help="contamination fraction in [0, 0.5)")
-    add_out(p_pert)
-    p_pert.set_defaults(func=cmd_bounds_perturbation)
-
-    p_bd = bsub.add_parser("breakdown", help="breakdown-point lower bounds")
-    p_bd.add_argument("--eigs", required=True,
-                      help="comma-separated descending winsorized sample eigenvalues")
-    p_bd.add_argument("--r2", type=float, required=True, help="radius squared")
-    p_bd.add_argument("--d", type=int, required=True)
-    add_out(p_bd)
-    p_bd.set_defaults(func=cmd_bounds_breakdown)
-
-    p_conc = bsub.add_parser("concentration", help="expected-loss concentration bounds")
-    p_conc.add_argument("--lam1", type=float, required=True,
-                        help="largest population eigenvalue")
-    p_conc.add_argument("--lamp", type=float, required=True,
-                        help="smallest population eigenvalue")
-    p_conc.add_argument("--weigs", required=True,
-                        help="comma-separated winsorized eigenvalues (length > d)")
-    p_conc.add_argument("--r", type=float, required=True, help="winsorization radius")
-    p_conc.add_argument("--d", type=int, required=True)
-    p_conc.add_argument("--eps", type=float, required=True)
-    p_conc.add_argument("--n", type=int, required=True)
-    p_conc.add_argument("--p", type=int, required=True)
-    p_conc.add_argument("--sigma", type=float, default=None,
-                        help="subgaussian parameter of the whitened vector; "
-                             "omit for the elliptical bound")
-    add_out(p_conc)
-    p_conc.set_defaults(func=cmd_bounds_concentration)
-
-    p_rate = bsub.add_parser("rate", help="asymptotic rate shapes for power-law radii")
-    p_rate.add_argument("--beta", type=float, required=True)
-    p_rate.add_argument("--p", type=int, required=True)
-    p_rate.add_argument("--n", type=int, required=True)
-    p_rate.add_argument("--eps", type=float, default=0.0)
-    p_rate.add_argument("--subgaussian", action="store_true")
-    add_out(p_rate)
-    p_rate.set_defaults(func=cmd_bounds_rate)
+    for name, (text, flags, _) in _BOUNDS.items():
+        p_bound = bsub.add_parser(name, help=text)
+        for flag, kind, default, flag_help in flags:
+            how = ({"action": "store_true"} if kind is bool else
+                   {"type": kind, "default": default, "required": default is ...})
+            p_bound.add_argument(f"--{flag}", help=flag_help, **how)
+        add_out(p_bound)
+        p_bound.set_defaults(func=cmd_bounds)
 
     p_exp = sub.add_parser("experiment", help="run a preset experiment grid")
     p_exp.add_argument("preset", choices=sorted(PRESETS))

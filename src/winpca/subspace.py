@@ -3,10 +3,8 @@
 The covariance here is the uncentered second-moment matrix ``X.T @ X / n``;
 winsorized PCA is the eigendecomposition of that matrix after the rows of
 ``X`` have been winsorized, with no mean subtraction at any point.  Distances
-between fitted and target subspaces are measured by principal angles, with
-two independent computational routes (SVD of the cross-Gram matrix, and the
-operator norm through an orthonormal complement) that cross-validate each
-other.
+between fitted and target subspaces are measured by principal angles, the
+arccosines of the singular values of the cross-Gram matrix.
 
 The radius-path engine reads the winsorized covariance as a function of the
 radius: ``S(r) = (sum_{|x|<=r} x x^T + r^2 sum_{|x|>r} u u^T) / n`` with
@@ -39,13 +37,11 @@ __all__ = [
     "Subspace",
     "AngleReport",
     "WPCAFit",
-    "sample_covariance",
     "symmetric_eigh",
     "winsorized_second_moments",
     "fit_pc_subspace",
     "fit_pc_path",
     "principal_angles",
-    "sin_theta_operator",
 ]
 
 # Eigenvalue ties at this relative scale make the top-d subspace ill-defined.
@@ -157,13 +153,6 @@ class WPCAFit:
     @property
     def basis(self) -> np.ndarray:
         return self.subspace.basis
-
-
-@one_blas_thread
-def sample_covariance(X) -> np.ndarray:
-    """Uncentered sample covariance ``X.T @ X / n``; no mean subtraction."""
-    A = as_data_matrix(X)
-    return A.T @ A / A.shape[0]
 
 
 @one_blas_thread
@@ -379,20 +368,3 @@ def principal_angles(U, W) -> AngleReport:
     sigma = np.linalg.svd(Ub.T @ Wb, compute_uv=False)
     return AngleReport(np.arccos(np.clip(sigma, 0.0, 1.0)))
 
-
-@one_blas_thread
-def sin_theta_operator(U, W) -> float:
-    """Sine of the largest principal angle via an orthonormal complement.
-
-    Computes the operator 2-norm of ``U_perp.T @ W`` where ``U_perp``
-    completes the first basis; this is an independent route to
-    ``sin(principal_angles(U, W).largest)`` and the two agree within 1e-8.
-    """
-    Ub, Wb = _check_pair(U, W)
-    p, d = Ub.shape
-    if d == p or np.array_equal(Ub, Wb):
-        return 0.0
-    Q, _, _ = np.linalg.svd(Ub, full_matrices=True)
-    perp = Q[:, d:]
-    sigma = np.linalg.svd(perp.T @ Wb, compute_uv=False)
-    return float(min(sigma[0], 1.0)) if sigma.size else 0.0

@@ -385,6 +385,13 @@ class TestAsymptoticRate:
         _, t2 = asymptotic_rate(0.0, 400, 100, 0.0, subgaussian=True)
         assert t2 == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("subgaussian", [False, True])
+    def test_rejects_non_finite_beta(self, beta, subgaussian):
+        # RadiusSpec.power_law refuses these exponents too.
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            asymptotic_rate(beta, 10, 1000, 0.1, subgaussian)
+
 
 class TestSubgaussianParam:
     def test_radius_branch_only_when_sigma_infinite(self):
@@ -590,6 +597,13 @@ class TestPerturbationBound:
             perturbation_bound(1.0, 0.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             perturbation_bound(1.0, 0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("lam_d_r, lam_d1_r", [
+        (math.nan, 0.0), (1.0, math.nan), (math.nan, math.nan),
+        (math.inf, 0.0), (math.inf, math.inf)])
+    def test_rejects_non_finite_eigenvalues(self, lam_d_r, lam_d1_r):
+        with pytest.raises(ValueError, match="need finite lam_d_r"):
+            perturbation_bound(lam_d_r, lam_d1_r, 1.0, 0.1)
 
 
 class TestBoundReport:

@@ -333,6 +333,20 @@ class TestAngles:
         assert "within 1e-08; re-orthonormalizing" in err
         assert float(meta_of(out)["largest"]) == 0.0
 
+    @pytest.mark.parametrize("a_cols, b_cols", [
+        ([[1, 0], [0, 0], [0, 0]], [[1, 0], [0, 1], [0, 0]]),
+        ([[1, 0], [0, 0], [0, 0]], [[1, 0], [0, 0], [0, 1]]),
+        ([[1, 2], [2, 4], [3, 6]], [[1, 0], [0, 1], [0, 0]]),
+        ([[0.0], [0.0]], [[1.0], [0.0]]),
+        ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0]]),  # wide: d > p
+    ], ids=["zero-column", "zero-column-other-b", "parallel-columns", "zero-basis", "wide"])
+    def test_rank_deficient_basis_rejected(self, capsys, tmp_path, a_cols, b_cols):
+        # QR would complete the basis with an arbitrary direction; refuse it.
+        a = self._write_basis(tmp_path, "a.csv", a_cols)
+        b = self._write_basis(tmp_path, "b.csv", b_cols)
+        assert run_cli(capsys, "angles", a, b) == (
+            2, "", f"error: {a}: basis columns are linearly dependent\n")
+
     def test_non_finite_basis_rejected_before_rescue(self, capsys, tmp_path):
         a = self._write_basis(tmp_path, "a.csv", [[1.0], [0.0]])
         b = self._write_basis(tmp_path, "b.csv", [[float("nan")], [1.0]])
@@ -379,6 +393,13 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", "perturbation",
                                "--gap", "1", "--eps", "0.6")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("gap", ["nan", "inf"])
+    def test_perturbation_rejects_non_finite_gap(self, capsys, gap):
+        code, out, err = run_cli(capsys, "bounds", "perturbation",
+                                 "--gap", gap, "--eps", "0.1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: need finite lam_d_r >= lam_d1_r >= 0")
 
     def test_breakdown_hand_values(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "breakdown",
@@ -431,6 +452,13 @@ class TestBounds:
         assert float(q["contamination_term"]) == 0.0
         assert float(q["sampling_term"]) == 0.5
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_rate_rejects_non_finite_beta(self, capsys, beta):
+        code, out, err = run_cli(capsys, "bounds", "rate", "--beta", beta,
+                                 "--p", "10", "--n", "1000")
+        assert (code, out) == (2, "")
+        assert err == f"error: power-law exponent must be finite, got {beta}\n"
+
     def test_rate_subgaussian_flag(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "rate", "--beta", "1",
                                "--p", "10", "--n", "1000", "--eps", "0.1",
@@ -439,6 +467,45 @@ class TestBounds:
         q = quantities_of(out)
         assert float(q["contamination_term"]) == pytest.approx(100.0)
         assert float(q["sampling_term"]) == pytest.approx(0.1)
+
+# Exact stdout of each ``bounds`` subcommand: metadata keys in flag order,
+# an unset optional flag echoed as ``none`` and a switch as ``true``/``false``.
+_CONC = ("--lam1", "1", "--lamp", "1", "--weigs", "0.75,0.25", "--r", "1", "--d", "1",
+         "--eps", "0.1", "--n", "100", "--p", "100")
+_CONC_META = ("# lam1=1\n# lamp=1\n# weigs=0.75,0.25\n# r=1\n# d=1\n"
+              "# eps=0.10000000000000001\n# n=100\n# p=100\n")
+_BOUNDS_GOLDEN = [
+    (("perturbation", "--gap", "1.0", "--eps", "0.1"),
+     "# command=bounds.perturbation\n# gap=1\n# r=1\n# eps=0.10000000000000001\n"
+     "quantity,value\nbound1,0.20000000000000001\nbound2,0.125\nmin_bound,0.125\n"),
+    (("perturbation", "--gap", "0", "--eps", "0.1"),
+     "# command=bounds.perturbation\n# gap=0\n# r=1\n# eps=0.10000000000000001\n"
+     "quantity,value\nbound1,+inf\nbound2,\nmin_bound,+inf\n"),
+    (("breakdown", "--eigs", "3,2,1,0.5", "--r2", "4", "--d", "2"),
+     "# command=bounds.breakdown\n# eigs=3,2,1,0.5\n# r2=4\n# d=2\n"
+     "quantity,value\nweak_lb,0.125\nstrong_lb,0.25\n"),
+    (("concentration",) + _CONC,
+     "# command=bounds.concentration\n# family=elliptical\n" + _CONC_META +
+     "# sigma=none\nquantity,value\nvalue,5.5200000000000005\n"
+     "contamination,0.40000000000000002\nsampling,5.1200000000000001\nclipped,1\n"),
+    (("concentration",) + _CONC + ("--sigma", "0.05"),
+     "# command=bounds.concentration\n# family=subgaussian\n" + _CONC_META +
+     "# sigma=0.050000000000000003\nquantity,value\nvalue,1.6800000000000002\n"
+     "contamination,0.40000000000000002\nsampling,1.2800000000000002\nclipped,1\n"),
+    (("rate", "--beta", "-0.5", "--p", "100", "--n", "400"),
+     "# command=bounds.rate\n# beta=-0.5\n# p=100\n# n=400\n# eps=0\n"
+     "# subgaussian=false\nquantity,value\ncontamination_term,0\nsampling_term,0.5\n"),
+    (("rate", "--beta", "1", "--p", "10", "--n", "1000", "--eps", "0.1", "--subgaussian"),
+     "# command=bounds.rate\n# beta=1\n# p=10\n# n=1000\n# eps=0.10000000000000001\n"
+     "# subgaussian=true\nquantity,value\ncontamination_term,100\n"
+     "sampling_term,0.10000000000000001\n"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", _BOUNDS_GOLDEN,
+                         ids=[f"{a[0]}-{k}" for k, (a, _) in enumerate(_BOUNDS_GOLDEN)])
+def test_bounds_golden_bytes(capsys, argv, expected):
+    assert run_cli(capsys, "bounds", *argv) == (0, expected, "")
 
 
 def _fake_preset(real, calls, **defaults):
@@ -635,6 +702,16 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "bounds", "breakdown", "--config", str(cfg))
         assert code == 0
         assert float(quantities_of(out)["weak_lb"]) == pytest.approx(0.125)
+
+    @pytest.mark.parametrize("switch, sampling", [("true", 0.1), ("false", 10.0)])
+    def test_bounds_rate_section_switch(self, capsys, tmp_path, switch, sampling):
+        cfg = tmp_path / "winpca.ini"
+        cfg.write_text(f"[bounds.rate]\nbeta = 1\np = 10\nn = 1000\neps = 0.1\n"
+                       f"subgaussian = {switch}\n")
+        code, out, _ = run_cli(capsys, "bounds", "rate", "--config", str(cfg))
+        assert code == 0
+        assert f"# subgaussian={switch}\n" in out
+        assert float(quantities_of(out)["sampling_term"]) == pytest.approx(sampling)
 
     def test_config_equals_form(self, capsys, tmp_path, unit_square):
         cfg = tmp_path / "winpca.ini"

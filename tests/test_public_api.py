@@ -10,9 +10,9 @@ PUBLIC = {
     "__version__", "using_numba",
     "RadiusSpec", "winsorize_point", "winsorize_dataset", "spherize_dataset",
     "resolve_radius",
-    "Spectrum", "Subspace", "AngleReport", "WPCAFit", "sample_covariance",
+    "Spectrum", "Subspace", "AngleReport", "WPCAFit",
     "symmetric_eigh", "winsorized_second_moments", "fit_pc_subspace",
-    "fit_pc_path", "principal_angles", "sin_theta_operator",
+    "fit_pc_path", "principal_angles",
     "PopulationModel", "make_rng",
     "WinsorizedSpectrum", "BoundReport", "estimate_winsorized_eigenvalues",
     "estimate_winsorized_spectra", "sample_winsorized_spectrum", "sample_winsorized_values",

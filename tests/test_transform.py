@@ -10,11 +10,12 @@ from winpca import (
     RadiusSpec,
     fit_pc_subspace,
     resolve_radius,
-    sin_theta_operator,
     spherize_dataset,
     winsorize_dataset,
     winsorize_point,
 )
+
+from oracles import sin_theta_operator
 
 vectors = hnp.arrays(
     np.float64,
