@@ -15,10 +15,17 @@ and through a full ``numpy.linalg.eigh`` otherwise.
 block or call.  Gram and ``dsyevr`` results change in their last bits with
 the BLAS thread count, so every fit, public covariance, eigensolve and
 angle routine, and replication pool of the package runs under the pin:
-output bytes do not depend on ``OPENBLAS_NUM_THREADS`` or ``--jobs``, and
-replication workers are the only parallelism.  The
+output bytes do not depend on ``OPENBLAS_NUM_THREADS`` or ``--jobs``.  The
 library is opened once, and ``dsyevr`` and the thread symbols come from
 that one handle; without them the pin leaves the threads alone.
+
+``thread_map`` is the package's one source of threads, and its helper
+threads live as long as the process.  A radius path spreads its
+eigensolves over the CPUs the process may run on, and ``--jobs`` spreads
+replications; a map inside a worker of another map runs serially, so the
+two never multiply.  Every matrix is still solved alone on
+one BLAS thread, so output bytes do not depend on the number of CPUs:
+``taskset -c 0`` keeps a run on one CPU and changes no byte.
 """
 
 from __future__ import annotations
@@ -26,13 +33,16 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import glob
+import itertools
 import os
+import queue
 import threading
 
 import numpy as np
 
 __all__ = ["using_numba", "row_norms", "unit_rows", "winsorize_rows",
-           "winsorized_term_sums", "top_eigh", "blas_threads", "one_blas_thread"]
+           "winsorized_term_sums", "top_eigh", "blas_threads", "one_blas_thread",
+           "thread_map"]
 
 # Rows whose norm exceeds the radius by less than this relative slack are
 # left untouched, so reapplying the transform is an exact no-op.
@@ -273,3 +283,106 @@ def top_eigh(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise np.linalg.LinAlgError(
             f"dsyevr failed (info={info}, {found.value} of {k} eigenpairs)")
     return _descending_eigenpairs(w[:k], Z)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask, else all."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+class _Helpers:
+    """Daemon threads that run ``thread_map``'s work beside its caller.
+
+    A thread is started the first time a map needs it and then waits for
+    the next job for the life of the process: starting a thread for every
+    map cost more than a path of small eigensolves saves.  Jobs go to
+    whichever thread is idle.  A forked child starts with none.
+    """
+
+    def __init__(self) -> None:
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._count = 0
+
+    def run(self, job, count: int) -> None:
+        """Hand ``job`` to ``count`` threads, starting those missing."""
+        with self._lock:
+            while self._count < count:
+                threading.Thread(target=self._serve, daemon=True,
+                                 name="winpca-helper").start()
+                self._count += 1
+        for _ in range(count):
+            self._jobs.put(job)
+
+    def _serve(self) -> None:
+        while True:
+            self._jobs.get()()
+
+
+_helpers = _Helpers()
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_helpers.__init__)
+# Marks a thread that is running the items of a parallel thread_map.
+_mapping = threading.local()
+
+
+def thread_map(fn, items, workers: int | None = None) -> list:
+    """``[fn(x) for x in items]`` on up to ``workers`` threads, in input order.
+
+    ``workers`` defaults to the CPUs this process may run on.  The calling
+    thread takes items too, beside ``workers - 1`` helper threads; items go
+    out one at a time in input order to whichever thread is free, and the
+    call returns once every item is done.  A call from a thread that is
+    running items of a parallel map runs serially, so nested maps never
+    multiply the thread count.  The whole map runs under
+    ``one_blas_thread``.  Once an item fails no further item starts, and
+    the exception of the first failing item in input order is raised, the
+    one a serial loop would raise.
+    """
+    items = list(items)
+    workers = min(len(items), _usable_cpus() if workers is None else int(workers))
+    with one_blas_thread:
+        if workers <= 1 or getattr(_mapping, "active", False):
+            return [fn(x) for x in items]
+        results: list = [None] * len(items)
+        errors: dict[int, BaseException] = {}
+        taken = itertools.count()
+        busy = 0  # items taken and not yet done
+        cond = threading.Condition()
+
+        def work() -> None:
+            nonlocal busy
+            _mapping.active = True
+            try:
+                while True:
+                    # Indices go out in increasing order, so every item
+                    # before a failed one has already started.
+                    with cond:
+                        i = next(taken)
+                        if errors or i >= len(items):
+                            return
+                        busy += 1
+                    try:
+                        results[i] = fn(items[i])
+                    except BaseException as exc:  # raised again by the caller
+                        with cond:
+                            errors[i] = exc
+                    finally:
+                        with cond:
+                            busy -= 1
+                            cond.notify_all()
+            finally:
+                _mapping.active = False
+
+        _helpers.run(work, workers - 1)
+        work()
+        # A helper that starts after the items ran out takes none, so only
+        # the items already taken are waited for.
+        with cond:
+            cond.wait_for(lambda: busy == 0)
+        if errors:
+            raise errors[min(errors)]
+        return results

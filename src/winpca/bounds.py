@@ -219,6 +219,13 @@ def _dim_ratio(n: int, p: int) -> float:
     return max(math.sqrt(q), q)
 
 
+def _check_extreme_eigs(lam1, lamp) -> tuple[float, float]:
+    lam1, lamp = float(lam1), float(lamp)
+    if not (math.isfinite(lam1) and lam1 >= lamp > 0):
+        raise ValueError(f"need finite lam1 >= lamp > 0, got {lam1}, {lamp}")
+    return lam1, lamp
+
+
 def _gap_at(wspec: WinsorizedSpectrum, d: int) -> float:
     vals = wspec.values
     if not 1 <= d < vals.size:
@@ -242,8 +249,7 @@ def concentration_bound(
         raise ValueError(f"sigma_sub must be positive (inf if elliptical), got {sigma_sub}")
     eps = _check_eps(eps)
     n, p = _check_counts(n, p)
-    if not (lam1 >= lamp > 0):
-        raise ValueError("need lam1 >= lamp > 0")
+    lam1, lamp = _check_extreme_eigs(lam1, lamp)
     g = _gap_at(wspec, int(d))
     r2 = wspec.radius ** 2
     if g <= 0.0:
@@ -268,14 +274,21 @@ def asymptotic_rate(
     ``p**(1 + 2 max(beta, 0)) * eps`` and ``max(sqrt(p/n), p/n)`` scaled by
     ``p**(2 max(beta, 0))`` in the elliptical case.  These are shapes for
     comparing radius policies, not calibrated bounds; the leading constants
-    are unknown.
+    are unknown.  An exponent for which ``p**(1 + 2 max(beta, 0))``
+    overflows float64 raises ``ValueError``.
     """
     n, p = _check_counts(n, p)
     eps = _check_eps(eps)
     if not math.isfinite(beta):
         raise ValueError(f"power-law exponent must be finite, got {beta}")
     b = max(float(beta), 0.0)
-    term1 = p ** (1.0 + 2.0 * b) * eps
+    try:
+        growth = p ** (1.0 + 2.0 * b)
+    except OverflowError:
+        growth = math.inf
+    if math.isinf(growth):
+        raise ValueError(f"p**(1 + 2 beta) overflows float64 for p={p}, beta={beta}")
+    term1 = growth * eps
     term2 = _dim_ratio(n, p)
     if not subgaussian:
         term2 *= p ** (2.0 * b)
@@ -290,8 +303,7 @@ def subgaussian_param_winsorized(
     Equals ``min(sqrt(lam1) * sigma_sub, sqrt(lam1 * r^2 / (lamp * p)))``;
     with an infinite ``sigma_sub`` only the radius branch applies.
     """
-    if not (lam1 >= lamp > 0):
-        raise ValueError("need lam1 >= lamp > 0")
+    lam1, lamp = _check_extreme_eigs(lam1, lamp)
     p = int(p)
     if p < 1:
         raise ValueError("need p >= 1")

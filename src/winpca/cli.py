@@ -420,9 +420,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "fig3: replications)")
     p_exp.add_argument("--seed", type=int, default=42)
     p_exp.add_argument("--jobs", type=int, default=None,
-                       help="worker threads for replication-level parallelism "
-                            "(fig1, fig2, fig3; default 1); BLAS runs on one "
-                            "thread, so output bytes do not depend on this")
+                       help="threads that run replications (fig1, fig2, fig3; "
+                            "default 1); with one job each radius path spreads "
+                            "its eigensolves over the CPUs instead (taskset -c 0 "
+                            "keeps a run on one CPU); output bytes depend on neither")
     p_exp.add_argument("--replications", type=int, default=None,
                        help="override the preset replication count (fig2, fig3)")
     add_out(p_exp)

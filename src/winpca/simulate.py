@@ -3,19 +3,19 @@
 Pure datasets come from ``distributions.PopulationModel.draw``;
 ``apply_contamination`` swaps the first m rows for one outlier vector (the
 replacement model of the breakdown points); and ``map_replications`` runs
-the replication bodies of the preset experiments, optionally on a thread
-pool, with OpenBLAS pinned to one thread.  Every replication derives its
+the replication bodies of the preset experiments, on ``jobs`` threads,
+with OpenBLAS pinned to one thread.  Every replication derives its
 generator from (seed, replication index), so results are identical across
-runs and across worker counts.
+runs and across worker counts.  With one job the radius paths of each
+replication spread their eigensolves over the process's CPUs instead;
+with more, each worker solves its paths on its own thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from ._kernels import one_blas_thread
+from ._kernels import thread_map
 from .transform import as_data_matrix
 
 __all__ = ["apply_contamination"]
@@ -42,17 +42,13 @@ def apply_contamination(X0, m: int, outlier) -> np.ndarray:
 
 
 def map_replications(fn, count: int, jobs: int = 1) -> list:
-    """Evaluate fn(0..count-1), on ``jobs`` worker threads, preserving order.
+    """Evaluate fn(0..count-1) on ``jobs`` threads, preserving order.
 
-    The whole map runs with OpenBLAS pinned to one thread, so workers never
-    change the setting and ``jobs`` is the only parallelism.
+    This is ``thread_map`` with ``jobs`` workers, so the whole map runs with
+    OpenBLAS pinned to one thread, and with two or more jobs the maps
+    inside ``fn`` run serially.
     """
     jobs = int(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    with one_blas_thread:
-        if jobs == 1:
-            return [fn(i) for i in range(count)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, range(count)))
-
+    return thread_map(fn, range(count), jobs)

@@ -26,6 +26,7 @@ from ._kernels import (
     _fix_column_signs,
     one_blas_thread,
     row_norms,
+    thread_map,
     top_eigh,
     unit_rows,
     winsorize_rows,
@@ -48,6 +49,9 @@ __all__ = [
 GAP_TIE_TOL = 1e-12
 # Largest entry of |B^T B - I| with which a basis B still counts as orthonormal.
 ORTHONORMAL_TOL = 1e-8
+# Paths of smaller matrices solve on the calling thread: an eigensolve
+# below 64 x 64 takes about as long as a helper thread takes to wake.
+_THREADED_MIN_P = 64
 _OVERFLOW = ("winsorized second moments overflow float64; "
              "rescale the data or choose a smaller radius")
 
@@ -220,10 +224,11 @@ def winsorized_second_moments(A, radii) -> np.ndarray:
     return _second_moments(as_data_matrix(A), _check_radii(radii))
 
 
-def _second_moments(A: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """winsorized_second_moments on a validated matrix and checked radii."""
+def _second_moments(A: np.ndarray, radii: np.ndarray, norms=None) -> np.ndarray:
+    """winsorized_second_moments on a validated matrix and checked radii,
+    given the row norms of ``A`` where the caller has them."""
     n, p = A.shape
-    norms = row_norms(A)
+    norms = row_norms(A) if norms is None else norms
     order = np.argsort(norms, kind="stable")
     sorted_norms = norms[order]
     by_radius = np.argsort(radii, kind="stable")
@@ -283,12 +288,28 @@ def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[Spectrum]
     eigenvalues; it has only n eigenvectors, so it needs n >= d.  Otherwise
     ``top_eigh`` solves for the top ``k`` eigenpairs of each matrix of
     ``winsorized_second_moments``.
+
+    Each distinct matrix is solved once.  A radius that clips no row (the
+    cut of ``_second_moments`` at n) leaves the raw rows, bit for bit as
+    ``+inf`` does, and equal radii give equal matrices; the radii that
+    share a matrix share its ``Spectrum``.  From ``_THREADED_MIN_P``
+    columns up, the eigensolves spread over the process's CPUs through
+    ``thread_map``, each on one BLAS thread.  The thin SVDs stay on the
+    calling thread: numpy's SVD holds the interpreter lock, so no second
+    thread could run beside it.
     """
     n, p = A.shape
+    norms = row_norms(A)
+    clips = radii * (1.0 + BOUNDARY_REL_TOL) < norms.max()
+    keys, which = np.unique(np.where(clips, radii, math.inf), return_inverse=True)
     if d <= n < p:
-        return [_thin_svd_spectrum(A if math.isinf(r) else winsorize_rows(A, r))
-                for r in radii]
-    return [Spectrum(*top_eigh(S, k)) for S in _second_moments(A, radii)]
+        spectra = [_thin_svd_spectrum(A if math.isinf(r) else winsorize_rows(A, r))
+                   for r in keys]
+    else:
+        spectra = thread_map(lambda S: Spectrum(*top_eigh(S, k)),
+                             _second_moments(A, keys, norms),
+                             None if p >= _THREADED_MIN_P else 1)
+    return [spectra[i] for i in which]
 
 
 def _make_fit(spectrum: Spectrum, d: int, mode: str, r: float | None) -> WPCAFit:
@@ -319,12 +340,14 @@ def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
     """Top-d PC subspaces of ``X`` along a path of winsorization radii.
 
     Fit j equals ``fit_pc_subspace(X, d, RadiusSpec.fixed(radii[j]))``, or
-    ``RadiusSpec.none()`` where the radius is ``+inf``, to roundoff, and
-    bit for bit where both solve the same eigenpairs (``d + 1 = p``, or the
-    thin SVD); radii may come in any order and repeat.  ``X`` is validated
-    once, every covariance comes from one ``winsorized_second_moments``
-    call, and only the top ``min(p, d + 1)`` eigenpairs of each are solved
-    for, which is what the subspace and its gap flag use.  With ``d <= n < p`` each radius
+    ``RadiusSpec.none()`` where the radius is ``+inf``, to roundoff; bit for
+    bit on the thin-SVD route, and for a one-radius path where both solve
+    the same eigenpairs (``d + 1 = p``).  Radii may come in any order and
+    repeat.  ``X`` is validated once, every covariance comes from one
+    ``winsorized_second_moments`` call, and only the top ``min(p, d + 1)``
+    eigenpairs of each distinct matrix are solved for, which is what the
+    subspace and its gap flag use; the solves spread over the process's
+    CPUs with the same bits as on one.  With ``d <= n < p`` each radius
     takes the thin SVD of its winsorized rows instead, as in
     ``fit_pc_subspace``.
     """

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import winpca
-from winpca import _kernels
+from winpca import _kernels, subspace
 from winpca._kernels import blas_threads, one_blas_thread
 from winpca.bounds import sample_winsorized_values
 from winpca.distributions import PopulationModel, make_rng
@@ -29,7 +29,7 @@ from winpca.subspace import (
     symmetric_eigh,
     winsorized_second_moments,
 )
-from winpca.transform import RadiusSpec
+from winpca.transform import RadiusSpec, row_norms
 
 
 def _child_env(threads):
@@ -172,6 +172,24 @@ class TestPin:
         assert fake_blas.sets == [1, 2] * 3
         assert map_replications(lambda i: blas_threads(), 3) == [1, 1, 1]
         assert fake_blas.sets == [1, 2] * 4
+
+    def test_path_workers_read_one_thread(self, fake_blas, monkeypatch):
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 3)
+        seen = []
+        real = subspace.top_eigh
+
+        def recorded(S, k):
+            seen.append(blas_threads())
+            return real(S, k)
+
+        monkeypatch.setattr(subspace, "top_eigh", recorded)
+        lam = np.linspace(4.0, 1.0, subspace._THREADED_MIN_P)
+        X = PopulationModel.gaussian(lam).draw(100, make_rng(2))
+        radii = np.quantile(row_norms(X), np.linspace(0.1, 0.9, 10))
+        for calls in range(1, 4):
+            fit_pc_path(X, 1, radii)
+            assert fake_blas.sets == [1, 2] * calls
+        assert seen == [1] * 30
 
     def test_public_linear_algebra_runs_pinned(self, fake_blas):
         X = PopulationModel.gaussian([4.0, 2.0, 1.0]).draw(60, make_rng(2))

@@ -330,6 +330,12 @@ class TestConcentrationBounds:
         with pytest.raises(ValueError):
             concentration_bound(1.0, 2.0, ws, 1, 0.1, 100, 100)
 
+    @pytest.mark.parametrize("lam1, lamp", [(math.inf, 1.0), (math.inf, math.inf),
+                                            (math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_non_finite_eigenvalues(self, lam1, lamp):
+        with pytest.raises(ValueError, match="need finite lam1 >= lamp > 0, got "):
+            concentration_bound(lam1, lamp, _wspec([0.75, 0.25], 1.0), 1, 0.1, 100, 100)
+
     def test_subgaussian_matches_elliptical_when_radius_branch_wins(self):
         ws = _wspec([0.75, 0.25], 1.0)
         ell = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100)
@@ -392,6 +398,19 @@ class TestAsymptoticRate:
         with pytest.raises(ValueError, match="exponent must be finite"):
             asymptotic_rate(beta, 10, 1000, 0.1, subgaussian)
 
+    # 10**401 overflows inside pow; with beta = 1e308, 1 + 2 beta is inf.
+    @pytest.mark.parametrize("beta", [200.0, 1e308])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("subgaussian", [False, True])
+    def test_rejects_exponent_that_overflows(self, beta, eps, subgaussian):
+        with pytest.raises(ValueError, match=r"p\*\*\(1 \+ 2 beta\) overflows float64"):
+            asymptotic_rate(beta, 10, 100, eps, subgaussian)
+
+    def test_largest_finite_growth_passes(self):
+        # 10**308 is finite; p = 1 never grows.
+        assert asymptotic_rate(153.5, 10, 100, 0.0, True) == (0.0, math.sqrt(0.1))
+        assert asymptotic_rate(1e308, 1, 1, 0.1, False) == (0.1, 1.0)
+
 
 class TestSubgaussianParam:
     def test_radius_branch_only_when_sigma_infinite(self):
@@ -405,6 +424,9 @@ class TestSubgaussianParam:
     def test_validation(self):
         with pytest.raises(ValueError):
             subgaussian_param_winsorized(1.0, 2.0, 4, 2.0, 1.0)
+        for lam1, lamp in ((math.inf, 1.0), (math.nan, 1.0), (math.inf, math.inf)):
+            with pytest.raises(ValueError, match="need finite lam1 >= lamp > 0, got "):
+                subgaussian_param_winsorized(lam1, lamp, 4, 2.0, 1.0)
         with pytest.raises(ValueError, match="p >= 1"):
             subgaussian_param_winsorized(1.0, 1.0, 0, 2.0, 1.0)
         with pytest.raises(ValueError):

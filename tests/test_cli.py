@@ -459,6 +459,23 @@ class TestBounds:
         assert (code, out) == (2, "")
         assert err == f"error: power-law exponent must be finite, got {beta}\n"
 
+    @pytest.mark.parametrize("beta", ["1e308", "200"])
+    def test_rate_rejects_overflowing_exponent(self, capsys, beta):
+        code, out, err = run_cli(capsys, "bounds", "rate", "--beta", beta,
+                                 "--p", "10", "--n", "100")
+        assert (code, out) == (2, "")
+        assert err == (f"error: p**(1 + 2 beta) overflows float64 for p=10, "
+                       f"beta={float(beta)}\n")
+
+    @pytest.mark.parametrize("lam1", ["inf", "nan"])
+    def test_concentration_rejects_non_finite_lam1(self, capsys, lam1):
+        code, out, err = run_cli(
+            capsys, "bounds", "concentration", "--lam1", lam1, "--lamp", "1",
+            "--weigs", "0.75,0.25", "--r", "1", "--d", "1", "--eps", "0.1",
+            "--n", "100", "--p", "100")
+        assert (code, out) == (2, "")
+        assert err == f"error: need finite lam1 >= lamp > 0, got {lam1}, 1.0\n"
+
     def test_rate_subgaussian_flag(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "rate", "--beta", "1",
                                "--p", "10", "--n", "1000", "--eps", "0.1",
