@@ -297,9 +297,11 @@ class _Helpers:
     """Daemon threads that run ``thread_map``'s work beside its caller.
 
     A thread is started the first time a map needs it and then waits for
-    the next job for the life of the process: starting a thread for every
-    map cost more than a path of small eigensolves saves.  Jobs go to
-    whichever thread is idle.  A forked child starts with none.
+    the next job for the life of the process.  Starting threads for every
+    map instead cost fig1's paths (about 30 solves of 100 x 100 each) 7 %
+    more CPU time on a 2-vCPU machine, and more wall time in 8 of 10
+    paired runs.  Jobs go to whichever thread is idle.  A forked child
+    starts with none.
     """
 
     def __init__(self) -> None:
@@ -338,7 +340,8 @@ def thread_map(fn, items, workers: int | None = None) -> list:
     call returns once every item is done.  A call from a thread that is
     running items of a parallel map runs serially, so nested maps never
     multiply the thread count.  The whole map runs under
-    ``one_blas_thread``.  Once an item fails no further item starts, and
+    ``one_blas_thread``.  Once an item fails, or an exception such as
+    KeyboardInterrupt leaves the calling thread, no further item starts;
     the exception of the first failing item in input order is raised, the
     one a serial loop would raise.
     """
@@ -352,6 +355,7 @@ def thread_map(fn, items, workers: int | None = None) -> list:
         taken = itertools.count()
         busy = 0  # items taken and not yet done
         cond = threading.Condition()
+        stopped = False  # set once the caller leaves, however it leaves
 
         def work() -> None:
             nonlocal busy
@@ -362,7 +366,7 @@ def thread_map(fn, items, workers: int | None = None) -> list:
                     # before a failed one has already started.
                     with cond:
                         i = next(taken)
-                        if errors or i >= len(items):
+                        if stopped or errors or i >= len(items):
                             return
                         busy += 1
                     try:
@@ -378,11 +382,15 @@ def thread_map(fn, items, workers: int | None = None) -> list:
                 _mapping.active = False
 
         _helpers.run(work, workers - 1)
-        work()
-        # A helper that starts after the items ran out takes none, so only
-        # the items already taken are waited for.
-        with cond:
-            cond.wait_for(lambda: busy == 0)
+        try:
+            work()
+        finally:
+            # A helper that starts after the caller left takes no item, so
+            # only the items already taken are waited for, also when an
+            # exception such as KeyboardInterrupt leaves the caller.
+            with cond:
+                stopped = True
+                cond.wait_for(lambda: busy == 0)
         if errors:
             raise errors[min(errors)]
         return results

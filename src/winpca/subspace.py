@@ -49,8 +49,11 @@ __all__ = [
 GAP_TIE_TOL = 1e-12
 # Largest entry of |B^T B - I| with which a basis B still counts as orthonormal.
 ORTHONORMAL_TOL = 1e-8
-# Paths of smaller matrices solve on the calling thread: an eigensolve
-# below 64 x 64 takes about as long as a helper thread takes to wake.
+# Paths of smaller matrices solve on the calling thread.  On a 2-vCPU
+# machine (paired, shuffled rounds), every path ran slower on two threads
+# below 32 columns; from 64 up, paths of 8 and 31 matrices ran 24-33 %
+# faster, and paths of 2 or 3 between 15 % faster and 11 % slower, with
+# the machine's load.
 _THREADED_MIN_P = 64
 _OVERFLOW = ("winsorized second moments overflow float64; "
              "rescale the data or choose a smaller radius")
@@ -292,7 +295,7 @@ def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[Spectrum]
     Each distinct matrix is solved once.  A radius that clips no row (the
     cut of ``_second_moments`` at n) leaves the raw rows, bit for bit as
     ``+inf`` does, and equal radii give equal matrices; the radii that
-    share a matrix share its ``Spectrum``.  From ``_THREADED_MIN_P``
+    share a matrix get copies of one solve.  From ``_THREADED_MIN_P``
     columns up, the eigensolves spread over the process's CPUs through
     ``thread_map``, each on one BLAS thread.  The thin SVDs stay on the
     calling thread: numpy's SVD holds the interpreter lock, so no second
@@ -309,7 +312,14 @@ def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[Spectrum]
         spectra = thread_map(lambda S: Spectrum(*top_eigh(S, k)),
                              _second_moments(A, keys, norms),
                              None if p >= _THREADED_MIN_P else 1)
-    return [spectra[i] for i in which]
+    # Radii after the first that share a matrix get copies, so no two fits
+    # share an array.
+    out, seen = [], set()
+    for i in which:
+        s = spectra[i]
+        out.append(Spectrum(s.eigenvalues.copy(), s.eigenvectors.copy()) if i in seen else s)
+        seen.add(i)
+    return out
 
 
 def _make_fit(spectrum: Spectrum, d: int, mode: str, r: float | None) -> WPCAFit:

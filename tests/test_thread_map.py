@@ -1,19 +1,21 @@
 """Radius paths spread their eigensolves over the CPUs, with the same bytes.
 
 ``_kernels.thread_map`` is checked directly: input order, the caller's
-share of the items, serial nested maps, and the exception a serial loop
-would raise.  ``fit_pc_path`` and ``winpca experiment`` give the same bytes
+share of the items, serial nested maps, the exception a serial loop
+would raise, and no item started after the caller is interrupted.  ``fit_pc_path`` and ``winpca experiment`` give the same bytes
 with the worker count forced to 1, 2 and 3 and in a child process held to
 one CPU, and each distinct matrix of a path is solved once.
 """
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -169,6 +171,45 @@ class TestThreadMap:
         assert info.value is made[3]
 
 
+    def test_no_item_starts_once_the_caller_is_interrupted(self, monkeypatch):
+        # The caller's second draw of an index raises KeyboardInterrupt
+        # outside any item; the helper must not run the items left.
+        caller = threading.get_ident()
+        real = itertools.count
+
+        class Interrupting:
+            def __init__(self):
+                self.indices, self.draws = real(), 0
+
+            def __next__(self):
+                if threading.get_ident() == caller:
+                    self.draws += 1
+                    if self.draws == 2:
+                        raise KeyboardInterrupt
+                return next(self.indices)
+
+        monkeypatch.setattr(_kernels, "itertools", types.SimpleNamespace(count=Interrupting))
+        started, late, gone = [], [], threading.Event()
+
+        def item(i):
+            (late if gone.is_set() else started).append(i)
+            if threading.get_ident() != caller:
+                time.sleep(0.005)
+
+        with pytest.raises(KeyboardInterrupt):
+            thread_map(item, range(40), 2)
+        gone.set()
+        time.sleep(0.1)  # room for 20 more helper items
+        assert len(started) <= 3 and late == []
+
+
+def assert_no_shared_arrays(fits):
+    arrays = [a for f in fits for a in (f.spectrum.eigenvalues, f.spectrum.eigenvectors, f.basis)]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 class TestPathFanOut:
     def test_same_bytes_for_every_worker_count(self, force_cpus):
         digests = set()
@@ -189,6 +230,7 @@ class TestPathFanOut:
             assert fit.spectrum.eigenvalues.tobytes() == w.tobytes()
             assert fit.spectrum.eigenvectors.tobytes() == V.tobytes()
         assert [f.mode for f in fits].count("identity") == 1
+        assert_no_shared_arrays(fits)
 
     def test_thin_svd_route_solves_each_distinct_matrix_once(self, monkeypatch):
         X = PopulationModel.gaussian(np.linspace(5.0, 1.0, 20)).draw(6, make_rng(8))
@@ -202,6 +244,7 @@ class TestPathFanOut:
         assert len(calls) == 3
         for fit, r in zip(fits, radii):
             assert fit_bytes(fit) == fit_bytes(fit_pc_path(X, 2, [r])[0])
+        assert_no_shared_arrays(fits)
 
     def test_worker_exception_comes_out_unchanged(self, force_cpus, monkeypatch):
         force_cpus(3)
