@@ -19,8 +19,9 @@ output bytes do not depend on ``OPENBLAS_NUM_THREADS`` or ``--jobs``.  The
 library is opened once, and ``dsyevr`` and the thread symbols come from
 that one handle; without them the pin leaves the threads alone.
 
-``thread_map`` is the package's one source of threads, and its helper
-threads live as long as the process.  A radius path spreads its
+``thread_map`` is the package's one source of threads.  Its helpers come
+from one standard-library thread pool that waits between maps, because a
+pool made per map cost fig1 7 % more CPU time.  A radius path spreads its
 eigensolves over the CPUs the process may run on, and ``--jobs`` spreads
 replications; a map inside a worker of another map runs serially, so the
 two never multiply.  Every matrix is still solved alone on
@@ -30,12 +31,12 @@ one BLAS thread, so output bytes do not depend on the number of CPUs:
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import ctypes
 import glob
 import itertools
 import os
-import queue
 import threading
 
 import numpy as np
@@ -293,42 +294,31 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Helpers:
-    """Daemon threads that run ``thread_map``'s work beside its caller.
-
-    A thread is started the first time a map needs it and then waits for
-    the next job for the life of the process.  Starting threads for every
-    map instead cost fig1's paths (about 30 solves of 100 x 100 each) 7 %
-    more CPU time on a 2-vCPU machine, and more wall time in 8 of 10
-    paired runs.  Jobs go to whichever thread is idle.  A forked child
-    starts with none.
-    """
-
-    def __init__(self) -> None:
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def run(self, job, count: int) -> None:
-        """Hand ``job`` to ``count`` threads, starting those missing."""
-        with self._lock:
-            while self._count < count:
-                threading.Thread(target=self._serve, daemon=True,
-                                 name="winpca-helper").start()
-                self._count += 1
-        for _ in range(count):
-            self._jobs.put(job)
-
-    def _serve(self) -> None:
-        while True:
-            self._jobs.get()()
-
-
-_helpers = _Helpers()
-if hasattr(os, "register_at_fork"):  # POSIX
-    os.register_at_fork(after_in_child=_helpers.__init__)
+# The helper pool of ``thread_map``, as (pid that made it, helper count,
+# executor).  It is made on first need, and again when a map needs more
+# helpers than it holds or in a forked child, which has none of its
+# parent's threads.  Its threads wait for the next map: a pool made per map
+# cost fig1's paths (about 30 solves of 100 x 100 each) 7 % more CPU time on
+# a 2-vCPU machine, and more wall time in 8 of 10 paired runs.  The threads
+# hold only a weakref to the pool, so they end once it is dropped.
+_pool = (0, 0, None)
+_pool_lock = threading.Lock()
 # Marks a thread that is running the items of a parallel thread_map.
 _mapping = threading.local()
+
+
+def _submit(job, count: int) -> list:
+    """Hand ``job`` to ``count`` helper threads; their futures."""
+    global _pool
+    with _pool_lock:
+        pid, size, pool = _pool
+        if pid != os.getpid() or size < count:
+            if pid == os.getpid():
+                pool.shutdown(wait=False)
+            pool = concurrent.futures.ThreadPoolExecutor(
+                count, thread_name_prefix="winpca-helper")
+            _pool = os.getpid(), count, pool
+        return [pool.submit(job) for _ in range(count)]
 
 
 def thread_map(fn, items, workers: int | None = None) -> list:
@@ -353,44 +343,39 @@ def thread_map(fn, items, workers: int | None = None) -> list:
         results: list = [None] * len(items)
         errors: dict[int, BaseException] = {}
         taken = itertools.count()
-        busy = 0  # items taken and not yet done
-        cond = threading.Condition()
         stopped = False  # set once the caller leaves, however it leaves
 
         def work() -> None:
-            nonlocal busy
             _mapping.active = True
             try:
-                while True:
-                    # Indices go out in increasing order, so every item
-                    # before a failed one has already started.
-                    with cond:
-                        i = next(taken)
-                        if stopped or errors or i >= len(items):
-                            return
-                        busy += 1
+                # The check comes before the draw and indices go out in
+                # increasing order, so every index drawn is run, and every
+                # item before a failed one has already started.
+                while not (stopped or errors):
+                    i = next(taken)
+                    if i >= len(items):
+                        return
                     try:
                         results[i] = fn(items[i])
                     except BaseException as exc:  # raised again by the caller
-                        with cond:
-                            errors[i] = exc
-                    finally:
-                        with cond:
-                            busy -= 1
-                            cond.notify_all()
+                        errors[i] = exc
             finally:
                 _mapping.active = False
 
-        _helpers.run(work, workers - 1)
+        try:
+            helpers = _submit(work, workers - 1)
+        except RuntimeError:  # the pool takes no jobs once interpreter exit began
+            helpers = []
         try:
             work()
         finally:
-            # A helper that starts after the caller left takes no item, so
-            # only the items already taken are waited for, also when an
-            # exception such as KeyboardInterrupt leaves the caller.
-            with cond:
-                stopped = True
-                cond.wait_for(lambda: busy == 0)
+            # A helper job not yet started is cancelled and a started one
+            # waited for, also when an exception such as KeyboardInterrupt
+            # leaves the caller, so no item starts after the call.
+            stopped = True
+            for job in helpers:
+                if not job.cancel():
+                    job.result()
         if errors:
             raise errors[min(errors)]
         return results

@@ -55,8 +55,8 @@ class PopulationModel:
             if self.dof is not None:
                 raise ValueError("gaussian model takes no degrees of freedom")
         elif self.distribution == "student_t":
-            if self.dof is None or not self.dof > 2:
-                raise ValueError("student_t requires dof > 2 for a finite covariance")
+            if self.dof is None or not 2 < self.dof < np.inf:
+                raise ValueError(f"student_t requires a finite dof > 2, got {self.dof}")
         else:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         object.__setattr__(self, "sigma_eigenvalues", vals)

@@ -10,6 +10,7 @@ downstream.  Data are assumed centered already; nothing here subtracts means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,8 +134,9 @@ def _spherize_rows(A: np.ndarray) -> np.ndarray:
 def resolve_radius(X, spec: RadiusSpec) -> tuple[str, float | None]:
     """Turn a radius policy into an effective mode and numeric radius.
 
-    Returns ``("winsorize", r)`` for the policies that yield a positive
-    radius, ``("spherize", None)`` for the spherical limit, and
+    Returns ``("winsorize", r)`` for the policies that yield a radius,
+    which must be finite and positive (else ``ValueError``),
+    ``("spherize", None)`` for the spherical limit, and
     ``("identity", None)`` when no winsorization is requested.  ``X`` is
     read, and validated, only by the policies that depend on the data.
     """
@@ -152,10 +154,17 @@ def _resolve_radius(A: np.ndarray, spec: RadiusSpec) -> tuple[str, float | None]
     if spec.kind == "spherical":
         return "spherize", None
     if spec.kind == "fixed":
-        return "winsorize", float(spec.value)
-    if spec.kind == "power_law":
-        return "winsorize", float(A.shape[1]) ** (0.5 + spec.value)
-    med = float(np.median(row_norms(A)))
-    if med <= 0.0:
-        raise ValueError("median row norm is zero; median-norm radius is degenerate")
-    return "winsorize", med
+        r, what = float(spec.value), "fixed radius"
+    elif spec.kind == "power_law":
+        p = A.shape[1]
+        try:
+            r = float(p) ** (0.5 + spec.value)
+        except OverflowError:
+            r = math.inf
+        what = f"power-law radius p**(0.5 + beta) for p={p}, beta={spec.value}"
+    else:
+        r, what = float(np.median(row_norms(A))), "median row norm"
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"{what} is {r}; the winsorization radius must be "
+                         "finite and positive")
+    return "winsorize", r

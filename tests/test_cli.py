@@ -266,6 +266,13 @@ class TestFit:
                                "--radius", "huge")
         assert code == 2 and "unknown radius" in err
 
+    @pytest.mark.parametrize("beta", ["1e308", "-1e308"])
+    def test_power_radius_outside_float_range(self, capsys, unit_square, beta):
+        code, out, err = run_cli(capsys, "fit", unit_square, "--d", "1",
+                                 "--radius", f"power:{beta}")
+        assert (code, out) == (2, "")
+        assert f"p=2, beta={float(beta)}" in err and "finite and positive" in err
+
     def test_stdout_matches_file_output(self, capsys, unit_square, tmp_path):
         code, out, _ = run_cli(capsys, "fit", unit_square, "--d", "1")
         out_path = tmp_path / "fit.csv"

@@ -78,6 +78,12 @@ class TestPopulationModel:
         with pytest.raises(ValueError):
             PopulationModel.gaussian(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("dof", [2.0, np.inf, np.nan])
+    def test_student_t_needs_finite_dof_above_two(self, dof):
+        # Infinite dof would draw rows of NaN through (dof - 2) / w.
+        with pytest.raises(ValueError, match="dof > 2"):
+            PopulationModel.student_t([2.0, 1.0], dof)
+
     def test_make_rng_key_independence(self):
         a = make_rng(5, (0,)).standard_normal(4)
         b = make_rng(5, (1,)).standard_normal(4)

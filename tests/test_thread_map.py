@@ -2,12 +2,16 @@
 
 ``_kernels.thread_map`` is checked directly: input order, the caller's
 share of the items, serial nested maps, the exception a serial loop
-would raise, and no item started after the caller is interrupted.  ``fit_pc_path`` and ``winpca experiment`` give the same bytes
-with the worker count forced to 1, 2 and 3 and in a child process held to
-one CPU, and each distinct matrix of a path is solved once.
+would raise, no item started after the caller is interrupted, helpers of
+its own in a forked child, maps in an exit handler, and no helpers left
+behind by a fresh import.  ``fit_pc_path`` and ``winpca experiment`` give
+the same bytes with the worker count forced to 1, 2 and 3 and in a child
+process held to one CPU, and each distinct matrix of a path is solved once.
 """
 
+import gc
 import hashlib
+import importlib
 import itertools
 import math
 import os
@@ -79,18 +83,23 @@ def _experiment(capsys, *argv) -> list[str]:
     return [l for l in capsys.readouterr().out.splitlines() if not l.startswith("# timestamp=")]
 
 
-def _child(*argv) -> list[str]:
-    """Run ``argv`` through a Python child held to one CPU; its stdout lines."""
+def _child_env() -> dict:
+    """This environment with this package and these tests first on the path."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(winpca.__file__))
     tests = os.path.dirname(__file__)
     old = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join([root, tests] + ([old] if old else []))
+    return env
+
+
+def _child(*argv) -> list[str]:
+    """Run ``argv`` through a Python child held to one CPU; its stdout lines."""
     code = ("import os, sys\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "from winpca import _kernels\n"
             "assert _kernels._usable_cpus() == 1\n" + argv[0])
-    proc = subprocess.run([sys.executable, "-c", code, *argv[1:]], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *argv[1:]], env=_child_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return [l for l in proc.stdout.splitlines() if not l.startswith("# timestamp=")]
@@ -201,6 +210,64 @@ class TestThreadMap:
         gone.set()
         time.sleep(0.1)  # room for 20 more helper items
         assert len(started) <= 3 and late == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+    def test_forked_child_starts_its_own_helpers(self):
+        # The parent's helpers are not copied into the child; a map there
+        # whose two items wait for each other needs a helper of its own.
+        thread_map(abs, range(4), 3)
+        barrier = threading.Barrier(2, timeout=10)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                idents = thread_map(lambda _: (barrier.wait(), threading.get_ident())[1],
+                                    range(2), 2)
+                code = 0 if len(set(idents)) == 2 else 3
+            finally:
+                os._exit(code)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+    def test_runs_in_an_exit_handler(self):
+        # The standard library's pool takes no jobs once the interpreter
+        # has begun to exit; the caller then runs every item itself.
+        code = ("import atexit\n"
+                "from winpca._kernels import thread_map\n"
+                "atexit.register(lambda: print(thread_map(abs, range(-3, 3), 3)))\n"
+                "thread_map(abs, range(3), 3)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.stdout, proc.stderr) == ("[3, 2, 1, 0, 1, 2]\n", "")
+
+    def test_fresh_imports_leave_no_helpers_behind(self):
+        # Each fresh import of the package gets its own helpers; once the
+        # old modules are collected, only the last import's two are alive.
+        def package():
+            return [k for k in sys.modules if k == "winpca" or k.startswith("winpca.")]
+
+        def helpers():
+            return {t for t in threading.enumerate() if t.name.startswith("winpca-helper")}
+
+        before = helpers()
+        saved = {k: sys.modules[k] for k in package()}
+        try:
+            for _ in range(4):
+                for key in package():
+                    del sys.modules[key]
+                fresh = importlib.import_module("winpca._kernels")
+                assert fresh is not _kernels
+                assert fresh.thread_map(abs, range(-3, 3), 3) == [3, 2, 1, 0, 1, 2]
+            del fresh
+        finally:
+            for key in package():
+                del sys.modules[key]
+            sys.modules.update(saved)
+        gc.collect()
+        deadline = time.monotonic() + 10
+        while len(helpers() - before) > 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(helpers() - before) <= 2
 
 
 def assert_no_shared_arrays(fits):

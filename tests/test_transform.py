@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -240,6 +241,20 @@ class TestResolveRadius:
         mode, r = resolve_radius(X, RadiusSpec.power_law(0.0))
         assert mode == "winsorize"
         assert r == pytest.approx(10.0, rel=1e-15)
+
+    @pytest.mark.parametrize("beta", [1e308, 400.0, -1e308, -400.0])
+    def test_power_law_outside_float_range_raises(self, beta):
+        # 100**(0.5 + beta) overflows to inf or underflows to zero.
+        X = np.eye(100)
+        with pytest.raises(ValueError, match=re.escape(f"p=100, beta={beta}")):
+            resolve_radius(X, RadiusSpec.power_law(beta))
+        with pytest.raises(ValueError, match="finite and positive"):
+            fit_pc_subspace(X, 1, RadiusSpec.power_law(beta))
+
+    def test_median_beyond_float_range_raises(self):
+        X = np.full((3, 2), 1.5e308)
+        with pytest.raises(ValueError, match="median row norm is inf"):
+            resolve_radius(X, RadiusSpec.median_norm())
 
     def test_median_odd_count(self):
         X = np.diag([1.0, 2.0, 3.0])
