@@ -103,10 +103,15 @@ def _read_fast(fh) -> np.ndarray:
 
 def _read_records(fh, path: str) -> np.ndarray:
     """The record loop: accepts all ``float()`` does, errors name file lines."""
-    reader = csv.reader(fh)
+    lines = []  # the file lines of the record being read
+    reader = csv.reader(lines.append(line) or line for line in fh)
+    records = []
     try:
-        records = [(reader.line_num, cells) for rec in reader
-                   if any(cells := [c.strip() for c in rec]) and not cells[0].startswith("#")]
+        for rec in reader:
+            # As on the fast route, a comment is decided by its raw line, not its cell.
+            if not lines[0].lstrip().startswith("#") and any(cells := [c.strip() for c in rec]):
+                records.append((reader.line_num, cells))
+            lines.clear()
     except csv.Error as exc:
         raise ValueError(f"{path}: unreadable CSV in row {reader.line_num}: {exc}") from None
     if not records:

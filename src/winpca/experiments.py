@@ -107,19 +107,33 @@ class ResultTable:
 
 def _base_metadata(preset: str, seed: int, **extra) -> dict[str, str]:
     meta = {"preset": preset, "seed": str(int(seed)), "build": f"winpca-{__version__}"}
-    for key, val in extra.items():
-        meta[key] = format_value(val)
-    return meta
+    return meta | {key: format_value(val) for key, val in extra.items()}
 
 
-def _mean_se(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # stack axis 0 is replications
+def _norm_grid(X, lo: float, hi: float, count: int) -> tuple[np.ndarray, str]:
+    """``count`` radii log-spaced from lo x the median to hi x the largest row
+    norm of the reference draw X, and the metadata text that regenerates them."""
+    norms = row_norms(X)
+    grid = np.geomspace(lo * float(np.median(norms)), hi * float(norms.max()), count)
+    return grid, f"geomspace({format_value(grid[0])},{format_value(grid[-1])},{count})"
+
+
+def _replicate(one, count: int, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of ``one(rep)`` over replications 0..count-1."""
+    stack = np.stack(map_replications(one, count, jobs))
     mean = stack.mean(axis=0)
-    if stack.shape[0] > 1:
-        se = stack.std(axis=0, ddof=1) / math.sqrt(stack.shape[0])
-    else:
-        se = np.full(mean.shape, math.nan)
-    return mean, se
+    if count > 1:
+        return mean, stack.std(axis=0, ddof=1) / math.sqrt(count)
+    return mean, np.full(mean.shape, math.nan)
+
+
+def _path_sines(datasets, d: int, radii, target: Subspace) -> np.ndarray:
+    """sin theta to ``target`` of every ``fit_pc_path`` fit, one row per dataset.
+
+    Pass ``datasets`` as a generator: a list would hold every dataset at once.
+    """
+    return np.array([[principal_angles(fit.subspace, target).sin_largest
+                      for fit in fit_pc_path(X, d, radii)] for X in datasets])
 
 
 def run_effect_of_radius(
@@ -136,7 +150,7 @@ def run_effect_of_radius(
     """
     if not (scale > 0 and math.isfinite(200 * scale)):
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    if n_radii < 1:
+    if int(n_radii) < 1:
         raise ValueError(f"n_radii must be at least 1, got {n_radii}")
     p, d = 100, 1
     n = max(4, round(200 * scale))
@@ -145,6 +159,7 @@ def run_effect_of_radius(
     spike = np.eye(1, p, 1)[0] * (100.0 * n * p)
     eigs = np.concatenate(([100.0], np.ones(p - 1)))
     eps_levels = (0.0, 0.05)
+    outliers = [round(eps * n) for eps in eps_levels]
     target = Subspace(np.eye(p, d))
     table = ResultTable(
         ("distribution", "epsilon", "radius_kind", "radius", "statistic",
@@ -157,35 +172,23 @@ def run_effect_of_radius(
         ("t3", PopulationModel.student_t(eigs, 3.0)),
     )
     for di, (dist, model) in enumerate(models):
-        ref = model.draw(n, make_rng(seed, (di, _REF_KEY)))
-        norms = row_norms(ref)
-        grid = np.geomspace(0.05 * float(np.median(norms)),
-                            2.0 * float(norms.max()), n_radii)
-        table.metadata[f"r_grid_{dist}"] = (
-            f"geomspace({format_value(grid[0])},{format_value(grid[-1])},{n_radii})"
-        )
+        grid, table.metadata[f"r_grid_{dist}"] = _norm_grid(
+            model.draw(n, make_rng(seed, (di, _REF_KEY))), 0.05, 2.0, int(n_radii))
         # The grid plus the no-winsorize endpoint.
         path = np.append(grid, math.inf)
 
-        def one(rep: int, model=model, di=di, path=path) -> np.ndarray:
-            rng = make_rng(seed, (di, rep))
-            X0 = model.draw(n, rng)
-            out = np.empty((len(eps_levels), n_radii + 1))
-            for ei, eps in enumerate(eps_levels):
-                m = round(eps * n)
-                X = apply_contamination(X0, m, spike) if m else X0
-                out[ei] = [principal_angles(fit.subspace, target).sin_largest
-                           for fit in fit_pc_path(X, d, path)]
-            return out
+        # The replication bodies may read the loop's variables, because
+        # map_replications returns before the loop moves on.
+        def one(rep: int) -> np.ndarray:
+            X0 = model.draw(n, make_rng(seed, (di, rep)))
+            return _path_sines((apply_contamination(X0, m, spike) if m else X0
+                                for m in outliers), d, path, target)
 
-        stack = np.stack(map_replications(one, reps, jobs))
-        mean, se = _mean_se(stack)
+        mean, se = _replicate(one, reps, jobs)
         for ei, eps in enumerate(eps_levels):
-            for ri, r in enumerate(grid):
-                table.add(dist, eps, "fixed", float(r), "mean_sin_theta",
-                          float(mean[ei, ri]), float(se[ei, ri]))
-            table.add(dist, eps, "pca", math.inf, "mean_sin_theta",
-                      float(mean[ei, n_radii]), float(se[ei, n_radii]))
+            for r, value, std_error in zip(path, mean[ei], se[ei]):
+                table.add(dist, eps, "fixed" if r < math.inf else "pca", float(r),
+                          "mean_sin_theta", float(value), float(std_error))
     return table
 
 
@@ -236,21 +239,13 @@ def run_high_dim(
             whitener = (PopulationModel.gaussian(np.ones(p)) if dist == "gaussian"
                         else PopulationModel.student_t(np.ones(p), 3.0))
 
-            def one(rep: int, whitener=whitener, ki=ki, zi=zi, p=p, n=n,
-                    radii=radii, model_eigs=model_eigs, spike=spike,
-                    target=target) -> np.ndarray:
-                rng = make_rng(seed, (ki, zi, rep))
-                y = whitener.draw_whitened(n, rng)
-                out = np.empty((len(model_eigs), len(radii)))
-                for mi, (_, eigs) in enumerate(model_eigs):
-                    X = apply_contamination(y * np.sqrt(eigs), m_out, spike)
-                    fits = fit_pc_path(X, d, [r for _, r in radii])
-                    out[mi] = [principal_angles(fit.subspace, target).sin_largest
-                               for fit in fits]
-                return out
+            def one(rep: int) -> np.ndarray:
+                y = whitener.draw_whitened(n, make_rng(seed, (ki, zi, rep)))
+                return _path_sines((apply_contamination(y * np.sqrt(eigs), m_out, spike)
+                                    for _, eigs in model_eigs),
+                                   d, [r for _, r in radii], target)
 
-            stack = np.stack(map_replications(one, replications, jobs))
-            mean, se = _mean_se(stack)
+            mean, se = _replicate(one, replications, jobs)
             for mi, (mname, _) in enumerate(model_eigs):
                 for ri, (rlabel, r) in enumerate(radii):
                     table.add(k, p, n, dist, mname, rlabel, float(r),
@@ -277,26 +272,20 @@ def run_breakdown_bounds(
         raise ValueError(f"n_radii must be at least 1, got {n_radii}")
     _check_size(replications, n, p)
     model = PopulationModel.gaussian(np.array([25.0, 25.0, 5.0, 1.0]))
-    ref = model.draw(n, make_rng(seed, (_REF_KEY,)))
-    norms = row_norms(ref)
-    grid = np.geomspace(0.1 * float(np.median(norms)), 3.0 * float(norms.max()),
-                        int(n_radii))
+    grid, r_grid = _norm_grid(model.draw(n, make_rng(seed, (_REF_KEY,))), 0.1, 3.0,
+                              int(n_radii))
     table = ResultTable(
         ("radius", "statistic", "value", "std_error"),
-        metadata=_base_metadata(
-            "fig3", seed, n=n, p=p, d=d, replications=replications,
-            r_grid=f"geomspace({format_value(grid[0])},{format_value(grid[-1])},{int(n_radii)})",
-        ),
+        metadata=_base_metadata("fig3", seed, n=n, p=p, d=d,
+                                replications=replications, r_grid=r_grid),
     )
 
     def one(rep: int) -> np.ndarray:
-        rng = make_rng(seed, (rep,))
-        X = model.draw(n, rng)
+        X = model.draw(n, make_rng(seed, (rep,)))
         return breakdown_lower_bounds_from_values(
             sample_winsorized_values(X, grid), grid ** 2, d)
 
-    stack = np.stack(map_replications(one, replications, jobs))
-    mean, se = _mean_se(stack)
+    mean, se = _replicate(one, replications, jobs)
     for ri, r in enumerate(grid):
         table.add(float(r), "weak_lb", float(mean[ri, 0]), float(se[ri, 0]))
         table.add(float(r), "strong_lb", float(mean[ri, 1]), float(se[ri, 1]))

@@ -123,6 +123,8 @@ class TestReadMatrixCsv:
         ('1,2\n"3\n",x\n', "non-numeric cell in row 3"),
         # The '#' line inside a quoted cell is cell text, not a comment.
         ('1,2\n"3\n#x\n",4\n', "non-numeric cell in row 4"),
+        # A quoted '#' cell is data: only the raw line decides a comment.
+        ('1,2\n"#x",3\n4,5\n', "non-numeric cell in row 2"),
     ])
     def test_errors_name_the_file_line(self, tmp_path, text, message):
         path = tmp_path / "m.csv"
@@ -167,16 +169,25 @@ class TestReadMatrixCsv:
                 with pytest.raises(ValueError):
                     cli._read_fast(fh)
 
+    @staticmethod
+    def _read_pipe(data: bytes) -> np.ndarray:
+        r, w = os.pipe()
+        os.write(w, data)
+        os.close(w)
+        try:
+            return read_matrix_csv(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_input_reads_through_the_record_loop(self):
         # A pipe cannot be re-read, so it skips the fast route.
-        r, w = os.pipe()
-        os.write(w, b"a,b\n1_000,2\n")
-        os.close(w)
-        try:
-            assert read_matrix_csv(f"/dev/fd/{r}").tolist() == [[1000.0, 2.0]]
-        finally:
-            os.close(r)
+        assert self._read_pipe(b"a,b\n1_000,2\n").tolist() == [[1000.0, 2.0]]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_input_keeps_a_quoted_hash_row(self):
+        with pytest.raises(ValueError, match="non-numeric cell in row 2"):
+            self._read_pipe(b'1,2\n"#x",3\n4,5\n')
 
     def test_infinities_and_nan(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -320,6 +320,15 @@ def test_empty_radius_grid_raises_value_error(run, n_radii):
         run(n_radii=n_radii)
 
 
+@pytest.mark.parametrize("run, kwargs", [
+    (run_effect_of_radius, {"scale": 0.05}),
+    (run_breakdown_bounds, {"replications": 3}),
+])
+def test_float_radius_count_reads_as_its_integer(run, kwargs):
+    as_float = run(seed=7, n_radii=4.0, **kwargs).csv_text(timestamp=False)
+    assert as_float == run(seed=7, n_radii=4, **kwargs).csv_text(timestamp=False)
+
+
 class TestPresetRegistry:
     def test_all_presets_registered(self):
         assert set(PRESETS) == {"fig1", "fig2", "fig3", "fig4"}
