@@ -251,7 +251,7 @@ _LAPACK_COL_MAJOR = 102
 
 
 def top_eigh(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading ``k`` eigenpairs of a symmetric matrix, eigenvalues descending.
+    """Leading ``k`` eigenpairs of a finite symmetric matrix, eigenvalues descending.
 
     Only the lower triangle of ``S`` is read.  Returns ``(w, V)`` with ``w``
     of length k and ``V`` of shape p x k.  Roundoff negatives within 1e-10
@@ -267,8 +267,6 @@ def top_eigh(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     p, k = A.shape[0], int(k)
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p={p} eigenpairs, got k={k}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains non-finite entries")
     if _LAPACKE_DSYEVR is None:
         w, V = np.linalg.eigh(A)
         return _descending_eigenpairs(w[p - k:], V[:, p - k:])

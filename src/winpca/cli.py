@@ -198,8 +198,6 @@ def _parse_float_list(text: str) -> np.ndarray:
 def cmd_fit(args: argparse.Namespace) -> int:
     X = read_matrix_csv(args.input)
     n, p = X.shape
-    if args.d < 1:
-        raise ValueError("d must be at least 1")
     if args.d >= p:
         raise ValueError(f"d={args.d} must be smaller than the column count p={p}")
     if args.center:

@@ -69,11 +69,11 @@ def _is_orthonormal(B: np.ndarray) -> bool:
 class Spectrum:
     """The leading k <= p eigenvalues, descending, with orthonormal eigenvectors.
 
-    ``eigenvectors`` has p rows and at most k columns.  From ``top_eigh``
-    there are as many columns as eigenvalues: all p for ``symmetric_eigh``
-    and ``fit_pc_subspace``, the top ``min(p, d + 1)`` for ``fit_pc_path``.
-    On the thin-SVD route (``d <= n < p``) all p eigenvalues are given, the
-    trailing ones exact zeros, with only ``n`` columns.
+    ``eigenvectors`` has p rows and at most k columns: as many as eigenvalues
+    from ``top_eigh`` (all p in ``symmetric_eigh`` and ``fit_pc_subspace``,
+    the top ``min(p, d + 1)`` in ``fit_pc_path``), and ``n`` on the thin-SVD
+    route (``d <= n < p``), whose trailing p - n eigenvalues are exact zeros.
+    Fits build their spectra unchecked, in ``_make_fit``.
     """
 
     eigenvalues: np.ndarray
@@ -271,7 +271,7 @@ def _second_moments(A: np.ndarray, radii: np.ndarray, norms=None) -> np.ndarray:
     return out
 
 
-def _thin_svd_spectrum(W: np.ndarray) -> Spectrum:
+def _thin_svd_spectrum(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, p = W.shape
     _, s, Vh = np.linalg.svd(W, full_matrices=False)
     vals = np.zeros(p)
@@ -279,12 +279,12 @@ def _thin_svd_spectrum(W: np.ndarray) -> Spectrum:
         vals[: s.size] = s * s / n
     if np.isinf(vals[0]):
         raise ValueError(_OVERFLOW)
-    return Spectrum(vals, _fix_column_signs(Vh.T))
+    return vals, _fix_column_signs(Vh.T)
 
 
 @one_blas_thread
-def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[Spectrum]:
-    """The spectrum of the winsorized rows of ``A`` at every radius.
+def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[tuple]:
+    """The eigenpairs ``(values, vectors)`` of the winsorized ``A`` at every radius.
 
     With fewer rows than columns the thin SVD of the winsorized rows is
     cheaper than the p x p Gram, and exact zeros fill the missing
@@ -304,30 +304,29 @@ def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[Spectrum]
     n, p = A.shape
     norms = row_norms(A)
     clips = radii * (1.0 + BOUNDARY_REL_TOL) < norms.max()
-    keys, which = np.unique(np.where(clips, radii, math.inf), return_inverse=True)
+    keys, first, which = np.unique(np.where(clips, radii, math.inf),
+                                   return_index=True, return_inverse=True)
     if d <= n < p:
         spectra = [_thin_svd_spectrum(A if math.isinf(r) else winsorize_rows(A, r))
                    for r in keys]
     else:
-        spectra = thread_map(lambda S: Spectrum(*top_eigh(S, k)),
-                             _second_moments(A, keys, norms),
+        spectra = thread_map(lambda S: top_eigh(S, k), _second_moments(A, keys, norms),
                              None if p >= _THREADED_MIN_P else 1)
     # Radii after the first that share a matrix get copies, so no two fits
     # share an array.
-    out, seen = [], set()
-    for i in which:
-        s = spectra[i]
-        out.append(Spectrum(s.eigenvalues.copy(), s.eigenvectors.copy()) if i in seen else s)
-        seen.add(i)
-    return out
+    return [spectra[i] if j == first[i] else tuple(a.copy() for a in spectra[i])
+            for j, i in enumerate(which)]
 
 
-def _make_fit(spectrum: Spectrum, d: int, mode: str, r: float | None) -> WPCAFit:
-    vals = spectrum.eigenvalues
+def _make_fit(vals, vecs, d: int, mode: str, r: float | None) -> WPCAFit:
+    # Both solvers give finite, descending eigenvalues and orthonormal
+    # columns, all that the constructors of Spectrum and Subspace check.
+    spectrum, subspace = object.__new__(Spectrum), object.__new__(Subspace)
+    vars(spectrum).update(eigenvalues=vals, eigenvectors=vecs)
+    vars(subspace).update(basis=vecs[:, :d].copy())  # C order, and never a view of vecs
     lam_next = vals[d] if d < vals.size else 0.0
     degenerate = (vals[d - 1] - lam_next) <= GAP_TIE_TOL * max(vals[0], 1e-300)
-    return WPCAFit(Subspace(spectrum.eigenvectors[:, :d]), spectrum, mode, r,
-                   bool(degenerate))
+    return WPCAFit(subspace, spectrum, mode, r, bool(degenerate))
 
 
 def fit_pc_subspace(X, d: int, spec: RadiusSpec) -> WPCAFit:
@@ -342,8 +341,8 @@ def fit_pc_subspace(X, d: int, spec: RadiusSpec) -> WPCAFit:
     mode, r = _resolve_radius(A, spec)
     # Spherized rows are the rows a radius of +inf leaves alone.
     W = _spherize_rows(A) if mode == "spherize" else A
-    spectrum = _spectra(W, d, np.array([math.inf if r is None else r]), A.shape[1])[0]
-    return _make_fit(spectrum, d, mode, r)
+    vals, vecs = _spectra(W, d, np.array([math.inf if r is None else r]), A.shape[1])[0]
+    return _make_fit(vals, vecs, d, mode, r)
 
 
 def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
@@ -366,8 +365,8 @@ def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
     d = _check_dim(d, p)
     radii = _check_radii(radii)
     spectra = _spectra(A, d, radii, min(p, d + 1))
-    return [_make_fit(s, d, "identity", None) if math.isinf(r)
-            else _make_fit(s, d, "winsorize", float(r))
+    return [_make_fit(*s, d, "identity", None) if math.isinf(r)
+            else _make_fit(*s, d, "winsorize", float(r))
             for s, r in zip(spectra, radii)]
 
 

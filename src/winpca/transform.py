@@ -163,7 +163,11 @@ def _resolve_radius(A: np.ndarray, spec: RadiusSpec) -> tuple[str, float | None]
             r = math.inf
         what = f"power-law radius p**(0.5 + beta) for p={p}, beta={spec.value}"
     else:
-        r, what = float(np.median(row_norms(A))), "median row norm"
+        norms, what = row_norms(A), "median row norm"
+        with np.errstate(over="ignore"):
+            r = float(np.median(norms))
+        if math.isinf(r):  # the sum of two finite middle norms overflows
+            r = 2.0 * float(np.median(norms / 2.0))
     if not 0.0 < r < math.inf:
         raise ValueError(f"{what} is {r}; the winsorization radius must be "
                          "finite and positive")

@@ -268,6 +268,12 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", unit_square, "--d", "0")
         assert code == 2 and "error:" in err
 
+    def test_median_radius_of_huge_rows_reports_the_overflow(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("1e308,1\n1e308,2\n")
+        code, _, err = run_cli(capsys, "fit", str(path), "--d", "1")
+        assert code == 2 and "second moments overflow float64" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fit", str(tmp_path / "nope.csv"), "--d", "1")
         assert code == 2 and "error:" in err

@@ -21,6 +21,8 @@ from winpca import (
     winsorized_second_moments,
 )
 
+from oracles import assert_sound_records
+
 TOL = 1e-12
 
 
@@ -47,8 +49,10 @@ def _assert_path_matches(X, d, radii):
     k = min(p, d + 1)
     fits = fit_pc_path(X, d, radii)
     assert len(fits) == len(radii)
+    assert_sound_records(fits)
     for fit, r in zip(fits, radii):
         one = fit_pc_subspace(X, d, _spec(r))
+        assert_sound_records([one])
         _, ref_vals, ref_basis = _reference(X, d, r)
         vals = fit.spectrum.eigenvalues
         scale = ref_vals[0]
@@ -144,6 +148,7 @@ class TestFitPcPath:
         X = _spiked(n, p, seed=10)
         one = fit_pc_subspace(X, d, _spec(r))
         path = fit_pc_path(X, d, [r])[0]
+        assert_sound_records([one, path])
         assert np.array_equal(one.basis, path.basis)
         k = min(p, d + 1)
         assert np.array_equal(one.spectrum.eigenvalues[:k],

@@ -12,7 +12,7 @@ from winpca import (
     winsorized_second_moments,
 )
 
-from oracles import sin_theta_operator
+from oracles import assert_sound_records, sin_theta_operator
 
 
 def _rotation(p, seed):
@@ -128,14 +128,18 @@ class TestFit:
     def test_spectrum_travels_in_full(self):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((40, 6))
-        fit = fit_pc_subspace(X, 2, RadiusSpec.fixed(2.0))
-        assert fit.spectrum.eigenvalues.shape == (6,)
-        assert np.all(np.diff(fit.spectrum.eigenvalues) <= 0)
+        for spec in (RadiusSpec.fixed(2.0), RadiusSpec.median_norm(), RadiusSpec.power_law(0.0),
+                     RadiusSpec.spherical(), RadiusSpec.none()):
+            fit = fit_pc_subspace(X, 2, spec)
+            assert fit.spectrum.eigenvalues.shape == (6,)
+            assert np.all(np.diff(fit.spectrum.eigenvalues) <= 0)
+            assert_sound_records([fit])
 
     def test_degenerate_gap_flagged(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         fit = fit_pc_subspace(X, 1, RadiusSpec.none())
         assert fit.degenerate_gap
+        assert_sound_records([fit])
 
     def test_clear_gap_not_flagged(self):
         X = np.array([[2.0, 0.0], [0.0, 1.0]])

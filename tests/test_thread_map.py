@@ -33,6 +33,8 @@ from winpca.simulate import map_replications
 from winpca.subspace import fit_pc_path, winsorized_second_moments
 from winpca.transform import row_norms
 
+from oracles import assert_sound_records
+
 WORKERS = (1, 2, 3)
 
 
@@ -270,13 +272,6 @@ class TestThreadMap:
         assert len(helpers() - before) <= 2
 
 
-def assert_no_shared_arrays(fits):
-    arrays = [a for f in fits for a in (f.spectrum.eigenvalues, f.spectrum.eigenvectors, f.basis)]
-    for i, a in enumerate(arrays):
-        for b in arrays[i + 1:]:
-            assert not np.shares_memory(a, b)
-
-
 class TestPathFanOut:
     def test_same_bytes_for_every_worker_count(self, force_cpus):
         digests = set()
@@ -297,7 +292,7 @@ class TestPathFanOut:
             assert fit.spectrum.eigenvalues.tobytes() == w.tobytes()
             assert fit.spectrum.eigenvectors.tobytes() == V.tobytes()
         assert [f.mode for f in fits].count("identity") == 1
-        assert_no_shared_arrays(fits)
+        assert_sound_records(fits)
 
     def test_thin_svd_route_solves_each_distinct_matrix_once(self, monkeypatch):
         X = PopulationModel.gaussian(np.linspace(5.0, 1.0, 20)).draw(6, make_rng(8))
@@ -311,7 +306,7 @@ class TestPathFanOut:
         assert len(calls) == 3
         for fit, r in zip(fits, radii):
             assert fit_bytes(fit) == fit_bytes(fit_pc_path(X, 2, [r])[0])
-        assert_no_shared_arrays(fits)
+        assert_sound_records(fits)
 
     def test_worker_exception_comes_out_unchanged(self, force_cpus, monkeypatch):
         force_cpus(3)

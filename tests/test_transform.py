@@ -256,6 +256,12 @@ class TestResolveRadius:
         with pytest.raises(ValueError, match="median row norm is inf"):
             resolve_radius(X, RadiusSpec.median_norm())
 
+    def test_median_of_huge_norms_does_not_overflow(self):
+        # Both norms are 1e308, so the median is too, though their sum is not
+        # a float64.
+        X = np.array([[1e308, 1.0], [1e308, 2.0]])
+        assert resolve_radius(X, RadiusSpec.median_norm()) == ("winsorize", 1e308)
+
     def test_median_odd_count(self):
         X = np.diag([1.0, 2.0, 3.0])
         assert resolve_radius(X, RadiusSpec.median_norm()) == ("winsorize", 2.0)
