@@ -155,20 +155,16 @@ def winsorized_term_sums(y, lam: np.ndarray, r2):
 NEG_EIG_REL_TOL = 1e-10
 
 
-def _fix_column_signs(V: np.ndarray) -> np.ndarray:
-    # Deterministic orientation: largest-magnitude entry of each column positive.
-    idx = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[idx, np.arange(V.shape[1])])
-    signs[signs == 0] = 1.0
-    return V * signs
-
-
 def _descending_eigenpairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse ascending eigenpairs, clamp roundoff negatives, orient columns."""
+    """Ascending eigenpairs turned descending, roundoff negatives clamped to
+    zero, and each column oriented so its largest-magnitude entry is
+    positive: the one orientation step of every eigensolver route."""
     w = w[::-1].copy()
     if w[0] > 0:
         w[(w < 0) & (w >= -NEG_EIG_REL_TOL * w[0])] = 0.0
-    return w, _fix_column_signs(V[:, ::-1])
+    V = V[:, ::-1]
+    top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return w, V * np.where(top < 0, -1.0, 1.0)
 
 
 def _load_openblas():
@@ -257,8 +253,10 @@ def top_eigh(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     of length k and ``V`` of shape p x k.  Roundoff negatives within 1e-10
     of the largest eigenvalue are clamped to zero and each column's
     largest-magnitude entry is positive; ``k = p`` gives the full
-    decomposition.  Fits of wide matrices (d <= n < p) take a thin SVD
-    instead, and the fig3 grid of sample spectra a stacked ``eigvalsh``.
+    decomposition.  A NaN or infinite entry in the lower triangle raises
+    ``LinAlgError`` on both routes.  Fits of wide matrices (d <= n < p)
+    take a thin SVD instead, and the fig3 grid of sample spectra a stacked
+    ``eigvalsh``.
     """
     # A private copy: dsyevr overwrites its input.
     A = np.array(S, dtype=np.float64, order="F")
@@ -269,6 +267,8 @@ def top_eigh(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need 1 <= k <= p={p} eigenpairs, got k={k}")
     if _LAPACKE_DSYEVR is None:
         w, V = np.linalg.eigh(A)
+        if not np.all(np.isfinite(w)):  # dsyevr fails on such input too
+            raise np.linalg.LinAlgError("eigh found non-finite eigenvalues")
         return _descending_eigenpairs(w[p - k:], V[:, p - k:])
     w = np.empty(p)
     Z = np.empty((p, k), order="F")

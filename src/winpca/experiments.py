@@ -52,7 +52,7 @@ __all__ = [
 _REF_KEY = 1_000_000
 
 # Entries over all fits past which a run is refused before anything is drawn:
-# the default fig1 fits 8e6 in about 8 s, so 1e12 is about two weeks of work.
+# the default fig1 fits 8e6 in about 3.5 s on 2 vCPUs, so 1e12 is five days.
 _MAX_FIT_ENTRIES = 10**12
 
 

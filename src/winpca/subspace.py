@@ -23,7 +23,7 @@ import numpy as np
 
 from ._kernels import (
     BOUNDARY_REL_TOL,
-    _fix_column_signs,
+    _descending_eigenpairs,
     one_blas_thread,
     row_norms,
     thread_map,
@@ -88,6 +88,8 @@ class Spectrum:
             raise ValueError(
                 f"shape mismatch: {vals.size} eigenvalues, eigenvectors {vecs.shape}"
             )
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))):
+            raise ValueError("eigenvalues and eigenvectors must be finite")
         if np.any(np.diff(vals) > 0):
             raise ValueError("eigenvalues must be sorted in descending order")
         object.__setattr__(self, "eigenvalues", vals)
@@ -279,7 +281,7 @@ def _thin_svd_spectrum(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vals[: s.size] = s * s / n
     if np.isinf(vals[0]):
         raise ValueError(_OVERFLOW)
-    return vals, _fix_column_signs(Vh.T)
+    return _descending_eigenpairs(vals[::-1], Vh[::-1].T)  # as ascending pairs
 
 
 @one_blas_thread
@@ -295,17 +297,22 @@ def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[tuple]:
     Each distinct matrix is solved once.  A radius that clips no row (the
     cut of ``_second_moments`` at n) leaves the raw rows, bit for bit as
     ``+inf`` does, and equal radii give equal matrices; the radii that
-    share a matrix get copies of one solve.  From ``_THREADED_MIN_P``
-    columns up, the eigensolves spread over the process's CPUs through
-    ``thread_map``, each on one BLAS thread.  The thin SVDs stay on the
-    calling thread: numpy's SVD holds the interpreter lock, so no second
-    thread could run beside it.
+    share a matrix get copies of one solve.  A radius that clips every row
+    (the cut at 0) gives ``r^2 U / n``, with U the Gram of the unit rows:
+    all such radii take the eigenvectors of the largest of them, r1, and
+    its eigenvalues times ``(r / r1) ** 2``, which cannot overflow.  From
+    ``_THREADED_MIN_P`` columns up, the eigensolves spread over the
+    process's CPUs through ``thread_map``, each on one BLAS thread.  The
+    thin SVDs stay on the calling thread: numpy's SVD holds the
+    interpreter lock, so no second thread could run beside it.
     """
     n, p = A.shape
     norms = row_norms(A)
-    clips = radii * (1.0 + BOUNDARY_REL_TOL) < norms.max()
-    keys, first, which = np.unique(np.where(clips, radii, math.inf),
-                                   return_index=True, return_inverse=True)
+    slack = radii * (1.0 + BOUNDARY_REL_TOL)
+    low = slack < norms.min()
+    r1 = np.max(radii, where=low, initial=0.0)
+    key = np.where(low, r1, np.where(slack < norms.max(), radii, math.inf))
+    keys, first, which = np.unique(key, return_index=True, return_inverse=True)
     if d <= n < p:
         spectra = [_thin_svd_spectrum(A if math.isinf(r) else winsorize_rows(A, r))
                    for r in keys]
@@ -313,9 +320,12 @@ def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[tuple]:
         spectra = thread_map(lambda S: top_eigh(S, k), _second_moments(A, keys, norms),
                              None if p >= _THREADED_MIN_P else 1)
     # Radii after the first that share a matrix get copies, so no two fits
-    # share an array.
-    return [spectra[i] if j == first[i] else tuple(a.copy() for a in spectra[i])
-            for j, i in enumerate(which)]
+    # share an array; a low radius scales r1's eigenvalues into a new one.
+    out = []
+    for j, i in enumerate(which):
+        vals, vecs = spectra[i] if j == first[i] else (a.copy() for a in spectra[i])
+        out.append((vals * (radii[j] / r1) ** 2 if low[j] else vals, vecs))
+    return out
 
 
 def _make_fit(vals, vecs, d: int, mode: str, r: float | None) -> WPCAFit:
@@ -351,14 +361,16 @@ def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
     Fit j equals ``fit_pc_subspace(X, d, RadiusSpec.fixed(radii[j]))``, or
     ``RadiusSpec.none()`` where the radius is ``+inf``, to roundoff; bit for
     bit on the thin-SVD route, and for a one-radius path where both solve
-    the same eigenpairs (``d + 1 = p``).  Radii may come in any order and
-    repeat.  ``X`` is validated once, every covariance comes from one
-    ``winsorized_second_moments`` call, and only the top ``min(p, d + 1)``
-    eigenpairs of each distinct matrix are solved for, which is what the
-    subspace and its gap flag use; the solves spread over the process's
-    CPUs with the same bits as on one.  With ``d <= n < p`` each radius
-    takes the thin SVD of its winsorized rows instead, as in
-    ``fit_pc_subspace``.
+    the same eigenpairs (``d + 1 = p``), except that the radii below the
+    smallest row norm all take the eigenvectors of the largest of them and
+    its eigenvalues scaled by ``r^2``: the spherical-PCA subspace.  Radii
+    may come in any order and repeat.  ``X`` is validated once, every
+    covariance comes from one ``winsorized_second_moments`` call, and only
+    the top ``min(p, d + 1)`` eigenpairs of each distinct matrix are solved
+    for, which is what the subspace and its gap flag use; the solves spread
+    over the process's CPUs with the same bits as on one.  With
+    ``d <= n < p`` each distinct radius takes the thin SVD of its
+    winsorized rows instead, as in ``fit_pc_subspace``.
     """
     A = as_data_matrix(X)
     p = A.shape[1]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from winpca import experiments
+from winpca import experiments, subspace
 from winpca import (
     PRESETS,
     PopulationModel,
@@ -123,6 +123,37 @@ class TestEffectOfRadius:
     def test_jobs_do_not_change_rows(self, radius_table):
         threaded = run_effect_of_radius(scale=0.05, seed=7, n_radii=4, jobs=3)
         assert threaded.rows == radius_table.rows
+
+    # n = 10 < p = 100 takes the thin SVD of the winsorized rows, and
+    # n = p = 100 the dsyevr route.
+    @pytest.mark.parametrize("scale, n_radii, solver", [
+        (0.05, 30, "_thin_svd_spectrum"),
+        (0.5, 6, "top_eigh"),
+    ])
+    def test_one_solve_per_distinct_matrix(self, monkeypatch, scale, n_radii, solver):
+        # Radii that clip no row share the raw rows' matrix, radii that clip
+        # every row share one solve of the unit rows' matrix, and every
+        # other radius has a matrix of its own.
+        solves, keys, old_keys = [], [], []
+        real_spectra, real_solve = subspace._spectra, getattr(subspace, solver)
+
+        def solve(*args):
+            solves.append(1)
+            return real_solve(*args)
+
+        def spectra(A, d, radii, k):
+            norms = np.linalg.norm(A, axis=1)
+            slack = radii * (1.0 + subspace.BOUNDARY_REL_TOL)
+            raw = slack >= norms.max()
+            low = slack < norms.min()
+            keys.append(len(set(radii[~raw & ~low])) + raw.any() + low.any())
+            old_keys.append(len(set(radii[~raw])) + raw.any())
+            return real_spectra(A, d, radii, k)
+
+        monkeypatch.setattr(subspace, solver, solve)
+        monkeypatch.setattr(subspace, "_spectra", spectra)
+        run_effect_of_radius(scale=scale, seed=42, n_radii=n_radii)
+        assert len(solves) == sum(keys) < sum(old_keys)
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):

@@ -198,6 +198,46 @@ class TestFitPcPath:
             winsorized_second_moments(np.array([[3.0, np.nan], [1.0, 0.0]]), [2.0])
 
 
+class TestRadiiBelowEveryNorm:
+    """Radii that clip every row give r^2 times the unit rows' Gram / n, so
+    they all take one solve: the spherical-PCA subspace."""
+
+    def test_path_matches_and_spans_the_spherical_subspace(self):
+        X = _spiked(200, 8, seed=12)
+        norms = np.linalg.norm(X, axis=1)
+        least = norms.min()
+        low = [0.5 * least, 0.99 * least, 1e-3 * least, 0.2 * least]
+        inner = list(np.quantile(norms, [0.3, 0.7]))
+        radii = [low[0], inner[0], low[1], math.inf, low[2], inner[1], low[3]]
+        fits = _assert_path_matches(X, 2, radii)
+        spherical = fit_pc_subspace(X, 2, RadiusSpec.spherical())
+        for r in low:
+            assert _sin_theta(fits[radii.index(r)].basis, spherical.basis) <= TOL, r
+
+    def test_tiny_radius_takes_the_basis_of_the_largest(self):
+        # r^2 = 1e-320 is subnormal: the matrix of 1e-160 alone has lost its
+        # digits, but the path takes the eigenvectors at r1.
+        X = _spiked(100, 5, seed=13)
+        X /= np.median(np.linalg.norm(X, axis=1))
+        r1 = 0.5 * np.linalg.norm(X, axis=1).min()
+        tiny, big = fit_pc_path(X, 2, [1e-160, r1])
+        assert tiny.basis.tobytes() == big.basis.tobytes()
+        assert np.array_equal(tiny.spectrum.eigenvalues,
+                              big.spectrum.eigenvalues * (1e-160 / r1) ** 2)
+        assert_sound_records([tiny, big])
+
+    @pytest.mark.parametrize("n, p", [(8, 3), (3, 8)])
+    def test_overflow_still_raises(self, n, p):
+        # Rows of norm 1e200: the matrix at r = 1e160 overflows, whatever
+        # smaller radius shares its solve.
+        X = _spiked(n, p, seed=14)
+        X *= 1e200 / np.linalg.norm(X, axis=1)[:, None]
+        for radii in ([1e150, 1e160], [1e160, 1e150]):
+            with pytest.raises(ValueError, match="overflow"):
+                fit_pc_path(X, 1, radii)
+        assert_sound_records(fit_pc_path(X, 1, [1e140, 1e150]))
+
+
 class TestTopEigh:
     def test_matches_full_eigh(self):
         X = _spiked(50, 7, seed=9)
@@ -217,5 +257,10 @@ class TestTopEigh:
             _kernels.top_eigh(np.eye(3), 4)
         with pytest.raises(ValueError):
             _kernels.top_eigh(np.ones((2, 3)), 1)
-        with pytest.raises(ValueError):
-            _kernels.top_eigh(np.array([[1.0, 0.0], [0.0, np.nan]]), 1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(np.linalg.LinAlgError):
+                _kernels.top_eigh(np.array([[1.0, 0.0], [0.0, bad]]), 1)
+
+    def test_eigh_fallback_rejects_bad_input(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_LAPACKE_DSYEVR", None)
+        self.test_rejects_bad_input()

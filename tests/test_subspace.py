@@ -95,6 +95,13 @@ class TestSymmetricEigh:
         with pytest.raises(ValueError):
             Spectrum(np.array([1.0, 2.0]), np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spectrum_requires_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(np.array([bad, 1.0]), np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(np.array([2.0, 1.0]), np.array([[1.0, 0.0], [bad, 1.0]]))
+
 
 class TestFit:
     def test_none_equals_classical_pca(self):

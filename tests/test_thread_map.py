@@ -69,6 +69,15 @@ def path_data(p=subspace._THREADED_MIN_P):
     return X, [*inner[:4], math.inf, top, *inner[4:], 2.0 * top, inner[2], 1e300]
 
 
+def low_path_data():
+    """path_data's sample, a path of three of its inner radii, +inf and four
+    radii below its smallest norm, unsorted, and those four low radii."""
+    X, radii = path_data()
+    least = float(row_norms(X).min())
+    low = [0.5 * least, 0.99 * least, 1e-3 * least, 0.2 * least]
+    return X, [low[0], radii[0], low[1], math.inf, low[2], radii[1], low[3], radii[2]], low
+
+
 def fit_bytes(fit) -> bytes:
     return b"".join([fit.spectrum.eigenvalues.tobytes(), fit.spectrum.eigenvectors.tobytes(),
                      fit.basis.tobytes(), repr((fit.mode, fit.effective_radius,
@@ -76,8 +85,9 @@ def fit_bytes(fit) -> bytes:
 
 
 def path_digest() -> str:
-    X, radii = path_data()
-    return hashlib.sha256(b"".join(fit_bytes(f) for f in fit_pc_path(X, 2, radii))).hexdigest()
+    fits = [f for X, radii, *_ in (path_data(), low_path_data())
+            for f in fit_pc_path(X, 2, radii)]
+    return hashlib.sha256(b"".join(fit_bytes(f) for f in fits)).hexdigest()
 
 
 def _experiment(capsys, *argv) -> list[str]:
@@ -292,6 +302,48 @@ class TestPathFanOut:
             assert fit.spectrum.eigenvalues.tobytes() == w.tobytes()
             assert fit.spectrum.eigenvectors.tobytes() == V.tobytes()
         assert [f.mode for f in fits].count("identity") == 1
+        assert_sound_records(fits)
+
+    def test_radii_that_clip_every_row_share_one_solve(self, solves):
+        X, radii, low = low_path_data()
+        fits = fit_pc_path(X, 2, radii)
+        # Three inner radii, +inf, and one matrix for the four low radii.
+        assert len(solves) == 5
+        # The largest low radius holds the bits of its own matrix of the
+        # path solved alone; the others hold its eigenvectors and scaled
+        # eigenvalues.
+        r1 = max(low)
+        w, V = _kernels.top_eigh(winsorized_second_moments(X, radii)[radii.index(r1)], 3)
+        for r in low:
+            fit = fits[radii.index(r)]
+            assert fit.spectrum.eigenvectors.tobytes() == V.tobytes()
+            assert fit.spectrum.eigenvalues.tobytes() == (w * (r / r1) ** 2).tobytes()
+        assert_sound_records(fits)
+
+    def test_a_zero_row_disables_sharing(self, solves):
+        X, _, low = low_path_data()
+        X[0] = 0.0
+        fit_pc_path(X, 2, low)
+        assert len(solves) == 4
+
+    def test_thin_svd_route_shares_one_solve_below_the_smallest_norm(self, monkeypatch):
+        X = PopulationModel.gaussian(np.linspace(5.0, 1.0, 20)).draw(6, make_rng(8))
+        norms = np.sort(row_norms(X))
+        low = [0.5 * norms[0], 0.99 * norms[0], 1e-3 * norms[0], 0.2 * norms[0]]
+        radii = [low[0], norms[2], low[1], math.inf, low[2], norms[4], low[3]]
+        calls = []
+        real = subspace._thin_svd_spectrum
+        monkeypatch.setattr(subspace, "_thin_svd_spectrum",
+                            lambda W: calls.append(1) or real(W))
+        fits = fit_pc_path(X, 2, radii)
+        assert len(calls) == 4
+        r1 = max(low)
+        alone = fit_pc_path(X, 2, [r1])[0].spectrum
+        for r in low:
+            fit = fits[radii.index(r)]
+            assert fit.spectrum.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+            assert (fit.spectrum.eigenvalues.tobytes()
+                    == (alone.eigenvalues * (r / r1) ** 2).tobytes())
         assert_sound_records(fits)
 
     def test_thin_svd_route_solves_each_distinct_matrix_once(self, monkeypatch):
