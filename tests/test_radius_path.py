@@ -72,6 +72,12 @@ def _spiked(n, p, seed):
     return rng.standard_normal((n, p)) * np.sqrt(eigs)
 
 
+def _unit_scale(n, p, seed):
+    """``_spiked`` divided by its median row norm."""
+    X = _spiked(n, p, seed)
+    return X / np.median(np.linalg.norm(X, axis=1))
+
+
 # Unsorted, with a repeated radius and the no-winsorize endpoint.
 RADII = [3.0, math.inf, 0.5, 3.0, 1.5, 12.0, 0.5]
 
@@ -225,6 +231,37 @@ class TestRadiiBelowEveryNorm:
         assert np.array_equal(tiny.spectrum.eigenvalues,
                               big.spectrum.eigenvalues * (1e-160 / r1) ** 2)
         assert_sound_records([tiny, big])
+
+    @pytest.mark.parametrize("r", [1e-160, 1e-158])
+    def test_fit_at_a_radius_with_subnormal_square_is_spherical(self, r):
+        # r^2 is subnormal, or its eigenvalues are: the fit must not solve
+        # a matrix that has lost its digits.
+        X = _unit_scale(100, 5, seed=13)
+        spherical = fit_pc_subspace(X, 2, RadiusSpec.spherical())
+        fit = fit_pc_subspace(X, 2, RadiusSpec.fixed(r))
+        assert _sin_theta(fit.basis, spherical.basis) <= TOL
+        assert not fit.degenerate_gap and not spherical.degenerate_gap
+
+    def test_low_radii_flag_the_gap_alike(self):
+        X = _unit_scale(100, 5, seed=13)
+        assert [f.degenerate_gap for f in fit_pc_path(X, 2, [1e-160, 1e-3])] == [False] * 2
+
+    # Shapes where a single fit and a path solve the same eigenpairs: all
+    # of them (d + 1 = p), and the thin SVD (d <= n < p).  A radius inside
+    # the norm range would split the sum of the unit rows' Gram.
+    @pytest.mark.parametrize("n, p, d", [(100, 5, 4), (6, 15, 2)])
+    def test_one_radius_low_fit_is_its_path_fit(self, n, p, d):
+        X = _unit_scale(n, p, seed=13)
+        least = np.linalg.norm(X, axis=1).min()
+        low = [1e-160, 1e-3, 0.5 * least]
+        fits = fit_pc_path(X, d, [*low, math.inf])
+        for fit, r in zip(fits, low):
+            one = fit_pc_subspace(X, d, RadiusSpec.fixed(r))
+            assert one.spectrum.eigenvalues.tobytes() == fit.spectrum.eigenvalues.tobytes(), r
+            assert one.spectrum.eigenvectors.tobytes() == fit.spectrum.eigenvectors.tobytes(), r
+            assert one.basis.tobytes() == fit.basis.tobytes(), r
+            assert ((one.mode, one.effective_radius, one.degenerate_gap)
+                    == (fit.mode, fit.effective_radius, fit.degenerate_gap)), r
 
     @pytest.mark.parametrize("n, p", [(8, 3), (3, 8)])
     def test_overflow_still_raises(self, n, p):
