@@ -31,7 +31,7 @@ from ._kernels import (
     unit_rows,
     winsorize_rows,
 )
-from .transform import RadiusSpec, _resolve_radius, _spherize_rows, as_data_matrix
+from .transform import RadiusSpec, _resolve_radius, as_data_matrix
 
 __all__ = [
     "Spectrum",
@@ -263,8 +263,8 @@ def _second_moments(A: np.ndarray, radii: np.ndarray, norms=None) -> np.ndarray:
                 seg = As[cut:hi]
                 acc += seg.T @ seg
                 hi = cut
-            if hi < n:
-                out[j] += radii[j] ** 2 * acc
+            if hi < n:  # radius 0 stands for the limit S(r) / r^2 = U / n
+                out[j] += (radii[j] ** 2 if radii[j] > 0.0 else 1.0) * acc
     # An entry of a second-moment matrix is at most its larger diagonal
     # entry in magnitude, so an overflow anywhere shows on the diagonal.
     if not np.all(np.isfinite(out.diagonal(axis1=1, axis2=2))):
@@ -299,8 +299,9 @@ def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[tuple]:
     ``+inf`` does, and equal radii give equal matrices; the radii that
     share a matrix get copies of one solve.  A radius that clips every row
     (the cut at 0) gives ``r^2 U / n``, with U the Gram of the unit rows:
-    all such radii take the eigenvectors of the largest of them, r1, and
-    its eigenvalues times ``(r / r1) ** 2``, which cannot overflow.  From
+    all such radii share key 0, the spherical-PCA matrix ``U / n``, and take
+    its eigenvectors and its eigenvalues times ``r^2``.  Radius 0 is the
+    spherical limit itself, which raises on a zero row.  From
     ``_THREADED_MIN_P`` columns up, the eigensolves spread over the
     process's CPUs through ``thread_map``, each on one BLAS thread.  The
     thin SVDs stay on the calling thread: numpy's SVD holds the
@@ -308,23 +309,32 @@ def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[tuple]:
     """
     n, p = A.shape
     norms = row_norms(A)
+    least = norms.min()
+    if least == 0.0 and np.any(radii == 0.0):
+        raise ValueError("cannot spherize zero rows at indices "
+                         f"{np.flatnonzero(norms == 0.0).tolist()}")
     slack = radii * (1.0 + BOUNDARY_REL_TOL)
-    low = slack < norms.min()
-    r1 = np.max(radii, where=low, initial=0.0)
-    key = np.where(low, r1, np.where(slack < norms.max(), radii, math.inf))
+    low = slack < least
+    key = np.where(low, 0.0, np.where(slack < norms.max(), radii, math.inf))
     keys, first, which = np.unique(key, return_index=True, return_inverse=True)
     if d <= n < p:
-        spectra = [_thin_svd_spectrum(A if math.isinf(r) else winsorize_rows(A, r))
+        spectra = [_thin_svd_spectrum(unit_rows(A, norms) if r == 0.0 else
+                                      A if math.isinf(r) else winsorize_rows(A, r))
                    for r in keys]
     else:
         spectra = thread_map(lambda S: top_eigh(S, k), _second_moments(A, keys, norms),
                              None if p >= _THREADED_MIN_P else 1)
     # Radii after the first that share a matrix get copies, so no two fits
-    # share an array; a low radius scales r1's eigenvalues into a new one.
+    # share an array; a low radius scales key 0's eigenvalues into a new one.
     out = []
     for j, i in enumerate(which):
         vals, vecs = spectra[i] if j == first[i] else (a.copy() for a in spectra[i])
-        out.append((vals * (radii[j] / r1) ** 2 if low[j] else vals, vecs))
+        if low[j] and radii[j] > 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = vals * radii[j] ** 2
+            if math.isinf(vals[0]):
+                raise ValueError(_OVERFLOW)
+        out.append((vals, vecs))
     return out
 
 
@@ -335,7 +345,7 @@ def _make_fit(vals, vecs, d: int, mode: str, r: float | None) -> WPCAFit:
     vars(spectrum).update(eigenvalues=vals, eigenvectors=vecs)
     vars(subspace).update(basis=vecs[:, :d].copy())  # C order, and never a view of vecs
     lam_next = vals[d] if d < vals.size else 0.0
-    degenerate = (vals[d - 1] - lam_next) <= GAP_TIE_TOL * max(vals[0], 1e-300)
+    degenerate = (vals[d - 1] - lam_next) <= GAP_TIE_TOL * vals[0]
     return WPCAFit(subspace, spectrum, mode, r, bool(degenerate))
 
 
@@ -344,14 +354,14 @@ def fit_pc_subspace(X, d: int, spec: RadiusSpec) -> WPCAFit:
 
     The radius policy is resolved first; the rest is the one-radius case of
     ``fit_pc_path``, solving for all p eigenpairs, so bound computations can
-    consume the full winsorized sample spectrum.
+    consume the full winsorized sample spectrum.  The spherical policy is
+    radius 0: the unit rows' Gram over n, the limit of ``S(r) / r^2``.
     """
     A = as_data_matrix(X)
     d = _check_dim(d, A.shape[1])
     mode, r = _resolve_radius(A, spec)
-    # Spherized rows are the rows a radius of +inf leaves alone.
-    W = _spherize_rows(A) if mode == "spherize" else A
-    vals, vecs = _spectra(W, d, np.array([math.inf if r is None else r]), A.shape[1])[0]
+    radius = 0.0 if mode == "spherize" else math.inf if r is None else r
+    vals, vecs = _spectra(A, d, np.array([radius]), A.shape[1])[0]
     return _make_fit(vals, vecs, d, mode, r)
 
 
@@ -361,16 +371,17 @@ def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
     Fit j equals ``fit_pc_subspace(X, d, RadiusSpec.fixed(radii[j]))``, or
     ``RadiusSpec.none()`` where the radius is ``+inf``, to roundoff; bit for
     bit on the thin-SVD route, and for a one-radius path where both solve
-    the same eigenpairs (``d + 1 = p``), except that the radii below the
-    smallest row norm all take the eigenvectors of the largest of them and
-    its eigenvalues scaled by ``r^2``: the spherical-PCA subspace.  Radii
-    may come in any order and repeat.  ``X`` is validated once, every
-    covariance comes from one ``winsorized_second_moments`` call, and only
-    the top ``min(p, d + 1)`` eigenpairs of each distinct matrix are solved
-    for, which is what the subspace and its gap flag use; the solves spread
-    over the process's CPUs with the same bits as on one.  With
-    ``d <= n < p`` each distinct radius takes the thin SVD of its
-    winsorized rows instead, as in ``fit_pc_subspace``.
+    the same eigenpairs (``d + 1 = p``).  The radii below the smallest row
+    norm all take the eigenvectors of the unit rows' Gram and its
+    eigenvalues times ``r^2``, in a path as in a single fit: the
+    spherical-PCA subspace.  Radii may come in any order and repeat.  ``X``
+    is validated once, every covariance comes from one
+    ``winsorized_second_moments`` call, and only the top ``min(p, d + 1)``
+    eigenpairs of each distinct matrix are solved for, which is what the
+    subspace and its gap flag use; the solves spread over the process's
+    CPUs with the same bits as on one.  With ``d <= n < p`` each distinct
+    radius takes the thin SVD of its winsorized rows instead, as in
+    ``fit_pc_subspace``.
     """
     A = as_data_matrix(X)
     p = A.shape[1]

@@ -3,9 +3,10 @@
 A point is winsorized by projecting it onto the centered Euclidean ball of
 radius ``r`` whenever it lies outside: ``x`` maps to ``r * x / ||x||`` when
 ``||x|| > r`` and is untouched otherwise.  Two limiting policies are exposed
-alongside fixed radii: the spherical limit, where every row is normalized to
-unit length, and no winsorization at all, which recovers classical PCA
-downstream.  Data are assumed centered already; nothing here subtracts means.
+alongside fixed radii: no winsorization at all, which recovers classical PCA
+downstream, and the spherical limit ``r -> 0``, which fits the rows scaled to
+unit length (spherical PCA; a fit takes it as radius 0).  Data are assumed
+centered already; nothing here subtracts means.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import row_norms, unit_rows, winsorize_rows
+from ._kernels import row_norms, winsorize_rows
 
 __all__ = [
     "RadiusSpec",
     "winsorize_point",
     "winsorize_dataset",
-    "spherize_dataset",
     "resolve_radius",
 ]
 
@@ -117,26 +117,12 @@ def winsorize_dataset(X, r: float) -> np.ndarray:
     return winsorize_rows(A, r)
 
 
-def spherize_dataset(X) -> np.ndarray:
-    """Normalize every row to unit Euclidean norm; zero rows have no direction and raise."""
-    return _spherize_rows(as_data_matrix(X))
-
-
-def _spherize_rows(A: np.ndarray) -> np.ndarray:
-    """spherize_dataset on a matrix already validated by ``as_data_matrix``."""
-    norms = row_norms(A)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"cannot spherize zero rows at indices {zero.tolist()}")
-    return unit_rows(A, norms)
-
-
 def resolve_radius(X, spec: RadiusSpec) -> tuple[str, float | None]:
     """Turn a radius policy into an effective mode and numeric radius.
 
     Returns ``("winsorize", r)`` for the policies that yield a radius,
     which must be finite and positive (else ``ValueError``),
-    ``("spherize", None)`` for the spherical limit, and
+    ``("spherize", None)`` for the spherical limit (radius 0 to a fit), and
     ``("identity", None)`` when no winsorization is requested.  ``X`` is
     read, and validated, only by the policies that depend on the data.
     """

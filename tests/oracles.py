@@ -41,3 +41,19 @@ def assert_sound_records(fits):
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def spherical_fit(X, d):
+    """Spherical PCA by a plain route: the eigenvalues, descending, and a
+    top-d basis of ``U / n``, with U the Gram of the rows scaled to unit
+    length.
+
+    Each row is divided by its largest magnitude and then by its
+    ``np.linalg.norm``, so a row whose norm exceeds float64 still comes out
+    a unit row.  Rows must be nonzero.
+    """
+    X = np.asarray(X, dtype=float)
+    U = X / np.max(np.abs(X), axis=1, keepdims=True)
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    w, V = np.linalg.eigh(U.T @ U / X.shape[0])
+    return w[::-1], V[:, ::-1][:, :d]

@@ -274,6 +274,14 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", str(path), "--d", "1")
         assert code == 2 and "second moments overflow float64" in err
 
+    def test_spherical_radius_names_a_zero_row(self, capsys, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("1,0\n0,0\n3,4\n")
+        code, out, err = run_cli(capsys, "fit", str(path), "--d", "1",
+                                 "--radius", "spherical")
+        assert (code, out) == (2, "")
+        assert "cannot spherize zero rows at indices [1]" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fit", str(tmp_path / "nope.csv"), "--d", "1")
         assert code == 2 and "error:" in err

@@ -14,6 +14,7 @@ import pytest
 from winpca import (
     RadiusSpec,
     _kernels,
+    subspace,
     fit_pc_path,
     fit_pc_subspace,
     symmetric_eigh,
@@ -222,15 +223,16 @@ class TestRadiiBelowEveryNorm:
 
     def test_tiny_radius_takes_the_basis_of_the_largest(self):
         # r^2 = 1e-320 is subnormal: the matrix of 1e-160 alone has lost its
-        # digits, but the path takes the eigenvectors at r1.
-        X = _spiked(100, 5, seed=13)
-        X /= np.median(np.linalg.norm(X, axis=1))
-        r1 = 0.5 * np.linalg.norm(X, axis=1).min()
-        tiny, big = fit_pc_path(X, 2, [1e-160, r1])
-        assert tiny.basis.tobytes() == big.basis.tobytes()
-        assert np.array_equal(tiny.spectrum.eigenvalues,
-                              big.spectrum.eigenvalues * (1e-160 / r1) ** 2)
-        assert_sound_records([tiny, big])
+        # digits, but every low radius takes the eigenvectors of key 0, the
+        # unit rows' Gram over n, and its eigenvalues times r^2.
+        X = _unit_scale(100, 5, seed=13)
+        big = 0.5 * np.linalg.norm(X, axis=1).min()
+        fits = fit_pc_path(X, 2, [1e-160, big])
+        w, V = _kernels.top_eigh(subspace._second_moments(X, np.zeros(1))[0], 3)
+        for fit, r in zip(fits, [1e-160, big]):
+            assert fit.spectrum.eigenvectors.tobytes() == V.tobytes()
+            assert fit.spectrum.eigenvalues.tobytes() == (w * r ** 2).tobytes()
+        assert_sound_records(fits)
 
     @pytest.mark.parametrize("r", [1e-160, 1e-158])
     def test_fit_at_a_radius_with_subnormal_square_is_spherical(self, r):

@@ -26,12 +26,12 @@ import pytest
 
 import winpca
 from winpca import _kernels, subspace
-from winpca._kernels import thread_map
+from winpca._kernels import thread_map, unit_rows
 from winpca.cli import main
 from winpca.distributions import PopulationModel, make_rng
 from winpca.simulate import map_replications
-from winpca.subspace import fit_pc_path, winsorized_second_moments
-from winpca.transform import row_norms
+from winpca.subspace import fit_pc_path, fit_pc_subspace, winsorized_second_moments
+from winpca.transform import RadiusSpec, row_norms
 
 from oracles import assert_sound_records
 
@@ -87,6 +87,10 @@ def fit_bytes(fit) -> bytes:
 def path_digest() -> str:
     fits = [f for X, radii, *_ in (path_data(), low_path_data())
             for f in fit_pc_path(X, 2, radii)]
+    # Key 0 alone: the spherical fit, and a fit at one radius below every norm.
+    X, _, low = low_path_data()
+    fits += [fit_pc_subspace(X, 2, spec) for spec in (RadiusSpec.spherical(),
+                                                      RadiusSpec.fixed(low[2]))]
     return hashlib.sha256(b"".join(fit_bytes(f) for f in fits)).hexdigest()
 
 
@@ -309,15 +313,15 @@ class TestPathFanOut:
         fits = fit_pc_path(X, 2, radii)
         # Three inner radii, +inf, and one matrix for the four low radii.
         assert len(solves) == 5
-        # The largest low radius holds the bits of its own matrix of the
-        # path solved alone; the others hold its eigenvectors and scaled
-        # eigenvalues.
-        r1 = max(low)
-        w, V = _kernels.top_eigh(winsorized_second_moments(X, radii)[radii.index(r1)], 3)
+        # Every low radius holds the eigenvectors of key 0, the unit rows'
+        # Gram over n summed in the segments of this path, and its
+        # eigenvalues times r^2.
+        key0 = subspace._second_moments(X, np.array([0.0, *radii]))[0]
+        w, V = _kernels.top_eigh(key0, 3)
         for r in low:
             fit = fits[radii.index(r)]
             assert fit.spectrum.eigenvectors.tobytes() == V.tobytes()
-            assert fit.spectrum.eigenvalues.tobytes() == (w * (r / r1) ** 2).tobytes()
+            assert fit.spectrum.eigenvalues.tobytes() == (w * r ** 2).tobytes()
         assert_sound_records(fits)
 
     def test_a_zero_row_disables_sharing(self, solves):
@@ -337,13 +341,12 @@ class TestPathFanOut:
                             lambda W: calls.append(1) or real(W))
         fits = fit_pc_path(X, 2, radii)
         assert len(calls) == 4
-        r1 = max(low)
-        alone = fit_pc_path(X, 2, [r1])[0].spectrum
+        # Key 0 is the thin SVD of the unit rows.
+        w, V = real(unit_rows(X, row_norms(X)))
         for r in low:
             fit = fits[radii.index(r)]
-            assert fit.spectrum.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
-            assert (fit.spectrum.eigenvalues.tobytes()
-                    == (alone.eigenvalues * (r / r1) ** 2).tobytes())
+            assert fit.spectrum.eigenvectors.tobytes() == V.tobytes()
+            assert fit.spectrum.eigenvalues.tobytes() == (w * r ** 2).tobytes()
         assert_sound_records(fits)
 
     def test_thin_svd_route_solves_each_distinct_matrix_once(self, monkeypatch):

@@ -11,12 +11,11 @@ from winpca import (
     RadiusSpec,
     fit_pc_subspace,
     resolve_radius,
-    spherize_dataset,
     winsorize_dataset,
     winsorize_point,
 )
 
-from oracles import sin_theta_operator
+from oracles import sin_theta_operator, spherical_fit
 
 vectors = hnp.arrays(
     np.float64,
@@ -43,6 +42,17 @@ def _norm(x):
         return 0.0
     with np.errstate(over="ignore"):
         return top * float(np.linalg.norm(x / top))
+
+
+def _assert_spherical(X, d):
+    """The spherical fit of ``X`` against the oracle's: eigenvalues within
+    1e-15 (they sum to 1), the basis within 1e-12; returns the fit."""
+    fit = fit_pc_subspace(X, d, RadiusSpec.spherical())
+    vals, basis = spherical_fit(X, d)
+    assert (fit.mode, fit.effective_radius) == ("spherize", None)
+    assert np.allclose(fit.spectrum.eigenvalues, vals, rtol=0, atol=1e-15)
+    assert sin_theta_operator(fit.basis, basis) <= 1e-12
+    return fit
 
 
 def _rotation(p, seed):
@@ -172,14 +182,17 @@ class TestHugeAndTinyRows:
                            rtol=1e-15, atol=0)
 
     def test_huge_rows_spherized(self):
-        big = np.finfo(np.float64).max
-        out = spherize_dataset([[1e160, 1e160], [big, -big]])
-        assert np.allclose(out, [[0.5**0.5, 0.5**0.5], [0.5**0.5, -(0.5**0.5)]],
-                           rtol=1e-15, atol=0)
+        # Norms of 2.2e160 and 2.1e308, whose squares overflow; the second
+        # exceeds float64 itself.  Then fewer rows than columns: the thin SVD.
+        _assert_spherical([[1e160, 2e160], [-1.5e308, 1.5e308], [1.0, 0.0]], 1)
+        _assert_spherical([[1e160, 2e160, 0.0], [-1.5e308, 1.5e308, 1.5e308]], 1)
 
     def test_tiny_row_is_not_a_zero_row(self):
-        out = spherize_dataset([[1e-170, 0.0], [3e-200, 4e-200]])
-        assert np.allclose(out, [[1.0, 0.0], [0.6, 0.8]], rtol=1e-15, atol=0)
+        # Sums of squares of 1e-340 and 2.5e-399 underflow: the rows are
+        # still (1, 0) and (0.6, 0.8) in direction, on the Gram route and
+        # on the thin SVD.
+        _assert_spherical([[1e-170, 0.0], [3e-200, 4e-200]], 1)
+        _assert_spherical([[1e-170, 0.0, 0.0], [3e-200, 4e-200, 0.0]], 1)
         X = np.array([[1e-170, 1e-170], [0.0, 1e-170], [0.0, 0.0]])
         assert resolve_radius(X, RadiusSpec.median_norm()) == ("winsorize", 1e-170)
 
@@ -207,18 +220,30 @@ class TestHugeAndTinyRows:
 
 
 class TestSpherize:
+    """``RadiusSpec.spherical()`` fits the Gram of the unit rows over n."""
+
     def test_hand_value(self):
-        out = spherize_dataset(np.array([[3.0, 4.0]]))
-        assert np.allclose(out, [[0.6, 0.8]], rtol=0, atol=1e-15)
+        # One row (the thin SVD), and two opposite rows (the Gram route),
+        # of direction (0.6, 0.8).
+        for X in ([[3.0, 4.0]], [[3.0, 4.0], [-6.0, -8.0]]):
+            fit = _assert_spherical(X, 1)
+            assert np.allclose(fit.basis, [[0.6], [0.8]], rtol=0, atol=1e-15)
+            assert np.allclose(fit.spectrum.eigenvalues, [1.0, 0.0], rtol=0, atol=1e-15)
 
     def test_unit_rows_unchanged(self):
-        X = np.array([[1.0, 0.0], [0.0, -1.0]])
-        assert np.allclose(spherize_dataset(X), X, rtol=0, atol=1e-15)
+        X = np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
+        fit = _assert_spherical(X, 1)
+        plain = fit_pc_subspace(X, 1, RadiusSpec.none())
+        assert np.allclose(fit.spectrum.eigenvalues, plain.spectrum.eigenvalues,
+                           rtol=0, atol=1e-15)
+        assert sin_theta_operator(fit.basis, plain.basis) <= 1e-12
 
     def test_zero_row_errors_by_default(self):
         X = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
-        with pytest.raises(ValueError, match=r"\[1\]"):
-            spherize_dataset(X)
+        # The Gram route, then fewer rows than columns: the thin SVD.
+        for A in (X, np.hstack([X, np.zeros((3, 2))])):
+            with pytest.raises(ValueError, match=r"cannot spherize zero rows at indices \[1\]"):
+                fit_pc_subspace(A, 1, RadiusSpec.spherical())
 
     def test_spherize_equals_small_radius_winsorize_subspace(self):
         # winsorizing below every row norm is a rank-preserving row scaling,
@@ -229,6 +254,7 @@ class TestSpherize:
         fit_sph = fit_pc_subspace(X, 2, RadiusSpec.spherical())
         fit_win = fit_pc_subspace(X, 2, RadiusSpec.fixed(r0))
         assert sin_theta_operator(fit_sph.basis, fit_win.basis) <= 1e-10
+        _assert_spherical(X, 2)
 
 
 class TestResolveRadius:
