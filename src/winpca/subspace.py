@@ -309,12 +309,11 @@ def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[tuple]:
     """
     n, p = A.shape
     norms = row_norms(A)
-    least = norms.min()
-    if least == 0.0 and np.any(radii == 0.0):
+    if np.any(radii == 0.0) and not norms.all():
         raise ValueError("cannot spherize zero rows at indices "
                          f"{np.flatnonzero(norms == 0.0).tolist()}")
     slack = radii * (1.0 + BOUNDARY_REL_TOL)
-    low = slack < least
+    low = slack < norms.min()
     key = np.where(low, 0.0, np.where(slack < norms.max(), radii, math.inf))
     keys, first, which = np.unique(key, return_index=True, return_inverse=True)
     if d <= n < p:

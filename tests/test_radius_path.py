@@ -14,9 +14,9 @@ import pytest
 from winpca import (
     RadiusSpec,
     _kernels,
-    subspace,
     fit_pc_path,
     fit_pc_subspace,
+    subspace,
     symmetric_eigh,
     winsorize_dataset,
     winsorized_second_moments,
@@ -236,8 +236,8 @@ class TestRadiiBelowEveryNorm:
 
     @pytest.mark.parametrize("r", [1e-160, 1e-158])
     def test_fit_at_a_radius_with_subnormal_square_is_spherical(self, r):
-        # r^2 is subnormal, or its eigenvalues are: the fit must not solve
-        # a matrix that has lost its digits.
+        # r^2 (1e-320, 1e-316) is subnormal: the fit must not solve a
+        # matrix that has lost its digits.
         X = _unit_scale(100, 5, seed=13)
         spherical = fit_pc_subspace(X, 2, RadiusSpec.spherical())
         fit = fit_pc_subspace(X, 2, RadiusSpec.fixed(r))
