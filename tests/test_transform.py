@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -91,6 +91,7 @@ class TestWinsorizePoint:
             winsorize_point(np.array([np.inf, 0.0]), 1.0)
 
     @given(x=st.one_of(vectors, wide_vectors), r=st.one_of(radii, tiny_radii))
+    @example(x=np.array([1e-12, 1e-6, 1e-12]), r=1e-6)
     def test_norm_contract(self, x, r):
         out = winsorize_point(x, r)
         expected = min(_norm(x), r)
