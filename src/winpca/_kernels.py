@@ -21,11 +21,11 @@ that one handle; without them the pin leaves the threads alone.
 
 ``thread_map`` is the package's one source of threads.  Its helpers come
 from one standard-library thread pool that waits between maps, because a
-pool made per map cost fig1 7 % more CPU time.  A radius path spreads its
-eigensolves over the CPUs the process may run on, and ``--jobs`` spreads
-replications; a map inside a worker of another map runs serially, so the
-two never multiply.  Every matrix is still solved alone on
-one BLAS thread, so output bytes do not depend on the number of CPUs:
+pool made per map cost fig1 7 % more CPU time.  A replication's radius
+paths spread their eigensolves over the CPUs the process may run on, and
+``--jobs`` spreads replications; a map inside a worker of another map runs
+serially, so the two never multiply.  Every matrix is still solved alone
+on one BLAS thread, so output bytes do not depend on the number of CPUs:
 ``taskset -c 0`` keeps a run on one CPU and changes no byte.
 """
 

@@ -424,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed", type=int, default=42)
     p_exp.add_argument("--jobs", type=int, default=None,
                        help="threads that run replications (fig1, fig2, fig3; "
-                            "default 1); with one job each radius path spreads "
+                            "default 1); with one job each replication spreads "
                             "its eigensolves over the CPUs instead (taskset -c 0 "
                             "keeps a run on one CPU); output bytes depend on neither")
     p_exp.add_argument("--replications", type=int, default=None,

@@ -34,8 +34,9 @@ from .bounds import (
 )
 from .distributions import PopulationModel, make_rng
 from .simulate import apply_contamination, map_replications
-from .subspace import Subspace, fit_pc_path, fit_pc_subspace, principal_angles
-from .transform import RadiusSpec, row_norms
+from .subspace import (Subspace, _angles, _check_dim, _check_radii, _spectra,
+                       fit_pc_subspace, principal_angles)
+from .transform import RadiusSpec, as_data_matrix, row_norms
 
 __all__ = [
     "ResultTable",
@@ -130,10 +131,13 @@ def _replicate(one, count: int, jobs: int) -> tuple[np.ndarray, np.ndarray]:
 def _path_sines(datasets, d: int, radii, target: Subspace) -> np.ndarray:
     """sin theta to ``target`` of every ``fit_pc_path`` fit, one row per dataset.
 
-    Pass ``datasets`` as a generator: a list would hold every dataset at once.
+    One map solves the matrices of every dataset, and one stacked pass a
+    path's angles.  Pass ``datasets`` as a generator: no two then coexist.
     """
-    return np.array([[principal_angles(fit.subspace, target).sin_largest
-                      for fit in fit_pc_path(X, d, radii)] for X in datasets])
+    d, radii = _check_dim(d, target.p), _check_radii(radii)
+    return np.array([[math.sin(a) for a in _angles(
+        np.stack([vecs[:, :d] for _, vecs in path]), target.basis)[:, -1]]
+        for path in _spectra(map(as_data_matrix, datasets), d, radii)])
 
 
 def run_effect_of_radius(

@@ -7,8 +7,8 @@ the replication bodies of the preset experiments, on ``jobs`` threads,
 with OpenBLAS pinned to one thread.  Every replication derives its
 generator from (seed, replication index), so results are identical across
 runs and across worker counts.  With one job the radius paths of each
-replication spread their eigensolves over the process's CPUs instead;
-with more, each worker solves its paths on its own thread.
+replication pool their eigensolves into one map over the process's CPUs
+instead; with more, each worker solves its paths on its own thread.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ __all__ = [
 GAP_TIE_TOL = 1e-12
 # Largest entry of |B^T B - I| with which a basis B still counts as orthonormal.
 ORTHONORMAL_TOL = 1e-8
-# Paths of smaller matrices solve on the calling thread.  On a 2-vCPU
+# Batches of smaller matrices solve on the calling thread.  On a 2-vCPU
 # machine (paired, shuffled rounds), every path ran slower on two threads
 # below 32 columns; from 64 up, paths of 8 and 31 matrices ran 24-33 %
 # faster, and paths of 2 or 3 between 15 % faster and 11 % slower, with
@@ -284,29 +284,10 @@ def _thin_svd_spectrum(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _descending_eigenpairs(vals[::-1], Vh[::-1].T)  # as ascending pairs
 
 
-@one_blas_thread
-def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[tuple]:
-    """The eigenpairs ``(values, vectors)`` of the winsorized ``A`` at every radius.
-
-    With fewer rows than columns the thin SVD of the winsorized rows is
-    cheaper than the p x p Gram, and exact zeros fill the missing
-    eigenvalues; it has only n eigenvectors, so it needs n >= d.  Otherwise
-    ``top_eigh`` solves for the top ``k`` eigenpairs of each matrix of
-    ``winsorized_second_moments``.
-
-    Each distinct matrix is solved once.  A radius that clips no row (the
-    cut of ``_second_moments`` at n) leaves the raw rows, bit for bit as
-    ``+inf`` does, and equal radii give equal matrices; the radii that
-    share a matrix get copies of one solve.  A radius that clips every row
-    (the cut at 0) gives ``r^2 U / n``, with U the Gram of the unit rows:
-    all such radii share key 0, the spherical-PCA matrix ``U / n``, and take
-    its eigenvectors and its eigenvalues times ``r^2``.  Radius 0 is the
-    spherical limit itself, which raises on a zero row.  From
-    ``_THREADED_MIN_P`` columns up, the eigensolves spread over the
-    process's CPUs through ``thread_map``, each on one BLAS thread.  The
-    thin SVDs stay on the calling thread: numpy's SVD holds the
-    interpreter lock, so no second thread could run beside it.
-    """
+def _distinct(A: np.ndarray, d: int, radii: np.ndarray) -> tuple:
+    """``(low, first, which, items)`` of one dataset for ``_spectra``: radius
+    j takes distinct matrix ``which[j]``, ``low`` marks the radii that clip
+    every row, and ``items`` are the thin-SVD eigenpairs or the matrices."""
     n, p = A.shape
     norms = row_norms(A)
     if np.any(radii == 0.0) and not norms.all():
@@ -317,23 +298,58 @@ def _spectra(A: np.ndarray, d: int, radii: np.ndarray, k: int) -> list[tuple]:
     key = np.where(low, 0.0, np.where(slack < norms.max(), radii, math.inf))
     keys, first, which = np.unique(key, return_index=True, return_inverse=True)
     if d <= n < p:
-        spectra = [_thin_svd_spectrum(unit_rows(A, norms) if r == 0.0 else
-                                      A if math.isinf(r) else winsorize_rows(A, r))
-                   for r in keys]
-    else:
-        spectra = thread_map(lambda S: top_eigh(S, k), _second_moments(A, keys, norms),
-                             None if p >= _THREADED_MIN_P else 1)
-    # Radii after the first that share a matrix get copies, so no two fits
-    # share an array; a low radius scales key 0's eigenvalues into a new one.
+        return low, first, which, [
+            _thin_svd_spectrum(unit_rows(A, norms) if r == 0.0 else
+                               A if math.isinf(r) else winsorize_rows(A, r))
+            for r in keys]
+    return low, first, which, _second_moments(A, keys, norms)
+
+
+@one_blas_thread
+def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[list]:
+    """The eigenpairs ``(values, vectors)`` of each winsorized dataset at every radius.
+
+    With fewer rows than columns the thin SVD of the winsorized rows is
+    cheaper than the p x p Gram, and exact zeros fill the missing
+    eigenvalues; it has only n eigenvectors, so it needs n >= d.  Otherwise
+    ``top_eigh`` solves for the top ``k`` (else ``min(p, d + 1)``)
+    eigenpairs of each matrix of ``winsorized_second_moments``.
+
+    Each distinct matrix is solved once.  A radius that clips no row (the
+    cut of ``_second_moments`` at n) leaves the raw rows, bit for bit as
+    ``+inf`` does, and equal radii give equal matrices; the radii that
+    share a matrix get copies of one solve.  A radius that clips every row
+    (the cut at 0) gives ``r^2 U / n``, with U the Gram of the unit rows:
+    all such radii share key 0, the spherical-PCA matrix ``U / n``, and take
+    its eigenvectors and its eigenvalues times ``r^2``.  Radius 0 is the
+    spherical limit itself, which raises on a zero row.  The validated
+    datasets are reduced one at a time (``_distinct``) and dropped, so no
+    two from a generator exist at once; one ``thread_map`` then solves every
+    matrix, over the CPUs from ``_THREADED_MIN_P`` columns up.  The thin
+    SVDs run in the reduction: numpy's SVD holds the interpreter lock.
+    """
+    paths, jobs = [], []
+    # map holds no dataset between draws, where a for-loop variable would.
+    for low, first, which, items in map(lambda A: _distinct(A, d, radii), datasets):
+        if isinstance(items, np.ndarray):  # matrices, solved below
+            jobs += [(S, min(S.shape[0], d + 1) if k is None else k) for S in items]
+        paths.append((low, first, which, items))
+    small = all(S.shape[0] < _THREADED_MIN_P for S, _ in jobs)
+    solved = iter(thread_map(lambda job: top_eigh(*job), jobs, 1 if small else None))
     out = []
-    for j, i in enumerate(which):
-        vals, vecs = spectra[i] if j == first[i] else (a.copy() for a in spectra[i])
-        if low[j] and radii[j] > 0.0:
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = vals * radii[j] ** 2
-            if math.isinf(vals[0]):
-                raise ValueError(_OVERFLOW)
-        out.append((vals, vecs))
+    for low, first, which, items in paths:
+        spectra = [next(solved) for _ in items] if isinstance(items, np.ndarray) else items
+        # Radii sharing a matrix after the first get copies, so no two fits
+        # share an array; a low radius scales key 0's eigenvalues anew.
+        out.append([])
+        for j, i in enumerate(which):
+            vals, vecs = spectra[i] if j == first[i] else (a.copy() for a in spectra[i])
+            if low[j] and radii[j] > 0.0:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    vals = vals * radii[j] ** 2
+                if math.isinf(vals[0]):
+                    raise ValueError(_OVERFLOW)
+            out[-1].append((vals, vecs))
     return out
 
 
@@ -360,7 +376,7 @@ def fit_pc_subspace(X, d: int, spec: RadiusSpec) -> WPCAFit:
     d = _check_dim(d, A.shape[1])
     mode, r = _resolve_radius(A, spec)
     radius = 0.0 if mode == "spherize" else math.inf if r is None else r
-    vals, vecs = _spectra(A, d, np.array([radius]), A.shape[1])[0]
+    vals, vecs = _spectra([A], d, np.array([radius]), A.shape[1])[0][0]
     return _make_fit(vals, vecs, d, mode, r)
 
 
@@ -380,29 +396,30 @@ def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
     subspace and its gap flag use; the solves spread over the process's
     CPUs with the same bits as on one.  With ``d <= n < p`` each distinct
     radius takes the thin SVD of its winsorized rows instead, as in
-    ``fit_pc_subspace``.
+    ``fit_pc_subspace``; fig1 and fig2 pass a replication's datasets at once.
     """
     A = as_data_matrix(X)
-    p = A.shape[1]
-    d = _check_dim(d, p)
+    d = _check_dim(d, A.shape[1])
     radii = _check_radii(radii)
-    spectra = _spectra(A, d, radii, min(p, d + 1))
+    spectra = _spectra([A], d, radii)[0]
     return [_make_fit(*s, d, "identity", None) if math.isinf(r)
             else _make_fit(*s, d, "winsorize", float(r))
             for s, r in zip(spectra, radii)]
 
 
-def _basis_of(S) -> np.ndarray:
-    return S.basis if isinstance(S, Subspace) else Subspace(S).basis
-
-
-def _check_pair(U, W) -> tuple[np.ndarray, np.ndarray]:
-    Ub, Wb = _basis_of(U), _basis_of(W)
-    if Ub.shape[0] != Wb.shape[0]:
-        raise ValueError(f"ambient dimensions differ: {Ub.shape[0]} vs {Wb.shape[0]}")
-    if Ub.shape[1] != Wb.shape[1]:
-        raise ValueError(f"subspace dimensions differ: {Ub.shape[1]} vs {Wb.shape[1]}")
-    return Ub, Wb
+def _angles(U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Principal angles of each basis of the (R, p, d) stack ``U`` to ``W``, as
+    (R, d).  For d = 1 the cosine is ``|U_j.T @ W|``, bit for bit the one
+    singular value that an SVD of that 1 x 1 matrix gives."""
+    R, p, d = U.shape
+    if p == d:  # two bases of the whole space
+        return np.zeros((R, d))
+    M = U.transpose(0, 2, 1) @ W
+    cos = np.abs(M[:, :, 0]) if d == 1 else np.linalg.svd(M, compute_uv=False)
+    angles = np.arccos(np.clip(cos, 0.0, 1.0))
+    # Identical bases give exactly zero, not arccos of 1 minus roundoff.
+    angles[np.all(U == W, axis=(1, 2))] = 0.0
+    return angles
 
 
 @one_blas_thread
@@ -413,12 +430,9 @@ def principal_angles(U, W) -> AngleReport:
     angles are reported ascending, so ``largest`` is the angle that bounds
     subspace recovery error and ``smallest`` the best-aligned direction.
     """
-    Ub, Wb = _check_pair(U, W)
-    if Ub.shape[1] == Ub.shape[0] or np.array_equal(Ub, Wb):
-        # Identical bases, or two full bases of the whole space, span the
-        # same subspace; skip the SVD so the zero angle is exact rather
-        # than arccos of 1 minus roundoff.
-        return AngleReport(np.zeros(Ub.shape[1]))
-    sigma = np.linalg.svd(Ub.T @ Wb, compute_uv=False)
-    return AngleReport(np.arccos(np.clip(sigma, 0.0, 1.0)))
-
+    Ub, Wb = (S.basis if isinstance(S, Subspace) else Subspace(S).basis for S in (U, W))
+    if Ub.shape[0] != Wb.shape[0]:
+        raise ValueError(f"ambient dimensions differ: {Ub.shape[0]} vs {Wb.shape[0]}")
+    if Ub.shape[1] != Wb.shape[1]:
+        raise ValueError(f"subspace dimensions differ: {Ub.shape[1]} vs {Wb.shape[1]}")
+    return AngleReport(_angles(Ub[None], Wb)[0])

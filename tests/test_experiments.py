@@ -134,24 +134,25 @@ class TestEffectOfRadius:
         # Radii that clip no row share the raw rows' matrix, radii that clip
         # every row share one solve of the unit rows' matrix, and every
         # other radius has a matrix of its own.
+        # The hook sits on the reduction of each dataset of a batch.
         solves, keys, old_keys = [], [], []
-        real_spectra, real_solve = subspace._spectra, getattr(subspace, solver)
+        real_distinct, real_solve = subspace._distinct, getattr(subspace, solver)
 
         def solve(*args):
             solves.append(1)
             return real_solve(*args)
 
-        def spectra(A, d, radii, k):
+        def distinct(A, d, radii):
             norms = np.linalg.norm(A, axis=1)
             slack = radii * (1.0 + subspace.BOUNDARY_REL_TOL)
             raw = slack >= norms.max()
             low = slack < norms.min()
             keys.append(len(set(radii[~raw & ~low])) + raw.any() + low.any())
             old_keys.append(len(set(radii[~raw])) + raw.any())
-            return real_spectra(A, d, radii, k)
+            return real_distinct(A, d, radii)
 
         monkeypatch.setattr(subspace, solver, solve)
-        monkeypatch.setattr(subspace, "_spectra", spectra)
+        monkeypatch.setattr(subspace, "_distinct", distinct)
         run_effect_of_radius(scale=scale, seed=42, n_radii=n_radii)
         assert len(solves) == sum(keys) < sum(old_keys)
 

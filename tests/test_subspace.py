@@ -7,10 +7,12 @@ from winpca import (
     Subspace,
     fit_pc_subspace,
     principal_angles,
+    subspace,
     symmetric_eigh,
     winsorize_dataset,
     winsorized_second_moments,
 )
+from winpca.cli import main
 
 from oracles import assert_sound_records, sin_theta_operator
 
@@ -260,6 +262,86 @@ class TestPrincipalAngles:
         U = Subspace(np.eye(3)[:, :1])
         W = Subspace(np.eye(3)[:, 1:2])
         assert principal_angles(U, W).largest == pytest.approx(np.pi / 2)
+
+
+class TestStackedAngles:
+    """The private stacked pass behind ``principal_angles`` and fig1/fig2."""
+
+    @staticmethod
+    def _svd_route(U, W):
+        # The formula the pass replaced: arccos of the singular values of U^T W.
+        return np.arccos(np.clip(np.linalg.svd(U.T @ W, compute_uv=False), 0.0, 1.0))
+
+    def test_one_dimension_equals_the_svd_route_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        pairs = []
+        for p in (2, 3, 10, 100):
+            for _ in range(50):
+                pairs.append((_random_subspace(p, 1, rng), _random_subspace(p, 1, rng)))
+        for eps in np.geomspace(1e-15, 1e-1, 40):
+            U = _random_subspace(8, 1, rng)
+            N = rng.standard_normal((8, 1))
+            N -= U * (U.T @ N).item()
+            N /= np.linalg.norm(N)
+            # Nearly parallel, and nearly orthogonal, at angle about eps.
+            pairs.append((U, (U + eps * N) / np.linalg.norm(U + eps * N)))
+            pairs.append((U, (N + eps * U) / np.linalg.norm(N + eps * U)))
+        for U, W in pairs:
+            want = self._svd_route(U, W)
+            assert principal_angles(U, W).angles.tobytes() == want.tobytes()
+            stacked = subspace._angles(U[None], W)
+            assert stacked.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stacked_rows_equal_one_pair_calls(self, d):
+        rng = np.random.default_rng(31 + d)
+        p = 12
+        W = _random_subspace(p, d, rng)
+        U = np.stack([_random_subspace(p, d, rng) for _ in range(17)] + [W])
+        angles = subspace._angles(U, W)
+        assert angles.shape == (18, d)
+        for row, B in zip(angles, U):
+            assert row.tobytes() == principal_angles(B, W).angles.tobytes()
+        for row, B in zip(angles[:-1], U[:-1]):
+            assert row.tobytes() == self._svd_route(B, W).tobytes()
+        assert not angles[-1].any()
+
+    def test_identical_bases_and_the_whole_space_give_exact_zero(self):
+        rng = np.random.default_rng(34)
+        W = _random_subspace(6, 2, rng)
+        U = np.stack([W, _random_subspace(6, 2, rng), W])
+        angles = subspace._angles(U, W)
+        assert not angles[0].any() and not angles[2].any() and angles[1].all()
+        full = np.stack([_rotation(4, 1), _rotation(4, 2)])
+        assert subspace._angles(full, _rotation(4, 3)).tobytes() == np.zeros((2, 4)).tobytes()
+        assert principal_angles(_rotation(4, 1), _rotation(4, 2)).largest == 0.0
+
+    # Golden output of `winpca angles` on decimal bases, as the SVD route wrote it.
+    @pytest.mark.parametrize("a, b, want", [
+        ([[0.6], [0.8], [0.0]], [[0.8], [0.6], [0.0]],
+         ["# smallest=0.28379410920832798", "# largest=0.28379410920832798",
+          "# sin_largest=0.28000000000000014", "index,angle", "1,0.28379410920832798"]),
+        ([[1.0], [0.0], [0.0]], [[0.99999999995], [1e-5], [0.0]],
+         ["# smallest=1.0000000413743513e-05", "# largest=1.0000000413743513e-05",
+          "# sin_largest=1.0000000413576846e-05", "index,angle",
+          "1,1.0000000413743513e-05"]),
+        ([[0.6, 0.0], [0.8, 0.0], [0.0, 1.0], [0.0, 0.0]],
+         [[0.8, 0.0], [0.6, 0.0], [0.0, 0.6], [0.0, 0.8]],
+         ["# smallest=0.28379410920832798", "# largest=0.92729521800161219",
+          "# sin_largest=0.79999999999999993", "index,angle",
+          "1,0.28379410920832798", "2,0.92729521800161219"]),
+    ], ids=["d1", "d1-near", "d2"])
+    def test_cli_angles_output_is_unchanged(self, capsys, tmp_path, a, b, want):
+        paths = []
+        for name, cols in (("a.csv", a), ("b.csv", b)):
+            paths.append(str(tmp_path / name))
+            (tmp_path / name).write_text(
+                "\n".join(",".join(map(str, row)) for row in cols) + "\n")
+        assert main(["angles", *paths]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == ["# command=angles", f"# basis_a={paths[0]}",
+                           f"# basis_b={paths[1]}"]
+        assert [l for l in out[3:] if not l.startswith("# timestamp=")] == want
 
 
 class TestSinThetaOperator:

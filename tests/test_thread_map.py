@@ -20,6 +20,7 @@ import sys
 import threading
 import time
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -29,8 +30,15 @@ from winpca import _kernels, subspace
 from winpca._kernels import thread_map, unit_rows
 from winpca.cli import main
 from winpca.distributions import PopulationModel, make_rng
-from winpca.simulate import map_replications
-from winpca.subspace import fit_pc_path, fit_pc_subspace, winsorized_second_moments
+from winpca.experiments import _path_sines
+from winpca.simulate import apply_contamination, map_replications
+from winpca.subspace import (
+    Subspace,
+    fit_pc_path,
+    fit_pc_subspace,
+    principal_angles,
+    winsorized_second_moments,
+)
 from winpca.transform import RadiusSpec, row_norms
 
 from oracles import assert_sound_records
@@ -91,7 +99,17 @@ def path_digest() -> str:
     X, _, low = low_path_data()
     fits += [fit_pc_subspace(X, 2, spec) for spec in (RadiusSpec.spherical(),
                                                       RadiusSpec.fixed(low[2]))]
-    return hashlib.sha256(b"".join(fit_bytes(f) for f in fits)).hexdigest()
+    # One replication's batch: two datasets whose solves share one map.
+    _, radii, _ = low_path_data()
+    sines = _path_sines(batch_data(), 2, radii, Subspace(np.eye(X.shape[1], 2)))
+    return hashlib.sha256(b"".join(fit_bytes(f) for f in fits) + sines.tobytes()).hexdigest()
+
+
+def batch_data():
+    """path_data's sample and a copy with three rows far out, as a generator."""
+    X, _ = path_data()
+    yield X
+    yield apply_contamination(X, 3, np.full(X.shape[1], 1e3))
 
 
 def _experiment(capsys, *argv) -> list[str]:
@@ -424,6 +442,82 @@ class TestPathFanOut:
         # so its identity would differ from theirs.
         assert len(solves) == 6 * 9
         assert set(solves) <= bodies
+
+
+class TestReplicationBatch:
+    """The datasets of one replication share one map of eigensolves."""
+
+    @staticmethod
+    def _datasets():
+        """A Gram dataset that fans out, a thin-SVD one (n < p, padded to
+        the same p), one with a zero row, and radii below every nonzero
+        norm, inside each norm range, and +inf."""
+        X, _ = path_data()
+        p = X.shape[1]
+        thin = np.zeros((6, p))
+        thin[:, :20] = PopulationModel.gaussian(np.linspace(5.0, 1.0, 20)).draw(6, make_rng(8))
+        zero = X[::2].copy()
+        zero[0] = 0.0
+        datasets = [X, thin, zero]
+        norms = [row_norms(A) for A in datasets]
+        least = min(float(n[n > 0].min()) for n in norms)
+        radii = [0.5 * least, math.inf, 1e-3 * least]
+        for n in norms:
+            radii += list(np.quantile(n, [0.3, 0.7]))
+        return datasets, np.array(radii)
+
+    def test_each_dataset_gets_the_bits_of_its_own_path(self, force_cpus, monkeypatch):
+        force_cpus(2)
+        datasets, radii = self._datasets()
+        paths = [fit_pc_path(A, 2, radii) for A in datasets]
+        maps, real_map = [], subspace.thread_map
+        monkeypatch.setattr(subspace, "thread_map",
+                            lambda fn, items, workers: maps.append(workers)
+                            or real_map(fn, items, workers))
+        batch = subspace._spectra(iter(datasets), 2, radii)
+        # One map, spread over the CPUs, for all three datasets.
+        assert maps == [None]
+        for spectra, fits in zip(batch, paths):
+            assert len(spectra) == len(fits) == radii.size
+            for (vals, vecs), fit in zip(spectra, fits):
+                assert vals.tobytes() == fit.spectrum.eigenvalues.tobytes()
+                assert vecs.tobytes() == fit.spectrum.eigenvectors.tobytes()
+
+    def test_path_sines_are_the_angles_of_the_fits(self):
+        datasets, radii = self._datasets()
+        target = Subspace(np.eye(datasets[0].shape[1], 2))
+        want = [[principal_angles(fit.subspace, target).sin_largest
+                 for fit in fit_pc_path(A, 2, radii)] for A in datasets]
+        got = _path_sines(iter(datasets), 2, radii, target)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_a_dataset_is_released_before_the_next_is_drawn(self):
+        refs = []
+
+        def tracked(A):
+            refs.append(weakref.ref(A))
+            return A
+
+        def draws():
+            model = PopulationModel.gaussian(np.linspace(6.0, 1.0, subspace._THREADED_MIN_P))
+            for seed in range(3):
+                assert [ref() for ref in refs] == [None] * len(refs)
+                yield tracked(model.draw(160, make_rng(seed)))
+
+        _, radii = path_data()
+        p = subspace._THREADED_MIN_P
+        sines = _path_sines(draws(), 2, radii, Subspace(np.eye(p, 2)))
+        assert sines.shape == (3, len(radii)) and len(refs) == 3
+
+    def test_checks_of_fit_pc_path_are_kept(self):
+        X, radii = path_data()
+        target = Subspace(np.eye(X.shape[1], 2))
+        with pytest.raises(ValueError, match="non-finite"):
+            _path_sines(iter([X, np.full_like(X, np.nan)]), 2, radii, target)
+        with pytest.raises(ValueError, match="subspace dimension"):
+            _path_sines(iter([X]), X.shape[1] + 1, radii, target)
+        with pytest.raises(ValueError, match="positive"):
+            _path_sines(iter([X]), 2, [1.0, -1.0], target)
 
 
 class TestOutputBytes:

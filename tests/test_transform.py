@@ -14,6 +14,7 @@ from winpca import (
     winsorize_dataset,
     winsorize_point,
 )
+from winpca._kernels import BOUNDARY_REL_TOL
 
 from oracles import sin_theta_operator, spherical_fit
 
@@ -90,12 +91,15 @@ class TestWinsorizePoint:
         with pytest.raises(ValueError):
             winsorize_point(np.array([np.inf, 0.0]), 1.0)
 
+    # A row whose norm exceeds r by less than BOUNDARY_REL_TOL relative is
+    # left untouched, so the contract holds to that slack plus roundoff.
     @given(x=st.one_of(vectors, wide_vectors), r=st.one_of(radii, tiny_radii))
     @example(x=np.array([1e-12, 1e-6, 1e-12]), r=1e-6)
     def test_norm_contract(self, x, r):
         out = winsorize_point(x, r)
         expected = min(_norm(x), r)
-        assert abs(_norm(out) - expected) <= 1e-12 * max(expected, 1e-300)
+        slack = BOUNDARY_REL_TOL * expected + 4 * np.spacing(expected)
+        assert abs(_norm(out) - expected) <= slack
 
     @given(x=vectors, r=radii)
     def test_direction_preserved(self, x, r):
