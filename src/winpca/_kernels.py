@@ -113,41 +113,32 @@ def winsorize_rows(values: np.ndarray, limit: float) -> np.ndarray:
     return out
 
 
-# Entries per block of winsorized_term_sums: 32k, or 256 KiB per float64
-# temporary, so a block's passes stay in cache.
-_TERM_BLOCK_ENTRIES = 32_768
+def winsorized_term_sums(blocks, lam: np.ndarray, r2: np.ndarray):
+    """Accumulate winsorized second-moment terms over blocks of whitened draws.
 
-
-def winsorized_term_sums(y, lam: np.ndarray, r2):
-    """Accumulate winsorized second-moment terms over whitened draws.
-
-    For each draw ``y_i`` the term vector is ``lam * y_i**2 * f_i`` with
-    ``f_i = min(1, r2 / sum(lam * y_i**2))``.  Returns the coordinatewise
-    sum and sum of squares across draws, shape (p,), or (R, p) when ``r2``
-    is a vector of R squared radii, from which the caller forms Monte Carlo
-    means and standard errors.  ``y`` is an (n, p) array, split into blocks
-    of ``_TERM_BLOCK_ENTRIES // p`` rows, or an iterable of such blocks, so
-    a stream of draws never exists at once.  Each block is squared once for
-    all radii; the sums ``sum_i f_i y_i**2`` and ``sum_i f_i**2 y_i**4`` are
-    scaled by ``lam`` and ``lam**2`` once at the end, so equal blocks give
-    equal bits however the stream was drawn.
+    For each draw ``y_i`` and squared radius ``r2[j]`` the term vector is
+    ``lam * y_i**2 * f_i`` with ``f_i = min(1, r2[j] / sum(lam * y_i**2))``.
+    Returns the coordinatewise sum and sum of squares across draws, each of
+    shape (R, p) for R squared radii, from which the caller forms Monte
+    Carlo means and standard errors.  ``blocks`` is an iterable of (rows, p)
+    arrays, so a stream of draws never exists at once; the caller picks the
+    block size.  Each block is squared once for all radii; the sums
+    ``sum_i f_i y_i**2`` and ``sum_i f_i**2 y_i**4`` are scaled by ``lam``
+    and ``lam**2`` once at the end, so equal blocks give equal bits however
+    the stream was drawn.
     """
-    rows = max(1, _TERM_BLOCK_ENTRIES // lam.size)
-    blocks = np.split(y, range(rows, len(y), rows)) if isinstance(y, np.ndarray) else y
-    r2s = np.atleast_1d(np.asarray(r2, dtype=np.float64))
-    sums, sumsq = np.zeros((r2s.size, lam.size)), np.zeros((r2s.size, lam.size))
+    sums, sumsq = np.zeros((r2.size, lam.size)), np.zeros((r2.size, lam.size))
     for block in blocks:
         sq = block * block
         q = sq * sq
         s2 = sq @ lam
-        for j, r2j in enumerate(r2s):
+        for j, r2j in enumerate(r2):
             factor = np.ones_like(s2)
             np.divide(r2j, s2, out=factor, where=s2 > r2j)
             sums[j] += factor @ sq
             factor *= factor
             sumsq[j] += factor @ q
-    sums, sumsq = lam * sums, lam * lam * sumsq
-    return (sums, sumsq) if np.ndim(r2) else (sums[0], sumsq[0])
+    return lam * sums, lam * lam * sumsq
 
 
 # Negative eigenvalues of a positive semidefinite matrix within this

@@ -2,26 +2,27 @@
 
 Everything here evaluates a formula; nothing fits data.  The inputs are
 population quantities (covariance eigenvalues, subgaussian parameters),
-winsorized spectra (population ones estimated by Monte Carlo, sample ones
-read off a fitted covariance), and contamination levels.  Outputs are
-reported raw, without clipping to 1, since the formulas themselves are not
-clipped; a clipped convenience field is attached for plotting.
+contamination levels, and winsorized spectra: arrays of descending
+eigenvalues at a radius r, estimated by Monte Carlo or read off a fitted
+covariance, checked once per call by ``check_winsorized_spectra``.  Outputs
+are reported raw, without clipping to 1, since the formulas themselves are
+not clipped; a clipped convenience field is attached for plotting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import _TERM_BLOCK_ENTRIES, one_blas_thread, winsorized_term_sums
+from ._kernels import one_blas_thread, winsorized_term_sums
 from .distributions import PopulationModel, make_rng
 from .subspace import _check_radii, _second_moments
 from .transform import _check_radius, as_data_matrix
 
 __all__ = [
-    "WinsorizedSpectrum",
     "BoundReport",
     "estimate_winsorized_eigenvalues",
     "estimate_winsorized_spectra",
@@ -38,36 +39,9 @@ __all__ = [
     "perturbation_bound",
 ]
 
-@dataclass(frozen=True)
-class WinsorizedSpectrum:
-    """Eigenvalues of a winsorized covariance, descending, with provenance.
-
-    A winsorized vector has squared norm at most r^2, so each eigenvalue and
-    their sum are bounded by r^2; construction enforces this up to roundoff
-    plus three Monte Carlo standard errors when the values are estimated.
-    """
-
-    values: np.ndarray
-    radius: float
-    source: str
-    standard_errors: np.ndarray | None = None
-    n_draws: int | None = None
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("values must be a nonempty 1-D vector")
-        if self.source not in ("monte_carlo", "sample"):
-            raise ValueError(f"unknown source {self.source!r}")
-        ses = self.standard_errors
-        if ses is not None:
-            ses = np.asarray(ses, dtype=np.float64)
-            object.__setattr__(self, "standard_errors", ses)
-        check_winsorized_spectra(vals[None], [self.radius],
-                                 None if ses is None else ses[None])
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "radius", float(self.radius))
+# Entries per block of Monte Carlo draws: 32k, or 256 KiB per float64
+# temporary, so a block's passes stay in cache.
+_TERM_BLOCK_ENTRIES = 32_768
 
 
 def check_winsorized_spectra(values: np.ndarray, radii, standard_errors=None) -> None:
@@ -126,28 +100,36 @@ class BoundReport:
         return min(self.value, 1.0)
 
 
+class _Estimate(NamedTuple):
+    """Monte Carlo winsorized eigenvalues, descending, and their standard errors."""
+
+    values: np.ndarray
+    standard_errors: np.ndarray
+
+
 def estimate_winsorized_eigenvalues(
     model: PopulationModel, r: float, n_draws: int, seed: int
-) -> WinsorizedSpectrum:
-    """Monte Carlo estimate of the population winsorized eigenvalues.
-
-    For a diagonal covariance the jth winsorized eigenvalue is
-    ``E[lam_j * y_j**2 * min(1, r**2 / s**2)]`` with ``s**2`` the squared
-    norm of the unwinsorized draw; the expectation runs over the whitened
-    spherical generator y.  Standard errors of each coordinate travel with
-    the result.  The one-radius case of ``estimate_winsorized_spectra``.
-    """
-    return estimate_winsorized_spectra(model, [r], n_draws, seed)[0]
+) -> _Estimate:
+    """The Monte Carlo estimate at one radius: row 0 of
+    ``estimate_winsorized_spectra(model, [r], n_draws, seed)``, as (p,)
+    arrays.  Kept while ``perfbench`` traces and calls this name."""
+    values, standard_errors = estimate_winsorized_spectra(model, [r], n_draws, seed)
+    return _Estimate(values[0], standard_errors[0])
 
 
 def estimate_winsorized_spectra(
     model: PopulationModel, radii, n_draws: int, seed: int
-) -> list[WinsorizedSpectrum]:
-    """``estimate_winsorized_eigenvalues`` at every radius, from one stream of draws.
+) -> _Estimate:
+    """Monte Carlo population winsorized eigenvalues at every radius, shape (R, p).
 
-    Each block of ``_TERM_BLOCK_ENTRIES // p`` draws adds its terms at every
-    radius before the next is drawn, so memory stays at one block and each
-    draw serves the whole grid.  Entry j is bitwise the one-radius estimate.
+    For a diagonal covariance the jth winsorized eigenvalue at r is
+    ``E[lam_j * y_j**2 * min(1, r**2 / s**2)]`` with ``s**2`` the squared
+    norm of the unwinsorized draw; the expectation runs over the whitened
+    spherical generator y.  Returns ``(values, standard_errors)``, each row
+    sorted descending by value.  Each block of ``_TERM_BLOCK_ENTRIES // p``
+    draws adds its terms at every radius before the next is drawn, so memory
+    stays at one block and each draw serves the whole grid; row j is bitwise
+    the estimate at ``radii[j]`` alone.
     """
     if not isinstance(model, PopulationModel):
         raise ValueError("model must be a PopulationModel")
@@ -162,20 +144,20 @@ def estimate_winsorized_spectra(
     sums, sumsq = winsorized_term_sums(blocks, model.sigma_eigenvalues, radii * radii)
     means = sums / n_draws
     var = np.maximum(sumsq - n_draws * means * means, 0.0) / (n_draws - 1)
-    ses = np.sqrt(var / n_draws)
     order = np.argsort(-means, axis=1, kind="stable")
-    return [WinsorizedSpectrum(values=m[o], radius=r, source="monte_carlo",
-                               standard_errors=e[o], n_draws=n_draws, seed=int(seed))
-            for m, e, o, r in zip(means, ses, order, radii)]
+    values, ses = (np.take_along_axis(a, order, axis=1)
+                   for a in (means, np.sqrt(var / n_draws)))
+    check_winsorized_spectra(values, radii, ses)
+    return _Estimate(values, ses)
 
 
-def sample_winsorized_spectrum(X, r: float) -> WinsorizedSpectrum:
-    """Eigenvalues of the winsorized sample covariance of ``X`` at radius ``r``."""
-    # The spectrum is checked once, by its own constructor.
-    vals, radii = _sample_values(X, [r])
-    return WinsorizedSpectrum(values=vals[0], radius=float(radii[0]), source="sample")
+def sample_winsorized_spectrum(X, r: float) -> np.ndarray:
+    """Winsorized sample eigenvalues of ``X`` at one radius, descending: row 0
+    of ``sample_winsorized_values(X, [r])``.  Kept while ``perfbench`` traces it."""
+    return sample_winsorized_values(X, [r])[0]
 
 
+@one_blas_thread
 def sample_winsorized_values(X, radii) -> np.ndarray:
     """Winsorized sample eigenvalues of ``X`` at every radius, shape (R, p).
 
@@ -185,19 +167,12 @@ def sample_winsorized_values(X, radii) -> np.ndarray:
     eigenvalues from one stacked ``eigvalsh``, and the whole stack passes
     ``check_winsorized_spectra`` in one call.
     """
-    vals, radii = _sample_values(X, radii)
-    check_winsorized_spectra(vals, radii)
-    return vals
-
-
-@one_blas_thread
-def _sample_values(X, radii) -> tuple[np.ndarray, np.ndarray]:
-    """Unchecked (R, p) winsorized sample eigenvalues, and the validated radii."""
     A = as_data_matrix(X)
     radii = _check_radii(radii, finite=True)
     vals = np.linalg.eigvalsh(_second_moments(A, radii))[:, ::-1].copy()
     np.clip(vals, 0.0, None, out=vals)
-    return vals, radii
+    check_winsorized_spectra(vals, radii)
+    return vals
 
 
 def _check_eps(eps: float) -> float:
@@ -226,32 +201,34 @@ def _check_extreme_eigs(lam1, lamp) -> tuple[float, float]:
     return lam1, lamp
 
 
-def _gap_at(wspec: WinsorizedSpectrum, d: int) -> float:
-    vals = wspec.values
-    if not 1 <= d < vals.size:
-        raise ValueError(f"need 1 <= d < {vals.size} winsorized eigenvalues, got d={d}")
-    return float(vals[d - 1] - vals[d])
+def _gap_at(values: np.ndarray, d: int) -> float:
+    if not 1 <= d < values.size:
+        raise ValueError(f"need 1 <= d < {values.size} winsorized eigenvalues, got d={d}")
+    return float(values[d - 1] - values[d])
 
 
 def concentration_bound(
-    lam1: float, lamp: float, wspec: WinsorizedSpectrum, d: int,
+    lam1: float, lamp: float, values, r: float, d: int,
     eps: float, n: int, p: int, sigma_sub: float = math.inf,
 ) -> BoundReport:
     """Expected sin(largest angle) bound under eps-contamination.
 
-    The bound is ``2 r^2 eps / g + 256 min(r^2 lam1 / (p lamp),
-    lam1 sigma_sub^2) max(sqrt(p/n), p/n) / g`` with g the winsorized
-    eigengap at d; it is infinite when the gap vanishes.  ``sigma_sub`` is
-    the subgaussian parameter of the whitened vector; the default of inf
-    gives the bound for elliptical populations.
+    ``values`` are the descending winsorized eigenvalues at radius ``r``,
+    checked by ``check_winsorized_spectra``.  The bound is ``2 r^2 eps / g
+    + 256 min(r^2 lam1 / (p lamp), lam1 sigma_sub^2) max(sqrt(p/n), p/n) /
+    g`` with g the winsorized eigengap at d; it is infinite when the gap
+    vanishes.  ``sigma_sub`` is the subgaussian parameter of the whitened
+    vector; the default of inf gives the bound for elliptical populations.
     """
+    values = np.asarray(values, dtype=np.float64)
+    check_winsorized_spectra(values[None], [r])
     if not sigma_sub > 0:
         raise ValueError(f"sigma_sub must be positive (inf if elliptical), got {sigma_sub}")
     eps = _check_eps(eps)
     n, p = _check_counts(n, p)
     lam1, lamp = _check_extreme_eigs(lam1, lamp)
-    g = _gap_at(wspec, int(d))
-    r2 = wspec.radius ** 2
+    g = _gap_at(values, int(d))
+    r2 = float(r) ** 2
     if g <= 0.0:
         comps = {"contamination": math.inf, "sampling": math.inf}
         return BoundReport(math.inf, comps, {"positive_gap": False})
@@ -384,14 +361,13 @@ def breakdown_lower_bounds_from_values(values, r2, d: int):
     return out
 
 
-def wpca_breakdown_lower_bounds(wspec: WinsorizedSpectrum, d: int) -> tuple[float, float]:
-    """Breakdown-point lower bounds of a winsorized PC subspace from its spectrum.
-
-    See breakdown_lower_bounds_from_values for the formulas; the radius and
-    eigenvalues come from the supplied winsorized spectrum.
-    """
-    return breakdown_lower_bounds_from_values(
-        wspec.values, wspec.radius ** 2, d)
+def wpca_breakdown_lower_bounds(values, r: float, d: int) -> tuple[float, float]:
+    """``breakdown_lower_bounds_from_values(values, r ** 2, d)`` for a spectrum
+    that passes ``check_winsorized_spectra`` at ``r``; kept while
+    ``perfbench`` traces it."""
+    values = np.asarray(values, dtype=np.float64)
+    check_winsorized_spectra(values[None], [r])
+    return breakdown_lower_bounds_from_values(values, float(r) ** 2, d)
 
 
 def perturbation_bound(

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    WinsorizedSpectrum,
     breakdown_lower_bounds_from_values,
     concentration_bound,
     asymptotic_rate,
@@ -275,8 +274,8 @@ def _breakdown(a: argparse.Namespace):
 
 
 def _concentration(a: argparse.Namespace):
-    wspec = WinsorizedSpectrum(np.sort(_parse_float_list(a.weigs))[::-1], a.r, "sample")
-    report = concentration_bound(a.lam1, a.lamp, wspec, a.d, a.eps, a.n, a.p,
+    report = concentration_bound(a.lam1, a.lamp, np.sort(_parse_float_list(a.weigs))[::-1],
+                                 a.r, a.d, a.eps, a.n, a.p,
                                  math.inf if a.sigma is None else a.sigma)
     family = "elliptical" if a.sigma is None else "subgaussian"
     rows = [("value", report.value), *report.components.items(), ("clipped", report.clipped)]

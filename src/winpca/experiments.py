@@ -34,9 +34,8 @@ from .bounds import (
 )
 from .distributions import PopulationModel, make_rng
 from .simulate import apply_contamination, map_replications
-from .subspace import (Subspace, _angles, _check_dim, _check_radii, _spectra,
-                       fit_pc_subspace, principal_angles)
-from .transform import RadiusSpec, as_data_matrix, row_norms
+from .subspace import Subspace, _angles, _check_dim, _check_radii, _spectra
+from .transform import as_data_matrix, row_norms
 
 __all__ = [
     "ResultTable",
@@ -323,11 +322,15 @@ def run_perturbation_sweep(
     X0 = model.draw(n, make_rng(seed))
     norms = row_norms(X0)
     r = float(np.median(norms))
-    fit0 = fit_pc_subspace(X0, d, RadiusSpec.fixed(r))
-    # The pure fit's full spectrum is the winsorized sample spectrum at r.
-    vals = fit0.spectrum.eigenvalues
-    weak_lb, strong_lb = breakdown_lower_bounds_from_values(vals, r * r, d)
     outlier = np.array([0.0, float(norms.max()) ** 2 + 100.0])
+    # One map solves every contaminated dataset, all p eigenpairs each; m = 0
+    # is the pure fit, whose spectrum is the winsorized sample spectrum at r.
+    fits = [path[0] for path in _spectra(
+        (apply_contamination(X0, m, outlier) for m in range(m_max + 1)),
+        d, _check_radii([r]), p)]
+    vals, pure = fits[0][0], fits[0][1][:, :d]
+    angles = _angles(np.stack([vecs[:, :d] for _, vecs in fits]), pure)[:, -1]
+    weak_lb, strong_lb = breakdown_lower_bounds_from_values(vals, r * r, d)
     table = ResultTable(
         ("m", "epsilon", "observed_angle", "observed_sin", "bound1", "bound2",
          "min_bound", "weak_lb"),
@@ -337,17 +340,11 @@ def run_perturbation_sweep(
             weak_lb=weak_lb, strong_lb=strong_lb,
         ),
     )
-    for m in range(m_max + 1):
+    for m, angle in enumerate(angles.tolist()):
         eps = m / n
-        if m:
-            X = apply_contamination(X0, m, outlier)
-            fit = fit_pc_subspace(X, d, RadiusSpec.fixed(r))
-        else:
-            fit = fit0
-        report = principal_angles(fit.subspace, fit0.subspace)
         bd = perturbation_bound(vals[d - 1], vals[d], r, eps)
         bound2 = bd.components.get("bound2")
-        table.add(m, eps, report.largest, report.sin_largest,
+        table.add(m, eps, angle, math.sin(angle),
                   bd.components["bound1"], bound2, bd.value, weak_lb)
     return table
 

@@ -172,7 +172,7 @@ def symmetric_eigh(S) -> Spectrum:
     factorization.  Negative eigenvalues within roundoff of zero (1e-10
     relative to the largest) are clamped to exactly zero.  Each eigenvector is
     oriented so its largest-magnitude entry is positive.  This is
-    ``top_eigh`` with every eigenpair.
+    ``top_eigh`` with every eigenpair, kept while ``perfbench`` traces it.
     """
     A = np.ascontiguousarray(S, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:

@@ -125,6 +125,7 @@ def resolve_radius(X, spec: RadiusSpec) -> tuple[str, float | None]:
     ``("spherize", None)`` for the spherical limit (radius 0 to a fit), and
     ``("identity", None)`` when no winsorization is requested.  ``X`` is
     read, and validated, only by the policies that depend on the data.
+    Fits call ``_resolve_radius``; this is kept while ``perfbench`` traces it.
     """
     if isinstance(spec, RadiusSpec) and spec.kind in ("median_norm", "power_law"):
         X = as_data_matrix(X)

@@ -18,7 +18,6 @@ import scipy.stats
 from winpca import (
     PopulationModel,
     RadiusSpec,
-    WinsorizedSpectrum,
     apply_contamination,
     breakdown_lower_bounds_from_values,
     estimate_winsorized_eigenvalues,
@@ -88,7 +87,7 @@ def test_contamination_bound_dominates_observed_loss(report):
         p = X0.shape[1]
         d = int(rng.integers(1, p))
         wspec = sample_winsorized_spectrum(X0, r)
-        bd = perturbation_bound(wspec.values[d - 1], wspec.values[d], r, eps)
+        bd = perturbation_bound(wspec[d - 1], wspec[d], r, eps)
         fit0 = fit_pc_subspace(X0, d, RadiusSpec.fixed(r))
         fite = fit_pc_subspace(Xe, d, RadiusSpec.fixed(r))
         observed = principal_angles(fite.basis, fit0.basis).sin_largest
@@ -273,7 +272,7 @@ def test_single_outlier_breaks_classical_fit_only(report):
     r = float(np.median(np.linalg.norm(Xm, axis=1)))
     wspec = sample_winsorized_spectrum(X0, r)
     bound1 = perturbation_bound(
-        wspec.values[0], wspec.values[1], r, 1.0 / n).components["bound1"]
+        wspec[0], wspec[1], r, 1.0 / n).components["bound1"]
     rfit0 = fit_pc_subspace(X0, 1, RadiusSpec.fixed(r))
     rfitm = fit_pc_subspace(Xm, 1, RadiusSpec.fixed(r))
     sin_robust = principal_angles(rfitm.basis, rfit0.basis).sin_largest
@@ -348,7 +347,7 @@ def test_invariants_and_cli_determinism(report, tmp_path):
         X = rng.standard_normal((30, 4)) * rng.uniform(0.5, 5.0)
         r = float(rng.uniform(0.5, 5.0))
         ws = sample_winsorized_spectrum(X, r)
-        if ws.values.sum() > r * r * (1.0 + 1e-9):
+        if ws.sum() > r * r * (1.0 + 1e-9):
             failures.append("winsorized spectrum sums above r^2")
 
     for _ in range(100):

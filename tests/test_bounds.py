@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import winpca.bounds
-from winpca._kernels import _TERM_BLOCK_ENTRIES, winsorized_term_sums
+from winpca._kernels import winsorized_term_sums
+from winpca.bounds import _TERM_BLOCK_ENTRIES
 from winpca import (
     BoundReport,
     PopulationModel,
-    WinsorizedSpectrum,
     asymptotic_rate,
     breakdown_lower_bounds_from_values,
     check_winsorized_spectra,
@@ -28,55 +28,56 @@ from winpca import (
 )
 
 
-def _wspec(values, radius):
-    return WinsorizedSpectrum(np.asarray(values, dtype=float), radius, "sample")
+def _spectrum_checks(values, radius):
+    """The entry points that check one winsorized spectrum at ``radius``."""
+    vals = np.asarray(values, dtype=float)
+    return (lambda: check_winsorized_spectra(vals[None], [radius]),
+            lambda: concentration_bound(1.0, 1.0, vals, radius, 1, 0.1, 100, 100),
+            lambda: wpca_breakdown_lower_bounds(vals, radius, 1))
 
 
 class TestWinsorizedSpectrum:
-    def test_valid_construction(self):
-        ws = _wspec([0.75, 0.25], 1.0)
-        assert ws.values[0] == 0.75
-        assert ws.radius == 1.0
+    """A winsorized spectrum is a descending array at a radius r; each value
+    and their sum stay below r^2."""
+
+    def test_accepts_descending_values_within_radius(self):
+        for check in _spectrum_checks([0.75, 0.25], 1.0):
+            check()
+        assert concentration_bound(1.0, 1.0, [0.75, 0.25], 1.0, 1, 0.1, 100, 100).value > 0
 
     def test_rejects_ascending(self):
-        with pytest.raises(ValueError, match="descending"):
-            _wspec([0.25, 0.75], 1.0)
+        for check in _spectrum_checks([0.25, 0.75], 1.0):
+            with pytest.raises(ValueError, match="descending"):
+                check()
 
     def test_rejects_value_above_radius_squared(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            _wspec([1.5], 1.0)
+        for check in _spectrum_checks([1.5], 1.0):
+            with pytest.raises(ValueError, match="exceeds"):
+                check()
 
     def test_rejects_sum_above_radius_squared(self):
         # each value fits under r^2 but the trace cannot
-        with pytest.raises(ValueError, match="sum"):
-            _wspec([0.7, 0.6], 1.0)
+        for check in _spectrum_checks([0.7, 0.6], 1.0):
+            with pytest.raises(ValueError, match="sum"):
+                check()
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            _wspec([0.5, -0.1], 1.0)
-
-    def test_rejects_unknown_source(self):
-        with pytest.raises(ValueError, match="source"):
-            WinsorizedSpectrum(np.array([0.5]), 1.0, "guess")
+        for check in _spectrum_checks([0.5, -0.1], 1.0):
+            with pytest.raises(ValueError):
+                check()
 
     def test_rejects_bad_radius(self):
         for r in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                _wspec([0.5], r)
+            for check in _spectrum_checks([0.5, 0.25], r):
+                with pytest.raises(ValueError):
+                    check()
 
     def test_monte_carlo_slack_tolerates_noise(self):
-        ws = WinsorizedSpectrum(
-            np.array([1.0 + 1e-4]), 1.0, "monte_carlo",
-            standard_errors=np.array([1e-3]),
-        )
-        assert ws.values[0] > 1.0
+        check_winsorized_spectra(np.array([[1.0 + 1e-4]]), [1.0], np.array([[1e-3]]))
 
     def test_se_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            WinsorizedSpectrum(
-                np.array([0.5, 0.25]), 1.0, "monte_carlo",
-                standard_errors=np.array([1e-3]),
-            )
+            check_winsorized_spectra(np.array([[0.5, 0.25]]), [1.0], np.array([[1e-3]]))
 
 
 # (values, radius, standard errors or None, accepted?) for one spectrum.
@@ -110,12 +111,18 @@ class TestStackedSpectrumCheck:
     def test_agrees_with_winsorized_spectrum(self, values, radius, ses, accepted):
         vals = np.asarray(values, dtype=float)
         se = None if ses is None else np.asarray(ses, dtype=float)
-        source = "sample" if se is None else "monte_carlo"
-        if accepted:
-            WinsorizedSpectrum(vals, radius, source, standard_errors=se)
-        else:
-            with pytest.raises(ValueError):
-                WinsorizedSpectrum(vals, radius, source, standard_errors=se)
+        # The case as a one-row stack, and without standard errors as the
+        # spectrum of concentration_bound and wpca_breakdown_lower_bounds.
+        one_row = [lambda: check_winsorized_spectra(
+            vals[None], [radius], None if se is None else se[None])]
+        if se is None:
+            one_row += _spectrum_checks(vals, radius)[1:]
+        for check in one_row:
+            if accepted:
+                check()
+            else:
+                with pytest.raises(ValueError):
+                    check()
         # The case as one row of a stack between two valid rows.
         good = np.full_like(vals, 0.1 / vals.size)
         stack = np.stack((good, vals, good))
@@ -144,7 +151,7 @@ class TestSampleWinsorizedValues:
         vals = sample_winsorized_values(X, radii)
         # The grid adds segment Grams in another order than one radius does.
         for row, r in zip(vals, radii):
-            one = sample_winsorized_spectrum(X, r).values
+            one = sample_winsorized_spectrum(X, r)
             assert np.allclose(row, one, rtol=1e-12, atol=1e-12 * one[0])
 
     def test_each_spectrum_checked_once(self, monkeypatch):
@@ -202,8 +209,6 @@ class TestEstimateWinsorizedEigenvalues:
         ws = estimate_winsorized_eigenvalues(model, 2.0, 5_000, seed=11)
         assert ws.values.sum() <= 4.0 + 3.0 * ws.standard_errors.sum() + 1e-9
         assert np.all(np.diff(ws.values) <= 0)
-        assert ws.source == "monte_carlo"
-        assert ws.n_draws == 5_000
 
     def test_deterministic_for_fixed_seed(self):
         model = PopulationModel.gaussian(np.array([2.0, 1.0]))
@@ -233,14 +238,12 @@ class TestEstimateWinsorizedSpectra:
         model = self.MODELS[dist]
         n = blocks * (_TERM_BLOCK_ENTRIES // model.p) + extra
         radii = [0.5, 3.0, 7.5, 1e3]
-        grid = estimate_winsorized_spectra(model, radii, n, seed=9)
-        assert len(grid) == len(radii)
-        for r, got in zip(radii, grid):
+        values, ses = estimate_winsorized_spectra(model, radii, n, seed=9)
+        assert values.shape == ses.shape == (len(radii), model.p)
+        for r, got, got_se in zip(radii, values, ses):
             want = estimate_winsorized_eigenvalues(model, r, n, seed=9)
-            assert got.radius == want.radius == r
-            assert got.n_draws == n and got.seed == 9
-            assert np.array_equal(got.values, want.values)
-            assert np.array_equal(got.standard_errors, want.standard_errors)
+            assert np.array_equal(got, want.values)
+            assert np.array_equal(got_se, want.standard_errors)
 
     @pytest.mark.parametrize("n", [1000, 3 * (_TERM_BLOCK_ENTRIES // 4) + 7])
     def test_gaussian_stream_equals_one_shot_draw(self, n):
@@ -248,10 +251,29 @@ class TestEstimateWinsorizedSpectra:
         # the numbers one call gives, and the sums add in the same order.
         model = self.MODELS["gaussian"]
         lam = model.sigma_eigenvalues
+        rows = _TERM_BLOCK_ENTRIES // model.p
         for r in (2.0, 6.0):
             spec = estimate_winsorized_eigenvalues(model, r, n, seed=4)
-            s, _ = winsorized_term_sums(model.draw_whitened(n, make_rng(4)), lam, r * r)
-            assert np.array_equal(spec.values, np.sort(s / n)[::-1])
+            y = model.draw_whitened(n, make_rng(4))
+            s, _ = winsorized_term_sums(np.split(y, range(rows, n, rows)), lam,
+                                        np.array([r * r]))
+            assert np.array_equal(spec.values, np.sort(s[0] / n)[::-1])
+
+    def test_standard_errors_travel_with_their_values(self):
+        # An isotropic model's estimates differ only by noise, so sorting
+        # them reorders coordinates; each standard error moves with its value.
+        model = PopulationModel.gaussian(np.ones(4))
+        n, radii = 3000, np.array([0.5, 2.0, 9.0])
+        values, ses = estimate_winsorized_spectra(model, radii, n, seed=4)
+        rows = _TERM_BLOCK_ENTRIES // model.p
+        y = model.draw_whitened(n, make_rng(4))
+        s, sq = winsorized_term_sums(np.split(y, range(rows, n, rows)),
+                                     model.sigma_eigenvalues, radii * radii)
+        means = s / n
+        raw_ses = np.sqrt(np.maximum(sq - n * means * means, 0.0) / (n - 1) / n)
+        assert not np.array_equal(values, means)
+        for j in range(radii.size):
+            assert sorted(zip(values[j], ses[j])) == sorted(zip(means[j], raw_ses[j]))
 
     def test_memory_stays_at_one_block(self):
         model = self.MODELS["gaussian"]
@@ -288,20 +310,20 @@ class TestSampleWinsorizedSpectrum:
         r = 2.0
         ws = sample_winsorized_spectrum(X, r)
         norms = np.minimum(np.linalg.norm(X, axis=1), r)
-        assert ws.values.sum() == pytest.approx(np.mean(norms**2), rel=1e-12)
+        assert ws.sum() == pytest.approx(np.mean(norms**2), rel=1e-12)
 
     def test_all_rows_clipped_gives_full_trace(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((30, 3)) * 100.0
         ws = sample_winsorized_spectrum(X, 1.0)
-        assert ws.values.sum() == pytest.approx(1.0, rel=1e-12)
-        assert ws.source == "sample"
+        assert ws.shape == (3,)
+        assert ws.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 class TestConcentrationBounds:
     def test_elliptical_hand_value(self):
         rep = concentration_bound(
-            1.0, 1.0, _wspec([0.75, 0.25], 1.0), d=1, eps=0.1, n=100, p=100)
+            1.0, 1.0, [0.75, 0.25], 1.0, d=1, eps=0.1, n=100, p=100)
         assert rep.components["contamination"] == pytest.approx(0.4)
         assert rep.components["sampling"] == pytest.approx(5.12)
         assert rep.value == pytest.approx(5.52)
@@ -310,58 +332,58 @@ class TestConcentrationBounds:
 
     def test_clean_data_drops_contamination_term(self):
         rep = concentration_bound(
-            1.0, 1.0, _wspec([0.75, 0.25], 1.0), d=1, eps=0.0, n=100, p=100)
+            1.0, 1.0, [0.75, 0.25], 1.0, d=1, eps=0.0, n=100, p=100)
         assert rep.components["contamination"] == 0.0
 
     def test_zero_gap_is_infinite(self):
         rep = concentration_bound(
-            1.0, 1.0, _wspec([0.5, 0.5], 1.0), d=1, eps=0.1, n=100, p=100)
+            1.0, 1.0, [0.5, 0.5], 1.0, d=1, eps=0.1, n=100, p=100)
         assert math.isinf(rep.value)
         assert not rep.assumptions_met["positive_gap"]
 
     def test_eps_validation(self):
-        ws = _wspec([0.75, 0.25], 1.0)
+        ws = ([0.75, 0.25], 1.0)
         for eps in (-0.1, 0.5, 0.9):
             with pytest.raises(ValueError):
-                concentration_bound(1.0, 1.0, ws, 1, eps, 100, 100)
+                concentration_bound(1.0, 1.0, *ws, 1, eps, 100, 100)
 
     def test_eigenvalue_ordering_validation(self):
-        ws = _wspec([0.75, 0.25], 1.0)
+        ws = ([0.75, 0.25], 1.0)
         with pytest.raises(ValueError):
-            concentration_bound(1.0, 2.0, ws, 1, 0.1, 100, 100)
+            concentration_bound(1.0, 2.0, *ws, 1, 0.1, 100, 100)
 
     @pytest.mark.parametrize("lam1, lamp", [(math.inf, 1.0), (math.inf, math.inf),
                                             (math.nan, 1.0), (1.0, math.nan)])
     def test_rejects_non_finite_eigenvalues(self, lam1, lamp):
         with pytest.raises(ValueError, match="need finite lam1 >= lamp > 0, got "):
-            concentration_bound(lam1, lamp, _wspec([0.75, 0.25], 1.0), 1, 0.1, 100, 100)
+            concentration_bound(lam1, lamp, [0.75, 0.25], 1.0, 1, 0.1, 100, 100)
 
     def test_subgaussian_matches_elliptical_when_radius_branch_wins(self):
-        ws = _wspec([0.75, 0.25], 1.0)
-        ell = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100)
+        ws = ([0.75, 0.25], 1.0)
+        ell = concentration_bound(1.0, 1.0, *ws, 1, 0.1, 100, 100)
         # r^2/(p lamp) = 0.01, so any sigma with sigma^2 >= 0.01 changes nothing
-        sub = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100, sigma_sub=1.0)
+        sub = concentration_bound(1.0, 1.0, *ws, 1, 0.1, 100, 100, sigma_sub=1.0)
         assert sub.value == pytest.approx(ell.value)
-        at_branch = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100, sigma_sub=0.1)
+        at_branch = concentration_bound(1.0, 1.0, *ws, 1, 0.1, 100, 100, sigma_sub=0.1)
         assert at_branch.value == pytest.approx(ell.value)
 
     def test_subgaussian_sharper_when_sigma_small(self):
-        ws = _wspec([0.75, 0.25], 1.0)
-        ell = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100)
-        sub = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100, sigma_sub=0.05)
+        ws = ([0.75, 0.25], 1.0)
+        ell = concentration_bound(1.0, 1.0, *ws, 1, 0.1, 100, 100)
+        sub = concentration_bound(1.0, 1.0, *ws, 1, 0.1, 100, 100, sigma_sub=0.05)
         assert sub.components["sampling"] == pytest.approx(1.28)
         assert sub.value < ell.value
 
     def test_infinite_sigma_is_the_elliptical_bound(self):
-        ws = _wspec([0.75, 0.25], 1.0)
-        ell = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100)
-        sub = concentration_bound(1.0, 1.0, ws, 1, 0.1, 100, 100, sigma_sub=math.inf)
+        ws = ([0.75, 0.25], 1.0)
+        ell = concentration_bound(1.0, 1.0, *ws, 1, 0.1, 100, 100)
+        sub = concentration_bound(1.0, 1.0, *ws, 1, 0.1, 100, 100, sigma_sub=math.inf)
         assert sub == ell
 
     @pytest.mark.parametrize("sigma", [math.nan, 0.0, -1.0, -math.inf])
     @pytest.mark.parametrize("bound", [
         lambda s: concentration_bound(
-            1.0, 1.0, _wspec([0.75, 0.25], 1.0), 1, 0.1, 100, 100, sigma_sub=s),
+            1.0, 1.0, [0.75, 0.25], 1.0, 1, 0.1, 100, 100, sigma_sub=s),
         lambda s: subgaussian_param_winsorized(1.0, 1.0, 4, 2.0, s),
     ], ids=["concentration_bound", "subgaussian_param_winsorized"])
     def test_rejects_non_positive_or_nan_sigma(self, bound, sigma):
@@ -547,8 +569,7 @@ class TestBreakdownLowerBounds:
         assert strong == pytest.approx(max((3.0 - 0.5) / 8.0, (4.0 - 0.5) / 16.0))
 
     def test_typed_wrapper_delegates(self):
-        ws = _wspec([2.0, 1.0, 0.5], 2.0)
-        assert wpca_breakdown_lower_bounds(ws, 1) == \
+        assert wpca_breakdown_lower_bounds([2.0, 1.0, 0.5], 2.0, 1) == \
             breakdown_lower_bounds_from_values([2.0, 1.0, 0.5], 4.0, 1)
 
     def test_validation(self):
@@ -637,12 +658,16 @@ class TestBoundReport:
 
 # Every scalar radius of the bounds passes one check: finite and positive.
 RADIUS_CALLS = {
+    "concentration_bound": lambda r: concentration_bound(
+        1.0, 1.0, [0.5, 0.25], r, 1, 0.1, 100, 100),
     "estimate_winsorized_eigenvalues": lambda r: estimate_winsorized_eigenvalues(
         PopulationModel.gaussian(np.array([1.0])), r, 1000, seed=0),
     "perturbation_bound": lambda r: perturbation_bound(1.0, 0.0, r, 0.1),
     "sample_winsorized_spectrum": lambda r: sample_winsorized_spectrum(np.eye(3), r),
     "subgaussian_param_winsorized": lambda r: subgaussian_param_winsorized(
         4.0, 1.0, 10, r, 1.0),
+    "wpca_breakdown_lower_bounds": lambda r: wpca_breakdown_lower_bounds(
+        [0.5, 0.25], r, 1),
 }
 
 

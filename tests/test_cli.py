@@ -523,6 +523,10 @@ _CONC = ("--lam1", "1", "--lamp", "1", "--weigs", "0.75,0.25", "--r", "1", "--d"
          "--eps", "0.1", "--n", "100", "--p", "100")
 _CONC_META = ("# lam1=1\n# lamp=1\n# weigs=0.75,0.25\n# r=1\n# d=1\n"
               "# eps=0.10000000000000001\n# n=100\n# p=100\n")
+_CONC4 = ("--lam1", "9", "--lamp", "1", "--weigs", "0.1,1.5,0.7,1.1", "--r", "2",
+          "--d", "2", "--eps", "0.05", "--n", "1000", "--p", "4")
+_CONC4_META = ("# lam1=9\n# lamp=1\n# weigs=0.1,1.5,0.7,1.1\n# r=2\n# d=2\n"
+               "# eps=0.050000000000000003\n# n=1000\n# p=4\n")
 _BOUNDS_GOLDEN = [
     (("perturbation", "--gap", "1.0", "--eps", "0.1"),
      "# command=bounds.perturbation\n# gap=1\n# r=1\n# eps=0.10000000000000001\n"
@@ -548,6 +552,16 @@ _BOUNDS_GOLDEN = [
      "# command=bounds.rate\n# beta=1\n# p=10\n# n=1000\n# eps=0.10000000000000001\n"
      "# subgaussian=true\nquantity,value\ncontamination_term,100\n"
      "sampling_term,0.10000000000000001\n"),
+    # Unsorted weigs at r = 2, p = 4: the values reach the bound sorted, with
+    # the radius beside them.
+    (("concentration",) + _CONC4,
+     "# command=bounds.concentration\n# family=elliptical\n" + _CONC4_META +
+     "# sigma=none\nquantity,value\nvalue,365.29438645139714\n"
+     "contamination,0.99999999999999978\nsampling,364.29438645139714\nclipped,1\n"),
+    (("concentration",) + _CONC4 + ("--sigma", "0.1"),
+     "# command=bounds.concentration\n# family=subgaussian\n" + _CONC4_META +
+     "# sigma=0.10000000000000001\nquantity,value\nvalue,4.6429438645139722\n"
+     "contamination,0.99999999999999978\nsampling,3.6429438645139722\nclipped,1\n"),
 ]
 
 
@@ -555,6 +569,20 @@ _BOUNDS_GOLDEN = [
                          ids=[f"{a[0]}-{k}" for k, (a, _) in enumerate(_BOUNDS_GOLDEN)])
 def test_bounds_golden_bytes(capsys, argv, expected):
     assert run_cli(capsys, "bounds", *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("weigs, r, message", [
+    ("0.7,0.6", "1", "winsorized eigenvalues sum to more than the radius squared"),
+    ("1.5,0.25", "1", "a winsorized eigenvalue exceeds the radius squared"),
+    ("0.75,-0.25", "1", "eigenvalues must be finite and nonnegative"),
+    ("0.75,0.25", "nan", "radius must be finite and positive"),
+    ("0.75,0.25", "inf", "radius must be finite and positive"),
+])
+def test_concentration_rejects_spectrum_beyond_radius(capsys, weigs, r, message):
+    code, out, err = run_cli(
+        capsys, "bounds", "concentration", "--lam1", "1", "--lamp", "1", "--weigs", weigs,
+        "--r", r, "--d", "1", "--eps", "0.1", "--n", "100", "--p", "100")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def _fake_preset(real, calls, **defaults):

@@ -7,10 +7,14 @@ from winpca import experiments, subspace
 from winpca import (
     PRESETS,
     PopulationModel,
+    RadiusSpec,
     ResultTable,
-    WinsorizedSpectrum,
+    apply_contamination,
+    fit_pc_subspace,
     format_value,
     make_rng,
+    perturbation_bound,
+    principal_angles,
     run_breakdown_bounds,
     run_effect_of_radius,
     run_high_dim,
@@ -259,12 +263,12 @@ class TestBreakdownBounds:
             run_breakdown_bounds(replications=0)
 
     def test_equals_per_spectrum_bounds(self):
-        # The same table through one WinsorizedSpectrum per radius.
+        # The same table through one breakdown-bound call per radius.
         table = run_breakdown_bounds(seed=9, replications=4, n_radii=6)
         grid = [row[0] for row in table.rows[::2]]
         model = PopulationModel.gaussian(np.array([25.0, 25.0, 5.0, 1.0]))
         stack = np.array([
-            [wpca_breakdown_lower_bounds(WinsorizedSpectrum(v, r, "sample"), 2)
+            [wpca_breakdown_lower_bounds(v, r, 2)
              for v, r in zip(sample_winsorized_values(
                  model.draw(1000, make_rng(9, (rep,))), grid), grid)]
             for rep in range(4)])
@@ -317,6 +321,23 @@ class TestPerturbationSweep:
         weak = set(_col(sweep_table, "weak_lb"))
         assert len(weak) == 1
         assert sweep_table.metadata["weak_lb"] == format_value(weak.pop())
+
+    def test_equals_one_fit_per_level(self, sweep_table):
+        # The batched solve and angle pass give, bit for bit, the table of one
+        # fit_pc_subspace and one principal_angles call per contamination level.
+        X0 = PopulationModel.gaussian(np.array([25.0, 1.0])).draw(200, make_rng(5))
+        r = float(np.median(np.linalg.norm(X0, axis=1)))
+        assert sweep_table.metadata["radius"] == format_value(r)
+        outlier = np.array([0.0, float(sweep_table.metadata["outlier"])])
+        fit0 = fit_pc_subspace(X0, 1, RadiusSpec.fixed(r))
+        vals = fit0.spectrum.eigenvalues
+        for row in sweep_table.rows:
+            m = row[0]
+            fit = fit_pc_subspace(apply_contamination(X0, m, outlier), 1, RadiusSpec.fixed(r))
+            report = principal_angles(fit.subspace, fit0.subspace)
+            bd = perturbation_bound(vals[0], vals[1], r, m / 200)
+            assert row[2:6] == (report.largest, report.sin_largest,
+                                bd.components["bound1"], bd.components.get("bound2"))
 
     def test_deterministic(self, sweep_table):
         again = run_perturbation_sweep(seed=5, n=200, m_max=30)

@@ -6,12 +6,12 @@ from winpca import winsorize_dataset
 import pytest
 
 from winpca._kernels import (
-    _TERM_BLOCK_ENTRIES,
     BOUNDARY_REL_TOL,
     row_norms,
     winsorize_rows,
     winsorized_term_sums,
 )
+from winpca.bounds import _TERM_BLOCK_ENTRIES
 
 
 def _cases(seed):
@@ -28,6 +28,15 @@ def _winsorize_loop(X, r):
         if norm > r * (1.0 + BOUNDARY_REL_TOL):
             out[i] = [v * r / norm for v in row]
     return out
+
+
+def _term_sums(y, lam, r2):
+    """winsorized_term_sums on one (n, p) array and one squared radius, with
+    the array split into blocks by the Monte Carlo estimator's rule."""
+    rows = max(1, _TERM_BLOCK_ENTRIES // y.shape[1])
+    sums, sumsq = winsorized_term_sums(np.split(y, range(rows, len(y), rows)), lam,
+                                       np.array([r2]))
+    return sums[0], sumsq[0]
 
 
 def _term_sums_loop(y, lam, r2):
@@ -60,7 +69,7 @@ class TestAgainstLoops:
             y = rng.standard_normal((2000, p))
             lam = np.sort(rng.uniform(0.5, 9.0, p))[::-1].copy()
             r2 = float(np.median(np.sum(lam * y * y, axis=1)))
-            got_s, got_q = winsorized_term_sums(y, lam, r2)
+            got_s, got_q = _term_sums(y, lam, r2)
             want_s, want_q = _term_sums_loop(y, lam, r2)
             assert np.allclose(got_s, want_s, rtol=1e-10, atol=0)
             assert np.allclose(got_q, want_q, rtol=1e-10, atol=0)
@@ -76,7 +85,7 @@ class TestAgainstLoops:
         s2 = np.sum(lam * y * y, axis=1)
         # no row clipped, every row clipped, and about half of them
         for r2 in (2.0 * s2.max(), 0.5 * s2.min(), float(np.median(s2))):
-            got_s, got_q = winsorized_term_sums(y, lam, r2)
+            got_s, got_q = _term_sums(y, lam, r2)
             want_s, want_q = _term_sums_loop(y, lam, r2)
             assert np.allclose(got_s, want_s, rtol=1e-10, atol=0)
             assert np.allclose(got_q, want_q, rtol=1e-10, atol=0)
@@ -93,7 +102,7 @@ class TestAgainstLoops:
         got_s, got_q = winsorized_term_sums(blocks, lam, r2)
         assert got_s.shape == got_q.shape == (3, p)
         for j, r2j in enumerate(r2):
-            want_s, want_q = winsorized_term_sums(y, lam, r2j)
+            want_s, want_q = _term_sums(y, lam, r2j)
             assert np.array_equal(got_s[j], want_s)
             assert np.array_equal(got_q[j], want_q)
 

@@ -13,7 +13,7 @@ PUBLIC = {
     "symmetric_eigh", "winsorized_second_moments", "fit_pc_subspace",
     "fit_pc_path", "principal_angles",
     "PopulationModel", "make_rng",
-    "WinsorizedSpectrum", "BoundReport", "estimate_winsorized_eigenvalues",
+    "BoundReport", "estimate_winsorized_eigenvalues",
     "estimate_winsorized_spectra", "sample_winsorized_spectrum", "sample_winsorized_values",
     "check_winsorized_spectra", "concentration_bound", "asymptotic_rate",
     "subgaussian_param_winsorized", "covariance_deviation_bound",
