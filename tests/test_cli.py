@@ -585,6 +585,77 @@ def test_concentration_rejects_spectrum_beyond_radius(capsys, weigs, r, message)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# Exact stdout of `winpca fit --d 2` on small decimal CSVs with one far row:
+# a tall 8 x 3 matrix at every radius flag, and a wide 3 x 5 one, whose
+# fits take the thin-SVD route (n < p).
+_FIT_CSV = {
+    "tall": ("a,b,c\n1.5,0.25,-0.5\n-1.25,0.75,0.5\n2.0,-0.5,0.25\n0.5,1.25,-0.75\n"
+             "-1.75,-0.25,1.0\n1.0,0.5,0.5\n-0.5,-1.5,0.25\n40.0,-30.0,20.0\n"),
+    "wide": "1.5,0.25,-0.5,0.75,2.0\n-1.25,0.75,0.5,-0.25,1.0\n30.0,-20.0,10.0,5.0,-40.0\n",
+}
+_FIT_GOLDEN = [
+    ("tall", "median",
+     "# mode=winsorize\n# effective_radius=1.6007810593582121\n"
+     "# eigenvalues=1.4065100941156166,0.78216915644486518,0.19413324943951876\n",
+     "0.98512610878242313,-0.092054768139886417\n"
+     "0.034984835922269419,0.93415758292780726\n"
+     "-0.1682337987762671,-0.34478330864644346\n"),
+    ("tall", "fixed:2.5",
+     "# mode=winsorize\n# effective_radius=2.5\n"
+     "# eigenvalues=2.0251256842959133,1.0016001826242937,0.23108663307979393\n",
+     "0.98201862490327529,0.14731874115680887\n"
+     "-0.18590829550663862,0.86338360307733131\n"
+     "-0.032825691232574866,-0.48256185348738306\n"),
+    ("tall", "spherical",
+     "# mode=spherize\n# effective_radius=none\n"
+     "# eigenvalues=0.58727115587418965,0.31554866990077957,0.097180174225031224\n",
+     "0.98792156468046577,-0.11496719767084231\n"
+     "0.07492528281836644,0.94129471143325871\n"
+     "-0.13563621947653937,-0.31740637940578886\n"),
+    ("tall", "none",
+     "# mode=identity\n# effective_radius=none\n"
+     "# eigenvalues=363.39298118450318,1.323589597777723,0.25999171771898838\n",
+     "0.74364282842903795,0.66662371546919874\n"
+     "-0.55663327785994809,0.57500875654501205\n"
+     "0.37034408015378051,-0.47431819685797377\n"),
+    ("tall", "power:0",
+     "# mode=winsorize\n# effective_radius=1.7320508075688772\n"
+     "# eigenvalues=1.5253378701913443,0.81837362627199095,0.20316350353666557\n",
+     "0.98871469297813708,-0.049873570003244612\n"
+     "-0.0075802038154815787,0.92509587323346276\n"
+     "-0.14961883704689066,-0.37644422208548811\n"),
+    ("wide", "median",
+     "# mode=winsorize\n# effective_radius=2.6692695630078278\n"
+     "# eigenvalues=3.5706993780689715,2.2013118718213325,0.12382208344302986,0,0\n",
+     "-0.32984718540708619,0.84879805189263857\n"
+     "0.36919872871892079,-0.12140843374476254\n"
+     "-0.11078865641574287,-0.19898562903921241\n"
+     "0.0035829573260861276,0.32048786826004716\n"
+     "0.86174600029112414,0.34999157854569163\n"),
+    ("wide", "power:0",
+     "# mode=winsorize\n# effective_radius=2.2360679774997898\n"
+     "# eigenvalues=2.7494092668667993,1.6223009660171266,0.10745643378274126,0,0\n",
+     "-0.43393193097154376,0.7935084368875408\n"
+     "0.38659489757469701,-0.07545150308860657\n"
+     "-0.055054131722405912,-0.23580338410207036\n"
+     "-0.03504073458860428,0.31502073023146671\n"
+     "0.81116499798271657,0.45805036277729033\n"),
+]
+
+
+@pytest.mark.parametrize("shape, radius, fit_meta, body", _FIT_GOLDEN,
+                         ids=[f"{s}-{r}" for s, r, _, _ in _FIT_GOLDEN])
+def test_fit_golden_bytes(capsys, tmp_path, shape, radius, fit_meta, body):
+    path = tmp_path / f"{shape}.csv"
+    path.write_text(_FIT_CSV[shape])
+    n, p = (8, 3) if shape == "tall" else (3, 5)
+    expected = (f"# command=fit\n# input={path}\n# n={n}\n# p={p}\n# d=2\n"
+                f"# radius={radius}\n# center=false\n" + fit_meta +
+                "# degenerate_gap=false\nbasis_1,basis_2\n" + body)
+    assert run_cli(capsys, "fit", str(path), "--d", "2", "--radius", radius) == (
+        0, expected, "")
+
+
 def _fake_preset(real, calls, **defaults):
     """A stand-in for a preset with the same parameters but other defaults.
 
