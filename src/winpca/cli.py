@@ -214,7 +214,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "mode": fit.mode,
         "effective_radius":
             fit.effective_radius if fit.effective_radius is not None else "none",
-        "eigenvalues": ",".join(format_value(v) for v in fit.spectrum.eigenvalues),
+        "eigenvalues": ",".join(format_value(v) for v in fit.eigenvalues),
         "degenerate_gap": str(fit.degenerate_gap).lower(),
     }
     if fit.degenerate_gap:
@@ -246,16 +246,16 @@ def cmd_angles(args: argparse.Namespace) -> int:
             raise ValueError(f"{label}: basis must be finite")
     A = _orthonormalize_if_needed(A, args.basis_a)
     B = _orthonormalize_if_needed(B, args.basis_b)
-    report = principal_angles(A, B)
+    angles = principal_angles(A, B)
     meta = {
         "command": "angles",
         "basis_a": args.basis_a,
         "basis_b": args.basis_b,
-        "smallest": report.smallest,
-        "largest": report.largest,
-        "sin_largest": report.sin_largest,
+        "smallest": float(angles[0]),
+        "largest": float(angles[-1]),
+        "sin_largest": math.sin(angles[-1]),
     }
-    _emit_table(("index", "angle"), enumerate(report.angles, start=1), meta, args.out)
+    _emit_table(("index", "angle"), enumerate(angles, start=1), meta, args.out)
     return 0
 
 

@@ -34,7 +34,7 @@ from .bounds import (
 )
 from .distributions import PopulationModel, make_rng
 from .simulate import apply_contamination, map_replications
-from .subspace import Subspace, _angles, _check_dim, _check_radii, _spectra
+from .subspace import _angles, _check_dim, _check_radii, _spectra
 from .transform import as_data_matrix, row_norms
 
 __all__ = [
@@ -127,15 +127,16 @@ def _replicate(one, count: int, jobs: int) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.full(mean.shape, math.nan)
 
 
-def _path_sines(datasets, d: int, radii, target: Subspace) -> np.ndarray:
-    """sin theta to ``target`` of every ``fit_pc_path`` fit, one row per dataset.
+def _path_sines(datasets, d: int, radii, target: np.ndarray) -> np.ndarray:
+    """sin theta to the p x d orthonormal basis ``target`` of every
+    ``fit_pc_path`` fit, one row per dataset.
 
     One map solves the matrices of every dataset, and one stacked pass a
     path's angles.  Pass ``datasets`` as a generator: no two then coexist.
     """
-    d, radii = _check_dim(d, target.p), _check_radii(radii)
+    d, radii = _check_dim(d, target.shape[0]), _check_radii(radii)
     return np.array([[math.sin(a) for a in _angles(
-        np.stack([vecs[:, :d] for _, vecs in path]), target.basis)[:, -1]]
+        np.stack([vecs[:, :d] for _, vecs in path]), target)[:, -1]]
         for path in _spectra(map(as_data_matrix, datasets), d, radii)])
 
 
@@ -163,7 +164,7 @@ def run_effect_of_radius(
     eigs = np.concatenate(([100.0], np.ones(p - 1)))
     eps_levels = (0.0, 0.05)
     outliers = [round(eps * n) for eps in eps_levels]
-    target = Subspace(np.eye(p, d))
+    target = np.eye(p, d)
     table = ResultTable(
         ("distribution", "epsilon", "radius_kind", "radius", "statistic",
          "value", "std_error"),
@@ -237,7 +238,7 @@ def run_high_dim(
             ("spiked", np.concatenate(([9.0 * math.sqrt(p), 4.0 * math.sqrt(p)], fill))),
         )
         spike = np.eye(1, p, d)[0] * (float(n) * p)
-        target = Subspace(np.eye(p, d))
+        target = np.eye(p, d)
         for zi, dist in enumerate(dists):
             whitener = (PopulationModel.gaussian(np.ones(p)) if dist == "gaussian"
                         else PopulationModel.student_t(np.ones(p), 3.0))

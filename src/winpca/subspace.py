@@ -2,9 +2,11 @@
 
 The covariance here is the uncentered second-moment matrix ``X.T @ X / n``;
 winsorized PCA is the eigendecomposition of that matrix after the rows of
-``X`` have been winsorized, with no mean subtraction at any point.  Distances
-between fitted and target subspaces are measured by principal angles, the
-arccosines of the singular values of the cross-Gram matrix.
+``X`` have been winsorized, with no mean subtraction at any point.  A fit
+(``WPCAFit``) is a record of plain arrays, and a subspace is a p x d array
+with orthonormal columns.  Distances between fitted and target subspaces are
+measured by principal angles, the arccosines of the singular values of the
+cross-Gram matrix.
 
 The radius-path engine reads the winsorized covariance as a function of the
 radius: ``S(r) = (sum_{|x|<=r} x x^T + r^2 sum_{|x|>r} u u^T) / n`` with
@@ -34,9 +36,6 @@ from ._kernels import (
 from .transform import RadiusSpec, _resolve_radius, as_data_matrix
 
 __all__ = [
-    "Spectrum",
-    "Subspace",
-    "AngleReport",
     "WPCAFit",
     "symmetric_eigh",
     "winsorized_second_moments",
@@ -65,108 +64,46 @@ def _is_orthonormal(B: np.ndarray) -> bool:
         np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= ORTHONORMAL_TOL)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """The leading k <= p eigenvalues, descending, with orthonormal eigenvectors.
-
-    ``eigenvectors`` has p rows and at most k columns: as many as eigenvalues
-    from ``top_eigh`` (all p in ``symmetric_eigh`` and ``fit_pc_subspace``,
-    the top ``min(p, d + 1)`` in ``fit_pc_path``), and ``n`` on the thin-SVD
-    route (``d <= n < p``), whose trailing p - n eigenvalues are exact zeros.
-    Fits build their spectra unchecked, in ``_make_fit``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        vecs = np.asarray(self.eigenvectors, dtype=np.float64)
-        if vals.ndim != 1 or vecs.ndim != 2:
-            raise ValueError("Spectrum expects a 1-D value vector and 2-D vector matrix")
-        if vecs.shape[1] > vals.size or vals.size > vecs.shape[0]:
-            raise ValueError(
-                f"shape mismatch: {vals.size} eigenvalues, eigenvectors {vecs.shape}"
-            )
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))):
-            raise ValueError("eigenvalues and eigenvectors must be finite")
-        if np.any(np.diff(vals) > 0):
-            raise ValueError("eigenvalues must be sorted in descending order")
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A d-dimensional linear subspace of R^p, stored as an orthonormal basis."""
-
-    basis: np.ndarray
-
-    def __post_init__(self) -> None:
-        B = np.ascontiguousarray(self.basis, dtype=np.float64)
-        if B.ndim == 1:
-            B = B[:, None]
-        if B.ndim != 2 or B.shape[0] < 1 or B.shape[1] < 1:
-            raise ValueError("basis must be a nonempty p x d matrix")
-        if B.shape[1] > B.shape[0]:
-            raise ValueError(f"subspace dimension {B.shape[1]} exceeds ambient {B.shape[0]}")
-        if not _is_orthonormal(B):
-            raise ValueError(
-                f"basis must be finite with columns orthonormal within {ORTHONORMAL_TOL:g}")
-        object.__setattr__(self, "basis", B)
-
-    @property
-    def p(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.basis.shape[1]
-
-
-@dataclass(frozen=True)
-class AngleReport:
-    """Principal angles between two subspaces, ascending, in [0, pi/2]."""
-
-    angles: np.ndarray
-
-    @property
-    def smallest(self) -> float:
-        return float(self.angles[0])
-
-    @property
-    def largest(self) -> float:
-        return float(self.angles[-1])
-
-    @property
-    def sin_largest(self) -> float:
-        return math.sin(self.largest)
+def _check_basis(B) -> np.ndarray:
+    """``B`` as a C-order p x d float64 basis; a 1-D input is one column."""
+    B = np.ascontiguousarray(B, dtype=np.float64)
+    if B.ndim == 1:
+        B = B[:, None]
+    if B.ndim != 2 or B.shape[0] < 1 or B.shape[1] < 1:
+        raise ValueError("basis must be a nonempty p x d matrix")
+    if B.shape[1] > B.shape[0]:
+        raise ValueError(f"subspace dimension {B.shape[1]} exceeds ambient {B.shape[0]}")
+    if not _is_orthonormal(B):
+        raise ValueError(
+            f"basis must be finite with columns orthonormal within {ORTHONORMAL_TOL:g}")
+    return B
 
 
 @dataclass(frozen=True)
 class WPCAFit:
-    """Result of a PC-subspace fit: basis, spectrum, and how the radius resolved.
+    """Result of a PC-subspace fit: its arrays, and how the radius resolved.
 
-    A single fit carries the full spectrum, a path fit its top d + 1
-    eigenvalues (see ``Spectrum``).  ``degenerate_gap`` flags an eigenvalue
-    tie at the subspace boundary; the fit is still returned but downstream
-    gap-based bounds will be infinite.
+    ``basis`` is the p x d orthonormal basis of the fitted subspace, a C-order
+    copy of the first d columns of ``eigenvectors``.  ``eigenvalues`` descend,
+    one orthonormal column of ``eigenvectors`` per eigenvalue solved for: all
+    p in ``fit_pc_subspace``, the top ``min(p, d + 1)`` in ``fit_pc_path``,
+    and only n columns on the thin-SVD route (``d <= n < p``), whose trailing
+    p - n eigenvalues are exact zeros.  ``degenerate_gap`` flags an
+    eigenvalue tie at the subspace boundary; the fit is still returned but
+    downstream gap-based bounds will be infinite.
     """
 
-    subspace: Subspace
-    spectrum: Spectrum
+    basis: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     mode: str
     effective_radius: float | None
     degenerate_gap: bool
 
-    @property
-    def basis(self) -> np.ndarray:
-        return self.subspace.basis
-
 
 @one_blas_thread
-def symmetric_eigh(S) -> Spectrum:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+def symmetric_eigh(S) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(values, vectors)`` of a symmetric matrix, values descending.
 
     Input must be symmetric within 1e-8 relative; it is symmetrized before
     factorization.  Negative eigenvalues within roundoff of zero (1e-10
@@ -181,7 +118,7 @@ def symmetric_eigh(S) -> Spectrum:
         raise ValueError("matrix contains non-finite entries")
     if np.max(np.abs(A - A.T)) > 1e-8 * max(np.max(np.abs(A)), 1e-300):
         raise ValueError("matrix is not symmetric within 1e-8 relative")
-    return Spectrum(*top_eigh((A + A.T) / 2.0, A.shape[0]))
+    return top_eigh((A + A.T) / 2.0, A.shape[0])
 
 
 def _check_dim(d, p: int) -> int:
@@ -354,14 +291,11 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
 
 
 def _make_fit(vals, vecs, d: int, mode: str, r: float | None) -> WPCAFit:
-    # Both solvers give finite, descending eigenvalues and orthonormal
-    # columns, all that the constructors of Spectrum and Subspace check.
-    spectrum, subspace = object.__new__(Spectrum), object.__new__(Subspace)
-    vars(spectrum).update(eigenvalues=vals, eigenvectors=vecs)
-    vars(subspace).update(basis=vecs[:, :d].copy())  # C order, and never a view of vecs
+    """The fit of one solve's eigenpairs; its basis is a copy, never a view of
+    ``vecs``, and the gap at d is tied within ``GAP_TIE_TOL`` of the top value."""
     lam_next = vals[d] if d < vals.size else 0.0
     degenerate = (vals[d - 1] - lam_next) <= GAP_TIE_TOL * vals[0]
-    return WPCAFit(subspace, spectrum, mode, r, bool(degenerate))
+    return WPCAFit(vecs[:, :d].copy(), vals, vecs, mode, r, bool(degenerate))
 
 
 def fit_pc_subspace(X, d: int, spec: RadiusSpec) -> WPCAFit:
@@ -369,7 +303,7 @@ def fit_pc_subspace(X, d: int, spec: RadiusSpec) -> WPCAFit:
 
     The radius policy is resolved first; the rest is the one-radius case of
     ``fit_pc_path``, solving for all p eigenpairs, so bound computations can
-    consume the full winsorized sample spectrum.  The spherical policy is
+    consume the full winsorized sample spectrum in ``eigenvalues``.  The spherical policy is
     radius 0: the unit rows' Gram over n, the limit of ``S(r) / r^2``.
     """
     A = as_data_matrix(X)
@@ -392,8 +326,8 @@ def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
     spherical-PCA subspace.  Radii may come in any order and repeat.  ``X``
     is validated once, every covariance comes from one
     ``winsorized_second_moments`` call, and only the top ``min(p, d + 1)``
-    eigenpairs of each distinct matrix are solved for, which is what the
-    subspace and its gap flag use; the solves spread over the process's
+    eigenpairs of each distinct matrix are solved for and kept, which is what
+    the subspace and its gap flag use; the solves spread over the process's
     CPUs with the same bits as on one.  With ``d <= n < p`` each distinct
     radius takes the thin SVD of its winsorized rows instead, as in
     ``fit_pc_subspace``; fig1 and fig2 pass a replication's datasets at once.
@@ -423,16 +357,18 @@ def _angles(U: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 @one_blas_thread
-def principal_angles(U, W) -> AngleReport:
-    """Principal angles between two d-dimensional subspaces of R^p.
+def principal_angles(U, W) -> np.ndarray:
+    """Principal angles between two d-dimensional subspaces of R^p, as an
+    ascending (d,) array in [0, pi/2].
 
-    The cosines are the singular values of ``U.T @ W`` clamped to [0, 1];
-    angles are reported ascending, so ``largest`` is the angle that bounds
-    subspace recovery error and ``smallest`` the best-aligned direction.
+    Each basis is p x d (a 1-D input is one column), finite, with columns
+    orthonormal within ``ORTHONORMAL_TOL``.  The cosines are the singular
+    values of ``U.T @ W`` clamped to [0, 1]; the last angle is the one that
+    bounds subspace recovery error, the first the best-aligned direction.
     """
-    Ub, Wb = (S.basis if isinstance(S, Subspace) else Subspace(S).basis for S in (U, W))
+    Ub, Wb = _check_basis(U), _check_basis(W)
     if Ub.shape[0] != Wb.shape[0]:
         raise ValueError(f"ambient dimensions differ: {Ub.shape[0]} vs {Wb.shape[0]}")
     if Ub.shape[1] != Wb.shape[1]:
         raise ValueError(f"subspace dimensions differ: {Ub.shape[1]} vs {Wb.shape[1]}")
-    return AngleReport(_angles(Ub[None], Wb)[0])
+    return _angles(Ub[None], Wb)[0]

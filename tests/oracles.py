@@ -6,7 +6,7 @@ puts this directory on ``sys.path`` because it holds no ``__init__.py``.
 
 import numpy as np
 
-from winpca import Spectrum, Subspace
+from winpca.subspace import _check_basis
 
 
 def sin_theta_operator(U, W) -> float:
@@ -25,19 +25,27 @@ def sin_theta_operator(U, W) -> float:
 
 
 def assert_sound_records(fits):
-    """The records of fits pass the checks of their public constructors.
+    """The arrays of fits keep the contract of ``WPCAFit``.
 
-    The fit engine builds ``Spectrum`` and ``Subspace`` without those
-    checks, so each fit's spectrum and basis must construct, the basis must
-    be C-contiguous and come back bit for bit, and no two fits may share an
-    array.
+    The fit engine builds its records without checking solver output, so
+    here each fit's eigenvalues must be 1-D, finite and descending; its
+    eigenvectors 2-D and finite, with no more columns than eigenvalues and
+    no more eigenvalues than rows; its basis C-contiguous, the leading
+    eigenvectors, and bit for bit what ``principal_angles``' basis check
+    returns.  No two arrays of the fits may share memory.
     """
     arrays = []
     for f in fits:
-        Spectrum(f.spectrum.eigenvalues, f.spectrum.eigenvectors)
-        assert f.basis.flags.c_contiguous
-        assert f.basis.tobytes() == Subspace(f.basis).basis.tobytes()
-        arrays += [f.spectrum.eigenvalues, f.spectrum.eigenvectors, f.basis]
+        vals, vecs, B = f.eigenvalues, f.eigenvectors, f.basis
+        assert vals.dtype == vecs.dtype == B.dtype == np.float64
+        assert vals.ndim == 1 and vecs.ndim == 2
+        assert vecs.shape[1] <= vals.size <= vecs.shape[0], (vals.shape, vecs.shape)
+        assert np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))
+        assert not np.any(np.diff(vals) > 0)
+        assert B.flags.c_contiguous
+        assert B.tobytes() == _check_basis(B).tobytes()
+        assert np.array_equal(B, vecs[:, :B.shape[1]])
+        arrays += [vals, vecs, B]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)

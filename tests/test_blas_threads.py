@@ -193,8 +193,8 @@ class TestPin:
 
     def test_public_linear_algebra_runs_pinned(self, fake_blas):
         X = PopulationModel.gaussian([4.0, 2.0, 1.0]).draw(60, make_rng(2))
-        U = fit_pc_subspace(X, 1, RadiusSpec.none()).subspace
-        W = fit_pc_subspace(X, 1, RadiusSpec.median_norm()).subspace
+        U = fit_pc_subspace(X, 1, RadiusSpec.none()).basis
+        W = fit_pc_subspace(X, 1, RadiusSpec.median_norm()).basis
         S = X.T @ X / 60
         del fake_blas.sets[:]
         calls = [lambda: symmetric_eigh(S),

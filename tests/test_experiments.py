@@ -330,13 +330,13 @@ class TestPerturbationSweep:
         assert sweep_table.metadata["radius"] == format_value(r)
         outlier = np.array([0.0, float(sweep_table.metadata["outlier"])])
         fit0 = fit_pc_subspace(X0, 1, RadiusSpec.fixed(r))
-        vals = fit0.spectrum.eigenvalues
+        vals = fit0.eigenvalues
         for row in sweep_table.rows:
             m = row[0]
             fit = fit_pc_subspace(apply_contamination(X0, m, outlier), 1, RadiusSpec.fixed(r))
-            report = principal_angles(fit.subspace, fit0.subspace)
+            angles = principal_angles(fit.basis, fit0.basis)
             bd = perturbation_bound(vals[0], vals[1], r, m / 200)
-            assert row[2:6] == (report.largest, report.sin_largest,
+            assert row[2:6] == (float(angles[-1]), math.sin(angles[-1]),
                                 bd.components["bound1"], bd.components.get("bound2"))
 
     def test_deterministic(self, sweep_table):

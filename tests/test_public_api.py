@@ -9,8 +9,7 @@ MODULES = ("transform", "subspace", "distributions", "bounds", "simulate", "expe
 PUBLIC = {
     "__version__", "using_numba",
     "RadiusSpec", "winsorize_point", "winsorize_dataset", "resolve_radius",
-    "Spectrum", "Subspace", "AngleReport", "WPCAFit",
-    "symmetric_eigh", "winsorized_second_moments", "fit_pc_subspace",
+    "WPCAFit", "symmetric_eigh", "winsorized_second_moments", "fit_pc_subspace",
     "fit_pc_path", "principal_angles",
     "PopulationModel", "make_rng",
     "BoundReport", "estimate_winsorized_eigenvalues",

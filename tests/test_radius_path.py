@@ -55,10 +55,10 @@ def _assert_path_matches(X, d, radii):
         one = fit_pc_subspace(X, d, _spec(r))
         assert_sound_records([one])
         _, ref_vals, ref_basis = _reference(X, d, r)
-        vals = fit.spectrum.eigenvalues
+        vals = fit.eigenvalues
         scale = ref_vals[0]
         assert np.all(np.abs(vals[:k] - ref_vals[:k]) <= TOL * scale), r
-        assert np.all(np.abs(vals[:k] - one.spectrum.eigenvalues[:k]) <= TOL * scale), r
+        assert np.all(np.abs(vals[:k] - one.eigenvalues[:k]) <= TOL * scale), r
         assert _sin_theta(fit.basis, ref_basis) <= TOL, r
         assert _sin_theta(fit.basis, one.basis) <= TOL, r
         assert fit.mode == one.mode
@@ -88,7 +88,7 @@ class TestFitPcPath:
         X = _spiked(200, 8, seed=1)
         fits = _assert_path_matches(X, 2, RADII)
         # Only the eigenpairs a fit uses are solved for when n >= p.
-        assert all(f.spectrum.eigenvalues.shape == (3,) for f in fits)
+        assert all(f.eigenvalues.shape == (3,) for f in fits)
         assert fits[1].mode == "identity" and fits[1].effective_radius is None
         assert fits[0].mode == "winsorize" and fits[0].effective_radius == 3.0
 
@@ -133,12 +133,12 @@ class TestFitPcPath:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((6, 15)) * 2.0
         fits = _assert_path_matches(X, 2, [2.5, math.inf, 1.0])
-        assert fits[0].spectrum.eigenvalues.shape == (15,)
+        assert fits[0].eigenvalues.shape == (15,)
 
     def test_d_is_p_minus_one(self):
         X = _spiked(300, 5, seed=6)
         fits = _assert_path_matches(X, 4, [4.0, 1.0, math.inf])
-        assert fits[0].spectrum.eigenvalues.shape == (5,)
+        assert fits[0].eigenvalues.shape == (5,)
 
     # (n, p, d, r) where a single fit and the one-radius path solve the same
     # eigenpairs: all of them when d + 1 = p, or the thin SVD when
@@ -158,8 +158,8 @@ class TestFitPcPath:
         assert_sound_records([one, path])
         assert np.array_equal(one.basis, path.basis)
         k = min(p, d + 1)
-        assert np.array_equal(one.spectrum.eigenvalues[:k],
-                              path.spectrum.eigenvalues[:k])
+        assert np.array_equal(one.eigenvalues[:k],
+                              path.eigenvalues[:k])
         assert (one.mode, one.effective_radius) == (path.mode, path.effective_radius)
 
     @pytest.mark.skipif(_kernels._LAPACKE_DSYEVR is None,
@@ -172,10 +172,10 @@ class TestFitPcPath:
         X = _spiked(200, 8, seed=11)
         for spec in (RadiusSpec.median_norm(), RadiusSpec.none(),
                      RadiusSpec.spherical()):
-            assert fit_pc_subspace(X, 2, spec).spectrum.eigenvalues.shape == (8,)
-        spectrum = symmetric_eigh(X.T @ X / 200)
-        assert spectrum.eigenvalues.shape == (8,)
-        assert spectrum.eigenvectors.shape == (8, 8)
+            assert fit_pc_subspace(X, 2, spec).eigenvalues.shape == (8,)
+        vals, vecs = symmetric_eigh(X.T @ X / 200)
+        assert vals.shape == (8,)
+        assert vecs.shape == (8, 8)
 
     def test_eigh_fallback_without_lapacke(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_LAPACKE_DSYEVR", None)
@@ -230,8 +230,8 @@ class TestRadiiBelowEveryNorm:
         fits = fit_pc_path(X, 2, [1e-160, big])
         w, V = _kernels.top_eigh(subspace._second_moments(X, np.zeros(1))[0], 3)
         for fit, r in zip(fits, [1e-160, big]):
-            assert fit.spectrum.eigenvectors.tobytes() == V.tobytes()
-            assert fit.spectrum.eigenvalues.tobytes() == (w * r ** 2).tobytes()
+            assert fit.eigenvectors.tobytes() == V.tobytes()
+            assert fit.eigenvalues.tobytes() == (w * r ** 2).tobytes()
         assert_sound_records(fits)
 
     @pytest.mark.parametrize("r", [1e-160, 1e-158])
@@ -259,8 +259,8 @@ class TestRadiiBelowEveryNorm:
         fits = fit_pc_path(X, d, [*low, math.inf])
         for fit, r in zip(fits, low):
             one = fit_pc_subspace(X, d, RadiusSpec.fixed(r))
-            assert one.spectrum.eigenvalues.tobytes() == fit.spectrum.eigenvalues.tobytes(), r
-            assert one.spectrum.eigenvectors.tobytes() == fit.spectrum.eigenvectors.tobytes(), r
+            assert one.eigenvalues.tobytes() == fit.eigenvalues.tobytes(), r
+            assert one.eigenvectors.tobytes() == fit.eigenvectors.tobytes(), r
             assert one.basis.tobytes() == fit.basis.tobytes(), r
             assert ((one.mode, one.effective_radius, one.degenerate_gap)
                     == (fit.mode, fit.effective_radius, fit.degenerate_gap)), r

@@ -33,7 +33,6 @@ from winpca.distributions import PopulationModel, make_rng
 from winpca.experiments import _path_sines
 from winpca.simulate import apply_contamination, map_replications
 from winpca.subspace import (
-    Subspace,
     fit_pc_path,
     fit_pc_subspace,
     principal_angles,
@@ -87,7 +86,7 @@ def low_path_data():
 
 
 def fit_bytes(fit) -> bytes:
-    return b"".join([fit.spectrum.eigenvalues.tobytes(), fit.spectrum.eigenvectors.tobytes(),
+    return b"".join([fit.eigenvalues.tobytes(), fit.eigenvectors.tobytes(),
                      fit.basis.tobytes(), repr((fit.mode, fit.effective_radius,
                                                 fit.degenerate_gap)).encode()])
 
@@ -101,7 +100,7 @@ def path_digest() -> str:
                                                       RadiusSpec.fixed(low[2]))]
     # One replication's batch: two datasets whose solves share one map.
     _, radii, _ = low_path_data()
-    sines = _path_sines(batch_data(), 2, radii, Subspace(np.eye(X.shape[1], 2)))
+    sines = _path_sines(batch_data(), 2, radii, np.eye(X.shape[1], 2))
     return hashlib.sha256(b"".join(fit_bytes(f) for f in fits) + sines.tobytes()).hexdigest()
 
 
@@ -321,8 +320,8 @@ class TestPathFanOut:
         # Every fit holds the bits of its own matrix solved alone.
         for fit, S in zip(fits, winsorized_second_moments(X, radii)):
             w, V = _kernels.top_eigh(S, 3)
-            assert fit.spectrum.eigenvalues.tobytes() == w.tobytes()
-            assert fit.spectrum.eigenvectors.tobytes() == V.tobytes()
+            assert fit.eigenvalues.tobytes() == w.tobytes()
+            assert fit.eigenvectors.tobytes() == V.tobytes()
         assert [f.mode for f in fits].count("identity") == 1
         assert_sound_records(fits)
 
@@ -338,8 +337,8 @@ class TestPathFanOut:
         w, V = _kernels.top_eigh(key0, 3)
         for r in low:
             fit = fits[radii.index(r)]
-            assert fit.spectrum.eigenvectors.tobytes() == V.tobytes()
-            assert fit.spectrum.eigenvalues.tobytes() == (w * r ** 2).tobytes()
+            assert fit.eigenvectors.tobytes() == V.tobytes()
+            assert fit.eigenvalues.tobytes() == (w * r ** 2).tobytes()
         assert_sound_records(fits)
 
     def test_a_zero_row_disables_sharing(self, solves):
@@ -363,8 +362,8 @@ class TestPathFanOut:
         w, V = real(unit_rows(X, row_norms(X)))
         for r in low:
             fit = fits[radii.index(r)]
-            assert fit.spectrum.eigenvectors.tobytes() == V.tobytes()
-            assert fit.spectrum.eigenvalues.tobytes() == (w * r ** 2).tobytes()
+            assert fit.eigenvectors.tobytes() == V.tobytes()
+            assert fit.eigenvalues.tobytes() == (w * r ** 2).tobytes()
         assert_sound_records(fits)
 
     def test_thin_svd_route_solves_each_distinct_matrix_once(self, monkeypatch):
@@ -480,13 +479,13 @@ class TestReplicationBatch:
         for spectra, fits in zip(batch, paths):
             assert len(spectra) == len(fits) == radii.size
             for (vals, vecs), fit in zip(spectra, fits):
-                assert vals.tobytes() == fit.spectrum.eigenvalues.tobytes()
-                assert vecs.tobytes() == fit.spectrum.eigenvectors.tobytes()
+                assert vals.tobytes() == fit.eigenvalues.tobytes()
+                assert vecs.tobytes() == fit.eigenvectors.tobytes()
 
     def test_path_sines_are_the_angles_of_the_fits(self):
         datasets, radii = self._datasets()
-        target = Subspace(np.eye(datasets[0].shape[1], 2))
-        want = [[principal_angles(fit.subspace, target).sin_largest
+        target = np.eye(datasets[0].shape[1], 2)
+        want = [[math.sin(principal_angles(fit.basis, target)[-1])
                  for fit in fit_pc_path(A, 2, radii)] for A in datasets]
         got = _path_sines(iter(datasets), 2, radii, target)
         assert got.tobytes() == np.array(want).tobytes()
@@ -506,12 +505,12 @@ class TestReplicationBatch:
 
         _, radii = path_data()
         p = subspace._THREADED_MIN_P
-        sines = _path_sines(draws(), 2, radii, Subspace(np.eye(p, 2)))
+        sines = _path_sines(draws(), 2, radii, np.eye(p, 2))
         assert sines.shape == (3, len(radii)) and len(refs) == 3
 
     def test_checks_of_fit_pc_path_are_kept(self):
         X, radii = path_data()
-        target = Subspace(np.eye(X.shape[1], 2))
+        target = np.eye(X.shape[1], 2)
         with pytest.raises(ValueError, match="non-finite"):
             _path_sines(iter([X, np.full_like(X, np.nan)]), 2, radii, target)
         with pytest.raises(ValueError, match="subspace dimension"):

@@ -51,7 +51,7 @@ def _assert_spherical(X, d):
     fit = fit_pc_subspace(X, d, RadiusSpec.spherical())
     vals, basis = spherical_fit(X, d)
     assert (fit.mode, fit.effective_radius) == ("spherize", None)
-    assert np.allclose(fit.spectrum.eigenvalues, vals, rtol=0, atol=1e-15)
+    assert np.allclose(fit.eigenvalues, vals, rtol=0, atol=1e-15)
     assert sin_theta_operator(fit.basis, basis) <= 1e-12
     return fit
 
@@ -210,7 +210,7 @@ class TestHugeAndTinyRows:
         fit = fit_pc_subspace(X, 1, spec)
         r = fit.effective_radius
         expected = (r**2 + 2 * min(0.1, r) ** 2) / 3
-        assert fit.spectrum.eigenvalues.sum() == pytest.approx(expected, rel=1e-12)
+        assert fit.eigenvalues.sum() == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("X", [
         np.array([[1e160, 1e160], [1.0, 0.0], [0.0, 1.0]]),
@@ -233,13 +233,13 @@ class TestSpherize:
         for X in ([[3.0, 4.0]], [[3.0, 4.0], [-6.0, -8.0]]):
             fit = _assert_spherical(X, 1)
             assert np.allclose(fit.basis, [[0.6], [0.8]], rtol=0, atol=1e-15)
-            assert np.allclose(fit.spectrum.eigenvalues, [1.0, 0.0], rtol=0, atol=1e-15)
+            assert np.allclose(fit.eigenvalues, [1.0, 0.0], rtol=0, atol=1e-15)
 
     def test_unit_rows_unchanged(self):
         X = np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
         fit = _assert_spherical(X, 1)
         plain = fit_pc_subspace(X, 1, RadiusSpec.none())
-        assert np.allclose(fit.spectrum.eigenvalues, plain.spectrum.eigenvalues,
+        assert np.allclose(fit.eigenvalues, plain.eigenvalues,
                            rtol=0, atol=1e-15)
         assert sin_theta_operator(fit.basis, plain.basis) <= 1e-12
 
