@@ -103,7 +103,7 @@ class WPCAFit:
 
 @one_blas_thread
 def symmetric_eigh(S) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition ``(values, vectors)`` of a symmetric matrix, values descending.
+    """Eigenpairs ``(values, vectors)`` of a symmetric matrix, values descending.
 
     Input must be symmetric within 1e-8 relative; it is symmetrized before
     factorization.  Negative eigenvalues within roundoff of zero (1e-10

@@ -158,8 +158,7 @@ class TestFitPcPath:
         assert_sound_records([one, path])
         assert np.array_equal(one.basis, path.basis)
         k = min(p, d + 1)
-        assert np.array_equal(one.eigenvalues[:k],
-                              path.eigenvalues[:k])
+        assert np.array_equal(one.eigenvalues[:k], path.eigenvalues[:k])
         assert (one.mode, one.effective_radius) == (path.mode, path.effective_radius)
 
     @pytest.mark.skipif(_kernels._LAPACKE_DSYEVR is None,
