@@ -233,19 +233,23 @@ class TestRadiiBelowEveryNorm:
             assert fit.eigenvalues.tobytes() == (w * r ** 2).tobytes()
         assert_sound_records(fits)
 
-    @pytest.mark.parametrize("r", [1e-160, 1e-158])
+    @pytest.mark.parametrize("r", [1e-160, 1e-158, 1e-170, 1e-300])
     def test_fit_at_a_radius_with_subnormal_square_is_spherical(self, r):
-        # r^2 (1e-320, 1e-316) is subnormal: the fit must not solve a
-        # matrix that has lost its digits.
+        # r^2 (1e-320, 1e-316) is subnormal, or underflows to 0 (1e-340,
+        # 1e-600): the fit must not solve a matrix that has lost its digits,
+        # and its gap flag is the spherical fit's, though its eigenvalues
+        # r^2 lambda may all be zero.
         X = _unit_scale(100, 5, seed=13)
         spherical = fit_pc_subspace(X, 2, RadiusSpec.spherical())
         fit = fit_pc_subspace(X, 2, RadiusSpec.fixed(r))
         assert _sin_theta(fit.basis, spherical.basis) <= TOL
+        assert fit.eigenvalues.tobytes() == (spherical.eigenvalues * r ** 2).tobytes()
         assert not fit.degenerate_gap and not spherical.degenerate_gap
 
     def test_low_radii_flag_the_gap_alike(self):
         X = _unit_scale(100, 5, seed=13)
-        assert [f.degenerate_gap for f in fit_pc_path(X, 2, [1e-160, 1e-3])] == [False] * 2
+        radii = [1e-300, 1e-170, 1e-160, 1e-3]
+        assert [f.degenerate_gap for f in fit_pc_path(X, 2, radii)] == [False] * 4
 
     # Shapes where a single fit and a path solve the same eigenpairs: all
     # of them (d + 1 = p), and the thin SVD (d <= n < p).  A radius inside
