@@ -211,9 +211,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "d": args.d,
         "radius": args.radius,
         "center": str(bool(args.center)).lower(),
-        "mode": fit.mode,
-        "effective_radius":
-            fit.effective_radius if fit.effective_radius is not None else "none",
+        "mode": {0.0: "spherize", math.inf: "identity"}.get(fit.radius, "winsorize"),
+        "effective_radius": fit.radius if 0.0 < fit.radius < math.inf else "none",
         "eigenvalues": ",".join(format_value(v) for v in fit.eigenvalues),
         "degenerate_gap": str(fit.degenerate_gap).lower(),
     }

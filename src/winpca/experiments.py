@@ -136,7 +136,7 @@ def _path_sines(datasets, d: int, radii, target: np.ndarray) -> np.ndarray:
     """
     d, radii = _check_dim(d, target.shape[0]), _check_radii(radii)
     return np.array([[math.sin(a) for a in _angles(
-        np.stack([vecs[:, :d] for _, vecs in path]), target)[:, -1]]
+        np.stack([vecs[:, :d] for _, vecs, _ in path]), target)[:, -1]]
         for path in _spectra(map(as_data_matrix, datasets), d, radii)])
 
 
@@ -330,7 +330,7 @@ def run_perturbation_sweep(
         (apply_contamination(X0, m, outlier) for m in range(m_max + 1)),
         d, _check_radii([r]), p)]
     vals, pure = fits[0][0], fits[0][1][:, :d]
-    angles = _angles(np.stack([vecs[:, :d] for _, vecs in fits]), pure)[:, -1]
+    angles = _angles(np.stack([vecs[:, :d] for _, vecs, _ in fits]), pure)[:, -1]
     weak_lb, strong_lb = breakdown_lower_bounds_from_values(vals, r * r, d)
     table = ResultTable(
         ("m", "epsilon", "observed_angle", "observed_sin", "bound1", "bound2",

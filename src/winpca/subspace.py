@@ -33,7 +33,7 @@ from ._kernels import (
     unit_rows,
     winsorize_rows,
 )
-from .transform import RadiusSpec, _resolve_radius, as_data_matrix
+from .transform import RadiusSpec, as_data_matrix, resolve_radius
 
 __all__ = [
     "WPCAFit",
@@ -81,23 +81,24 @@ def _check_basis(B) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WPCAFit:
-    """Result of a PC-subspace fit: its arrays, and how the radius resolved.
+    """Result of a PC-subspace fit: its arrays, and the radius it was fit at.
 
     ``basis`` is the p x d orthonormal basis of the fitted subspace, a C-order
     copy of the first d columns of ``eigenvectors``.  ``eigenvalues`` descend,
     one orthonormal column of ``eigenvectors`` per eigenvalue solved for: all
     p in ``fit_pc_subspace``, the top ``min(p, d + 1)`` in ``fit_pc_path``,
     and only n columns on the thin-SVD route (``d <= n < p``), whose trailing
-    p - n eigenvalues are exact zeros.  ``degenerate_gap`` flags an
-    eigenvalue tie at the subspace boundary; the fit is still returned but
+    p - n eigenvalues are exact zeros.  ``radius`` is a float in [0, +inf]:
+    ``+inf`` is classical PCA and ``0`` spherical PCA.  ``degenerate_gap``
+    flags an eigenvalue tie at the subspace boundary, the same for every
+    radius below the smallest row norm; the fit is still returned but
     downstream gap-based bounds will be infinite.
     """
 
     basis: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    mode: str
-    effective_radius: float | None
+    radius: float
     degenerate_gap: bool
 
 
@@ -244,7 +245,8 @@ def _distinct(A: np.ndarray, d: int, radii: np.ndarray) -> tuple:
 
 @one_blas_thread
 def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[list]:
-    """The eigenpairs ``(values, vectors)`` of each winsorized dataset at every radius.
+    """Each winsorized dataset's eigenpairs at every radius, with ``tied``: whether
+    the gap at d is within ``GAP_TIE_TOL`` of the top value.
 
     With fewer rows than columns the thin SVD of the winsorized rows is
     cheaper than the p x p Gram, and exact zeros fill the missing
@@ -258,7 +260,8 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
     share a matrix get copies of one solve.  A radius that clips every row
     (the cut at 0) gives ``r^2 U / n``, with U the Gram of the unit rows:
     all such radii share key 0, the spherical-PCA matrix ``U / n``, and take
-    its eigenvectors and its eigenvalues times ``r^2``.  Radius 0 is the
+    its eigenvectors, its ``tied`` and its eigenvalues times ``r^2`` (zero
+    where that underflows).  Radius 0 is the
     spherical limit itself, which raises on a zero row.  The validated
     datasets are reduced one at a time (``_distinct``) and dropped, so no
     two from a generator exist at once; one ``thread_map`` then solves every
@@ -281,64 +284,60 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
         out.append([])
         for j, i in enumerate(which):
             vals, vecs = spectra[i] if j == first[i] else (a.copy() for a in spectra[i])
+            tied = bool(vals[d - 1] - (vals[d] if d < vals.size else 0.0)
+                        <= GAP_TIE_TOL * vals[0])
             if low[j] and radii[j] > 0.0:
                 with np.errstate(over="ignore", invalid="ignore"):
                     vals = vals * radii[j] ** 2
                 if math.isinf(vals[0]):
                     raise ValueError(_OVERFLOW)
-            out[-1].append((vals, vecs))
+            out[-1].append((vals, vecs, tied))
     return out
 
 
-def _make_fit(vals, vecs, d: int, mode: str, r: float | None) -> WPCAFit:
-    """The fit of one solve's eigenpairs; its basis is a copy, never a view of
-    ``vecs``, and the gap at d is tied within ``GAP_TIE_TOL`` of the top value."""
-    lam_next = vals[d] if d < vals.size else 0.0
-    degenerate = (vals[d - 1] - lam_next) <= GAP_TIE_TOL * vals[0]
-    return WPCAFit(vecs[:, :d].copy(), vals, vecs, mode, r, bool(degenerate))
+def _make_fit(vals, vecs, tied: bool, d: int, r: float) -> WPCAFit:
+    """The fit at radius ``r`` of one ``_spectra`` entry; its basis is a copy,
+    never a view of ``vecs``."""
+    return WPCAFit(vecs[:, :d].copy(), vals, vecs, float(r), tied)
 
 
 def fit_pc_subspace(X, d: int, spec: RadiusSpec) -> WPCAFit:
     """Fit the top-d PC subspace of ``X`` after applying a radius policy.
 
-    The radius policy is resolved first; the rest is the one-radius case of
-    ``fit_pc_path``, solving for all p eigenpairs, so bound computations can
-    consume the full winsorized sample spectrum in ``eigenvalues``.  The spherical policy is
-    radius 0: the unit rows' Gram over n, the limit of ``S(r) / r^2``.
+    ``resolve_radius`` turns the policy into the fit's ``radius``; the rest
+    is the one-radius case of ``fit_pc_path``, solving for all p eigenpairs,
+    so bound computations can consume the full winsorized sample spectrum in
+    ``eigenvalues``.  The spherical policy is radius 0: the unit rows' Gram
+    over n, the limit of ``S(r) / r^2``.
     """
     A = as_data_matrix(X)
     d = _check_dim(d, A.shape[1])
-    mode, r = _resolve_radius(A, spec)
-    radius = 0.0 if mode == "spherize" else math.inf if r is None else r
-    vals, vecs = _spectra([A], d, np.array([radius]), A.shape[1])[0][0]
-    return _make_fit(vals, vecs, d, mode, r)
+    r = resolve_radius(A, spec)
+    return _make_fit(*_spectra([A], d, np.array([r]), A.shape[1])[0][0], d, r)
 
 
 def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
     """Top-d PC subspaces of ``X`` along a path of winsorization radii.
 
-    Fit j equals ``fit_pc_subspace(X, d, RadiusSpec.fixed(radii[j]))``, or
-    ``RadiusSpec.none()`` where the radius is ``+inf``, to roundoff; bit for
-    bit on the thin-SVD route, and for a one-radius path where both solve
-    the same eigenpairs (``d + 1 = p``).  The radii below the smallest row
-    norm all take the eigenvectors of the unit rows' Gram and its
-    eigenvalues times ``r^2``, in a path as in a single fit: the
-    spherical-PCA subspace.  Radii may come in any order and repeat.  ``X``
-    is validated once, every covariance comes from one
-    ``winsorized_second_moments`` call, and only the top ``min(p, d + 1)``
-    eigenpairs of each distinct matrix are solved for and kept, which is what
-    the subspace and its gap flag use; the solves spread over the process's
-    CPUs with the same bits as on one.  With ``d <= n < p`` each distinct
+    Fit j has ``radius`` ``radii[j]`` and equals ``fit_pc_subspace(X, d,
+    RadiusSpec.fixed(radii[j]))``, or ``RadiusSpec.none()`` where the radius
+    is ``+inf``, to roundoff; bit for bit on the thin-SVD route, and for a
+    one-radius path where both solve the same eigenpairs (``d + 1 = p``).
+    The radii below the smallest row norm all take the eigenvectors of the
+    unit rows' Gram, its gap flag and its eigenvalues times ``r^2``, in a
+    path as in a single fit: the spherical-PCA subspace.  Radii may come in
+    any order and repeat.  ``X`` is validated once, every covariance comes
+    from one ``winsorized_second_moments`` call, and only the top
+    ``min(p, d + 1)`` eigenpairs of each distinct matrix are solved for and
+    kept, which is what the subspace and its gap flag use; the solves spread
+    over the process's CPUs with the same bits as on one.  With ``d <= n < p`` each distinct
     radius takes the thin SVD of its winsorized rows instead, as in
     ``fit_pc_subspace``; fig1 and fig2 pass a replication's datasets at once.
     """
     A = as_data_matrix(X)
     d = _check_dim(d, A.shape[1])
     radii = _check_radii(radii)
-    spectra = _spectra([A], d, radii)[0]
-    return [_make_fit(*s, d, "identity", None) if math.isinf(r)
-            else _make_fit(*s, d, "winsorize", float(r))
-            for s, r in zip(spectra, radii)]
+    return [_make_fit(*s, d, r) for s, r in zip(_spectra([A], d, radii)[0], radii)]
 
 
 def _angles(U: np.ndarray, W: np.ndarray) -> np.ndarray:

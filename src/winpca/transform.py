@@ -2,11 +2,11 @@
 
 A point is winsorized by projecting it onto the centered Euclidean ball of
 radius ``r`` whenever it lies outside: ``x`` maps to ``r * x / ||x||`` when
-``||x|| > r`` and is untouched otherwise.  Two limiting policies are exposed
-alongside fixed radii: no winsorization at all, which recovers classical PCA
-downstream, and the spherical limit ``r -> 0``, which fits the rows scaled to
-unit length (spherical PCA; a fit takes it as radius 0).  Data are assumed
-centered already; nothing here subtracts means.
+``||x|| > r`` and is untouched otherwise.  Every policy resolves to one
+radius in [0, +inf]: ``+inf`` leaves the rows alone, which is classical PCA,
+and ``0`` is the spherical limit ``r -> 0``, which fits the rows scaled to
+unit length (spherical PCA).  Data are assumed centered already; nothing
+here subtracts means.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from ._kernels import row_norms, winsorize_rows
 
 __all__ = [
     "RadiusSpec",
-    "winsorize_point",
     "winsorize_dataset",
     "resolve_radius",
 ]
@@ -94,63 +93,43 @@ def _check_radius(r: float) -> float:
     return r
 
 
-def winsorize_point(x, r: float) -> np.ndarray:
-    """Project a single vector onto the centered ball of radius ``r``.
-
-    Returns ``x`` unchanged when ``||x|| <= r`` (including the boundary) and
-    ``r * x / ||x||`` otherwise, so the output norm is ``min(||x||, r)`` and
-    the direction is preserved.
-    """
-    r = _check_radius(r)
-    v = np.ascontiguousarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("winsorize_point expects a nonempty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("input vector contains non-finite entries")
-    return winsorize_rows(v[None, :], r)[0]
-
-
 def winsorize_dataset(X, r: float) -> np.ndarray:
-    """Apply winsorize_point to every row of ``X``; shape is preserved."""
-    r = _check_radius(r)
-    A = as_data_matrix(X)
-    return winsorize_rows(A, r)
+    """Project every row of ``X`` onto the centered ball of radius ``r``.
 
-
-def resolve_radius(X, spec: RadiusSpec) -> tuple[str, float | None]:
-    """Turn a radius policy into an effective mode and numeric radius.
-
-    Returns ``("winsorize", r)`` for the policies that yield a radius,
-    which must be finite and positive (else ``ValueError``),
-    ``("spherize", None)`` for the spherical limit (radius 0 to a fit), and
-    ``("identity", None)`` when no winsorization is requested.  ``X`` is
-    read, and validated, only by the policies that depend on the data.
-    Fits call ``_resolve_radius``; this is kept while ``perfbench`` traces it.
+    A row is returned unchanged when ``||x|| <= r`` (including the boundary)
+    and as ``r * x / ||x||`` otherwise, so its norm becomes ``min(||x||, r)``
+    and its direction is preserved; the shape is preserved.  A single point
+    is the one-row case.
     """
-    if isinstance(spec, RadiusSpec) and spec.kind in ("median_norm", "power_law"):
-        X = as_data_matrix(X)
-    return _resolve_radius(X, spec)
+    r = _check_radius(r)
+    return winsorize_rows(as_data_matrix(X), r)
 
 
-def _resolve_radius(A: np.ndarray, spec: RadiusSpec) -> tuple[str, float | None]:
-    """resolve_radius on a matrix already validated by ``as_data_matrix``."""
+def resolve_radius(X, spec: RadiusSpec) -> float:
+    """Turn a radius policy into the radius a fit takes, in [0, +inf].
+
+    Returns ``+inf`` when no winsorization is requested (classical PCA),
+    ``0.0`` for the spherical limit, and otherwise the policy's radius,
+    which must be finite and positive (else ``ValueError``).  ``X`` is
+    read, and validated, only by the policies that depend on the data.
+    """
     if not isinstance(spec, RadiusSpec):
         raise ValueError("spec must be a RadiusSpec")
     if spec.kind == "none":
-        return "identity", None
+        return math.inf
     if spec.kind == "spherical":
-        return "spherize", None
+        return 0.0
     if spec.kind == "fixed":
         r, what = float(spec.value), "fixed radius"
     elif spec.kind == "power_law":
-        p = A.shape[1]
+        p = as_data_matrix(X).shape[1]
         try:
             r = float(p) ** (0.5 + spec.value)
         except OverflowError:
             r = math.inf
         what = f"power-law radius p**(0.5 + beta) for p={p}, beta={spec.value}"
     else:
-        norms, what = row_norms(A), "median row norm"
+        norms, what = row_norms(as_data_matrix(X)), "median row norm"
         with np.errstate(over="ignore"):
             r = float(np.median(norms))
         if math.isinf(r):  # the sum of two finite middle norms overflows
@@ -158,4 +137,4 @@ def _resolve_radius(A: np.ndarray, spec: RadiusSpec) -> tuple[str, float | None]
     if not 0.0 < r < math.inf:
         raise ValueError(f"{what} is {r}; the winsorization radius must be "
                          "finite and positive")
-    return "winsorize", r
+    return r

@@ -8,7 +8,7 @@ MODULES = ("transform", "subspace", "distributions", "bounds", "simulate", "expe
 
 PUBLIC = {
     "__version__", "using_numba",
-    "RadiusSpec", "winsorize_point", "winsorize_dataset", "resolve_radius",
+    "RadiusSpec", "winsorize_dataset", "resolve_radius",
     "WPCAFit", "symmetric_eigh", "winsorized_second_moments", "fit_pc_subspace",
     "fit_pc_path", "principal_angles",
     "PopulationModel", "make_rng",

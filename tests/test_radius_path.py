@@ -61,8 +61,7 @@ def _assert_path_matches(X, d, radii):
         assert np.all(np.abs(vals[:k] - one.eigenvalues[:k]) <= TOL * scale), r
         assert _sin_theta(fit.basis, ref_basis) <= TOL, r
         assert _sin_theta(fit.basis, one.basis) <= TOL, r
-        assert fit.mode == one.mode
-        assert fit.effective_radius == one.effective_radius
+        assert fit.radius == one.radius == r
         assert fit.degenerate_gap == one.degenerate_gap
     return fits
 
@@ -89,8 +88,7 @@ class TestFitPcPath:
         fits = _assert_path_matches(X, 2, RADII)
         # Only the eigenpairs a fit uses are solved for when n >= p.
         assert all(f.eigenvalues.shape == (3,) for f in fits)
-        assert fits[1].mode == "identity" and fits[1].effective_radius is None
-        assert fits[0].mode == "winsorize" and fits[0].effective_radius == 3.0
+        assert fits[1].radius == math.inf and fits[0].radius == 3.0
 
     def test_second_moments_match_winsorized_gram(self):
         X = _spiked(150, 6, seed=2)
@@ -159,7 +157,7 @@ class TestFitPcPath:
         assert np.array_equal(one.basis, path.basis)
         k = min(p, d + 1)
         assert np.array_equal(one.eigenvalues[:k], path.eigenvalues[:k])
-        assert (one.mode, one.effective_radius) == (path.mode, path.effective_radius)
+        assert one.radius == path.radius == r
 
     @pytest.mark.skipif(_kernels._LAPACKE_DSYEVR is None,
                         reason="numpy's OpenBLAS exports no LAPACKE_dsyevr")
@@ -265,8 +263,8 @@ class TestRadiiBelowEveryNorm:
             assert one.eigenvalues.tobytes() == fit.eigenvalues.tobytes(), r
             assert one.eigenvectors.tobytes() == fit.eigenvectors.tobytes(), r
             assert one.basis.tobytes() == fit.basis.tobytes(), r
-            assert ((one.mode, one.effective_radius, one.degenerate_gap)
-                    == (fit.mode, fit.effective_radius, fit.degenerate_gap)), r
+            assert ((one.radius, one.degenerate_gap)
+                    == (fit.radius, fit.degenerate_gap)), r
 
     @pytest.mark.parametrize("n, p", [(8, 3), (3, 8)])
     def test_overflow_still_raises(self, n, p):

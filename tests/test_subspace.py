@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from winpca import (
     RadiusSpec,
+    fit_pc_path,
     fit_pc_subspace,
     principal_angles,
+    resolve_radius,
     subspace,
     symmetric_eigh,
     winsorize_dataset,
@@ -101,8 +105,23 @@ class TestFit:
         w, V = np.linalg.eigh(X.T @ X / 50)
         ref = V[:, np.argsort(w)[::-1][:2]]
         assert sin_theta_operator(fit.basis, ref) <= 1e-10
-        assert fit.mode == "identity"
-        assert fit.effective_radius is None
+        assert fit.radius == math.inf
+
+    def test_radius_is_the_resolved_radius(self):
+        # One float in [0, +inf] from policy to fit, for every policy and
+        # every radius of a path.
+        X = np.random.default_rng(14).standard_normal((40, 5))
+        for spec in (RadiusSpec.fixed(0.5), RadiusSpec.median_norm(),
+                     RadiusSpec.power_law(-0.25), RadiusSpec.spherical(),
+                     RadiusSpec.none()):
+            r = resolve_radius(X, spec)
+            fit = fit_pc_subspace(X, 2, spec)
+            assert type(r) is float and type(fit.radius) is float, spec
+            assert fit.radius == r, spec
+        radii = [2.0, math.inf, 1e-3, 0.5, math.inf]
+        fits = fit_pc_path(X, 2, radii)
+        assert [f.radius for f in fits] == radii
+        assert all(type(f.radius) is float for f in fits)
 
     def test_large_radius_equals_none(self):
         rng = np.random.default_rng(10)
@@ -111,8 +130,7 @@ class TestFit:
         fit_r = fit_pc_subspace(X, 2, RadiusSpec.fixed(r))
         fit_none = fit_pc_subspace(X, 2, RadiusSpec.none())
         assert principal_angles(fit_r.basis, fit_none.basis)[-1] <= 1e-10
-        assert fit_r.mode == "winsorize"
-        assert fit_r.effective_radius == r
+        assert fit_r.radius == r
 
     def test_pca_consistency_single_spike(self):
         rng = np.random.default_rng(12)

@@ -87,8 +87,7 @@ def low_path_data():
 
 def fit_bytes(fit) -> bytes:
     return b"".join([fit.eigenvalues.tobytes(), fit.eigenvectors.tobytes(),
-                     fit.basis.tobytes(), repr((fit.mode, fit.effective_radius,
-                                                fit.degenerate_gap)).encode()])
+                     fit.basis.tobytes(), repr((fit.radius, fit.degenerate_gap)).encode()])
 
 
 def path_digest() -> str:
@@ -322,7 +321,7 @@ class TestPathFanOut:
             w, V = _kernels.top_eigh(S, 3)
             assert fit.eigenvalues.tobytes() == w.tobytes()
             assert fit.eigenvectors.tobytes() == V.tobytes()
-        assert [f.mode for f in fits].count("identity") == 1
+        assert [f.radius for f in fits].count(math.inf) == 1
         assert_sound_records(fits)
 
     def test_radii_that_clip_every_row_share_one_solve(self, solves):
@@ -478,9 +477,10 @@ class TestReplicationBatch:
         assert maps == [None]
         for spectra, fits in zip(batch, paths):
             assert len(spectra) == len(fits) == radii.size
-            for (vals, vecs), fit in zip(spectra, fits):
+            for (vals, vecs, tied), fit in zip(spectra, fits):
                 assert vals.tobytes() == fit.eigenvalues.tobytes()
                 assert vecs.tobytes() == fit.eigenvectors.tobytes()
+                assert tied == fit.degenerate_gap
 
     def test_path_sines_are_the_angles_of_the_fits(self):
         datasets, radii = self._datasets()

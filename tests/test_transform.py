@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -7,13 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from winpca import (
-    RadiusSpec,
-    fit_pc_subspace,
-    resolve_radius,
-    winsorize_dataset,
-    winsorize_point,
-)
+from winpca import RadiusSpec, fit_pc_subspace, resolve_radius, winsorize_dataset
 from winpca._kernels import BOUNDARY_REL_TOL
 
 from oracles import sin_theta_operator, spherical_fit
@@ -50,7 +45,7 @@ def _assert_spherical(X, d):
     1e-15 (they sum to 1), the basis within 1e-12; returns the fit."""
     fit = fit_pc_subspace(X, d, RadiusSpec.spherical())
     vals, basis = spherical_fit(X, d)
-    assert (fit.mode, fit.effective_radius) == ("spherize", None)
+    assert fit.radius == 0.0
     assert np.allclose(fit.eigenvalues, vals, rtol=0, atol=1e-15)
     assert sin_theta_operator(fit.basis, basis) <= 1e-12
     return fit
@@ -62,41 +57,48 @@ def _rotation(p, seed):
     return Q * np.sign(np.diag(R))
 
 
+def _winsorize_row(x, r):
+    """``winsorize_dataset`` on the one row ``x``, returned as a vector."""
+    return winsorize_dataset(np.asarray(x)[None, :], r)[0]
+
+
 class TestWinsorizePoint:
+    """The map of a single point: ``winsorize_dataset`` on one row."""
+
     def test_zero_vector_untouched(self):
-        out = winsorize_point(np.zeros(4), 1.0)
+        out = _winsorize_row(np.zeros(4), 1.0)
         assert np.array_equal(out, np.zeros(4))
 
     def test_boundary_norm_equals_radius_untouched(self):
         # norm is exactly 5; the boundary belongs to the identity branch
-        out = winsorize_point(np.array([3.0, 4.0]), 5.0)
+        out = _winsorize_row(np.array([3.0, 4.0]), 5.0)
         assert np.array_equal(out, np.array([3.0, 4.0]))
 
     def test_projection_hand_value(self):
-        out = winsorize_point(np.array([3.0, 4.0]), 2.5)
+        out = _winsorize_row(np.array([3.0, 4.0]), 2.5)
         assert np.allclose(out, [1.5, 2.0], rtol=0, atol=1e-15)
 
     def test_interior_point_untouched(self):
         x = np.array([0.3, 0.4])
-        assert np.array_equal(winsorize_point(x, 2.5), x)
+        assert np.array_equal(_winsorize_row(x, 2.5), x)
 
     @pytest.mark.parametrize("r", [0.0, -1.0, np.inf, np.nan])
     def test_bad_radius_rejected(self, r):
         with pytest.raises(ValueError):
-            winsorize_point(np.array([1.0]), r)
+            _winsorize_row(np.array([1.0]), r)
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):
-            winsorize_point(np.array([1.0, np.nan]), 1.0)
+            _winsorize_row(np.array([1.0, np.nan]), 1.0)
         with pytest.raises(ValueError):
-            winsorize_point(np.array([np.inf, 0.0]), 1.0)
+            _winsorize_row(np.array([np.inf, 0.0]), 1.0)
 
     # A row whose norm exceeds r by less than BOUNDARY_REL_TOL relative is
     # left untouched, so the contract holds to that slack plus roundoff.
     @given(x=st.one_of(vectors, wide_vectors), r=st.one_of(radii, tiny_radii))
     @example(x=np.array([1e-12, 1e-6, 1e-12]), r=1e-6)
     def test_norm_contract(self, x, r):
-        out = winsorize_point(x, r)
+        out = _winsorize_row(x, r)
         expected = min(_norm(x), r)
         slack = BOUNDARY_REL_TOL * expected + 4 * np.spacing(expected)
         assert abs(_norm(out) - expected) <= slack
@@ -106,22 +108,22 @@ class TestWinsorizePoint:
         nx = np.linalg.norm(x)
         if nx == 0:
             return
-        out = winsorize_point(x, r)
+        out = _winsorize_row(x, r)
         cos = float(out @ x) / (np.linalg.norm(out) * nx)
         assert cos >= 1.0 - 1e-12
 
     @given(x=vectors, r1=radii, r2=radii)
     def test_monotone_nesting(self, x, r1, r2):
         lo, hi = min(r1, r2), max(r1, r2)
-        n_lo = np.linalg.norm(winsorize_point(x, lo))
-        n_hi = np.linalg.norm(winsorize_point(x, hi))
+        n_lo = np.linalg.norm(_winsorize_row(x, lo))
+        n_hi = np.linalg.norm(_winsorize_row(x, hi))
         assert n_lo <= n_hi * (1 + 1e-12)
 
     @given(x=vectors, r=radii, seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_rotation_equivariance(self, x, r, seed):
         R = _rotation(x.size, seed)
-        lhs = winsorize_point(R @ x, r)
-        rhs = R @ winsorize_point(x, r)
+        lhs = _winsorize_row(R @ x, r)
+        rhs = R @ _winsorize_row(x, r)
         scale = max(np.linalg.norm(x), r, 1.0)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
@@ -142,7 +144,7 @@ class TestWinsorizeDataset:
         X = rng.standard_normal((20, 5)) * 3
         out = winsorize_dataset(X, 2.0)
         for i in range(20):
-            assert np.array_equal(out[i], winsorize_point(X[i], 2.0))
+            assert np.array_equal(out[i], winsorize_dataset(X[i:i + 1], 2.0)[0])
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -199,7 +201,7 @@ class TestHugeAndTinyRows:
         _assert_spherical([[1e-170, 0.0], [3e-200, 4e-200]], 1)
         _assert_spherical([[1e-170, 0.0, 0.0], [3e-200, 4e-200, 0.0]], 1)
         X = np.array([[1e-170, 1e-170], [0.0, 1e-170], [0.0, 0.0]])
-        assert resolve_radius(X, RadiusSpec.median_norm()) == ("winsorize", 1e-170)
+        assert resolve_radius(X, RadiusSpec.median_norm()) == 1e-170
 
     @pytest.mark.parametrize("spec", [RadiusSpec.fixed(1.0), RadiusSpec.median_norm()])
     @pytest.mark.parametrize("huge", [[1e160, 0.0], [-1.5e308, 1.5e308]])
@@ -208,7 +210,7 @@ class TestHugeAndTinyRows:
         # a huge row pulled back onto the ball contributes r^2 to it.
         X = np.array([huge, [0.0, 0.1], [0.0, -0.1]])
         fit = fit_pc_subspace(X, 1, spec)
-        r = fit.effective_radius
+        r = fit.radius
         expected = (r**2 + 2 * min(0.1, r) ** 2) / 3
         assert fit.eigenvalues.sum() == pytest.approx(expected, rel=1e-12)
 
@@ -264,14 +266,12 @@ class TestSpherize:
 
 class TestResolveRadius:
     def test_fixed_pass_through(self):
-        assert resolve_radius(np.eye(2), RadiusSpec.fixed(2.5)) == ("winsorize", 2.5)
+        assert resolve_radius(np.eye(2), RadiusSpec.fixed(2.5)) == 2.5
 
     def test_power_law(self):
         X = np.zeros((3, 100))
         X[:, 0] = 1.0
-        mode, r = resolve_radius(X, RadiusSpec.power_law(0.0))
-        assert mode == "winsorize"
-        assert r == pytest.approx(10.0, rel=1e-15)
+        assert resolve_radius(X, RadiusSpec.power_law(0.0)) == pytest.approx(10.0, rel=1e-15)
 
     @pytest.mark.parametrize("beta", [1e308, 400.0, -1e308, -400.0])
     def test_power_law_outside_float_range_raises(self, beta):
@@ -291,15 +291,15 @@ class TestResolveRadius:
         # Both norms are 1e308, so the median is too, though their sum is not
         # a float64.
         X = np.array([[1e308, 1.0], [1e308, 2.0]])
-        assert resolve_radius(X, RadiusSpec.median_norm()) == ("winsorize", 1e308)
+        assert resolve_radius(X, RadiusSpec.median_norm()) == 1e308
 
     def test_median_odd_count(self):
         X = np.diag([1.0, 2.0, 3.0])
-        assert resolve_radius(X, RadiusSpec.median_norm()) == ("winsorize", 2.0)
+        assert resolve_radius(X, RadiusSpec.median_norm()) == 2.0
 
     def test_median_even_count_midpoint(self):
         X = np.array([[1.0, 0.0], [0.0, 3.0]])
-        assert resolve_radius(X, RadiusSpec.median_norm()) == ("winsorize", 2.0)
+        assert resolve_radius(X, RadiusSpec.median_norm()) == 2.0
 
     def test_median_zero_degenerate(self):
         with pytest.raises(ValueError):
@@ -307,8 +307,8 @@ class TestResolveRadius:
 
     def test_sentinels(self):
         X = np.eye(2)
-        assert resolve_radius(X, RadiusSpec.none()) == ("identity", None)
-        assert resolve_radius(X, RadiusSpec.spherical()) == ("spherize", None)
+        assert resolve_radius(X, RadiusSpec.none()) == math.inf
+        assert resolve_radius(X, RadiusSpec.spherical()) == 0.0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
