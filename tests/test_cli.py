@@ -435,16 +435,23 @@ class TestBounds:
 
     def test_breakdown_hand_values(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "breakdown",
-                               "--eigs", "3,2,1,0.5", "--r2", "4", "--d", "2")
+                               "--eigs", "2,1,0.5,0.25", "--r2", "4", "--d", "2")
         assert code == 0
         q = quantities_of(out)
-        assert float(q["weak_lb"]) == pytest.approx(0.125)
-        assert float(q["strong_lb"]) == pytest.approx(0.25)
+        assert float(q["weak_lb"]) == pytest.approx(0.0625)
+        assert float(q["strong_lb"]) == pytest.approx(0.1875)
 
     def test_breakdown_rejects_ascending(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "breakdown",
                                "--eigs", "1,2", "--r2", "4", "--d", "1")
         assert code == 2 and "error:" in err
+
+    def test_breakdown_rejects_spectrum_beyond_radius(self, capsys):
+        # No winsorized data has an eigenvalue above r^2.
+        code, out, err = run_cli(capsys, "bounds", "breakdown",
+                                 "--eigs", "8,1", "--r2", "4", "--d", "1")
+        assert (code, out, err) == (
+            2, "", "error: a winsorized eigenvalue exceeds the radius squared\n")
 
     def test_concentration_elliptical(self, capsys):
         code, out, _ = run_cli(
@@ -534,9 +541,9 @@ _BOUNDS_GOLDEN = [
     (("perturbation", "--gap", "0", "--eps", "0.1"),
      "# command=bounds.perturbation\n# gap=0\n# r=1\n# eps=0.10000000000000001\n"
      "quantity,value\nbound1,+inf\nbound2,\nmin_bound,+inf\n"),
-    (("breakdown", "--eigs", "3,2,1,0.5", "--r2", "4", "--d", "2"),
-     "# command=bounds.breakdown\n# eigs=3,2,1,0.5\n# r2=4\n# d=2\n"
-     "quantity,value\nweak_lb,0.125\nstrong_lb,0.25\n"),
+    (("breakdown", "--eigs", "2,1,0.5,0.25", "--r2", "4", "--d", "2"),
+     "# command=bounds.breakdown\n# eigs=2,1,0.5,0.25\n# r2=4\n# d=2\n"
+     "quantity,value\nweak_lb,0.0625\nstrong_lb,0.1875\n"),
     (("concentration",) + _CONC,
      "# command=bounds.concentration\n# family=elliptical\n" + _CONC_META +
      "# sigma=none\nquantity,value\nvalue,5.5200000000000005\n"
@@ -846,10 +853,10 @@ class TestConfigFile:
 
     def test_bounds_subcommand_section(self, capsys, tmp_path):
         cfg = tmp_path / "winpca.ini"
-        cfg.write_text("[bounds.breakdown]\neigs = 3,2,1,0.5\nr2 = 4\nd = 2\n")
+        cfg.write_text("[bounds.breakdown]\neigs = 2,1,0.5,0.25\nr2 = 4\nd = 2\n")
         code, out, _ = run_cli(capsys, "bounds", "breakdown", "--config", str(cfg))
         assert code == 0
-        assert float(quantities_of(out)["weak_lb"]) == pytest.approx(0.125)
+        assert float(quantities_of(out)["weak_lb"]) == pytest.approx(0.0625)
 
     @pytest.mark.parametrize("switch, sampling", [("true", 0.1), ("false", 10.0)])
     def test_bounds_rate_section_switch(self, capsys, tmp_path, switch, sampling):
