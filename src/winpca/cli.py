@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .bounds import (
     breakdown_lower_bounds_from_values,
+    check_winsorized_spectra,
     concentration_bound,
     asymptotic_rate,
     perturbation_bound,
@@ -268,7 +269,10 @@ def _perturbation(a: argparse.Namespace):
 
 
 def _breakdown(a: argparse.Namespace):
-    weak, strong = breakdown_lower_bounds_from_values(_parse_float_list(a.eigs), a.r2, a.d)
+    vals = _parse_float_list(a.eigs)
+    weak, strong = breakdown_lower_bounds_from_values(vals, a.r2, a.d)
+    # Only a spectrum that winsorized data can have certifies a breakdown point.
+    check_winsorized_spectra(vals[None], [math.sqrt(a.r2)])
     return {}, [("weak_lb", weak), ("strong_lb", strong)]
 
 
