@@ -676,3 +676,33 @@ RADIUS_CALLS = {
 def test_scalar_radius_must_be_finite_and_positive(name, r):
     with pytest.raises(ValueError, match="finite and positive"):
         RADIUS_CALLS[name](r)
+
+
+class TestRadiusSquaredOverflow:
+    """A finite radius above sqrt(float64 max), about 1.34e154, whose square
+    is inf: a spectrum check or a term sum takes it as bounding every
+    eigenvalue, and a bound that reads r^2 raises."""
+
+    R = 1e200
+
+    def test_spectrum_check_accepts_every_spectrum(self):
+        check_winsorized_spectra(np.array([[1e300, 0.25]]), [self.R])
+
+    def test_sample_values_clip_nothing(self):
+        assert np.array_equal(sample_winsorized_values(np.eye(3), [self.R]),
+                              sample_winsorized_values(np.eye(3), [10.0]))
+
+    def test_estimate_clips_nothing(self):
+        model = PopulationModel.gaussian(np.array([4.0, 1.0]))
+        want = estimate_winsorized_spectra(model, [1e100], 1000, seed=0)
+        got = estimate_winsorized_spectra(model, [self.R], 1000, seed=0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("call", [
+        lambda r: concentration_bound(1.0, 1.0, [0.5, 0.25], r, 1, 0.1, 100, 100),
+        lambda r: perturbation_bound(1.0, 0.0, r, 0.0),
+        lambda r: wpca_breakdown_lower_bounds([0.5, 0.25], r, 1),
+    ], ids=["concentration_bound", "perturbation_bound", "wpca_breakdown_lower_bounds"])
+    def test_bounds_reject_infinite_square(self, call):
+        with pytest.raises(ValueError, match="squared"):
+            call(self.R)

@@ -592,6 +592,15 @@ def test_concentration_rejects_spectrum_beyond_radius(capsys, weigs, r, message)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("concentration",) + _CONC[:7] + ("1e200",) + _CONC[8:],
+    ("perturbation", "--gap", "1", "--r", "1e200", "--eps", "0"),
+], ids=["concentration", "perturbation"])
+def test_bounds_reject_radius_whose_square_overflows(capsys, argv):
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert (code, out, err) == (2, "", "error: the radius squared overflows float64\n")
+
+
 # Exact stdout of `winpca fit --d 2` on small decimal CSVs with one far row:
 # a tall 8 x 3 matrix at every radius flag, and a wide 3 x 5 one, whose
 # fits take the thin-SVD route (n < p).
