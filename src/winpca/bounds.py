@@ -42,6 +42,8 @@ __all__ = [
 # Entries per block of Monte Carlo draws: 32k, or 256 KiB per float64
 # temporary, so a block's passes stay in cache.
 _TERM_BLOCK_ENTRIES = 32_768
+# Bounds that read r^2 need it finite: r below about 1.34e154.
+_R2_OVERFLOW = "the radius squared overflows float64"
 
 
 def check_winsorized_spectra(values: np.ndarray, radii, standard_errors=None) -> None:
@@ -52,8 +54,9 @@ def check_winsorized_spectra(values: np.ndarray, radii, standard_errors=None) ->
     must be finite, nonnegative and descending, and each eigenvalue and each
     row's sum must stay below r^2 up to roundoff (1e-9 r^2 plus 1e-12) or,
     when ``standard_errors`` of the same shape are given for estimated
-    values, three Monte Carlo standard errors.  Raises ``ValueError`` on the
-    first check any row fails.
+    values, three Monte Carlo standard errors; a radius whose square
+    overflows float64 bounds every row.  Raises ``ValueError`` on the first
+    check any row fails.
     """
     values = np.asarray(values, dtype=np.float64)
     r = np.asarray(radii, dtype=np.float64)
@@ -62,7 +65,8 @@ def check_winsorized_spectra(values: np.ndarray, radii, standard_errors=None) ->
     if not np.all(np.isfinite(r) & (r > 0)):
         raise ValueError("radius must be finite and positive")
     _check_descending(values)
-    r2 = r * r
+    with np.errstate(over="ignore"):  # an infinite r^2 bounds every eigenvalue
+        r2 = r * r
     if standard_errors is not None:
         standard_errors = np.asarray(standard_errors, dtype=np.float64)
         if standard_errors.shape != values.shape:
@@ -141,7 +145,9 @@ def estimate_winsorized_spectra(
     rows = max(1, _TERM_BLOCK_ENTRIES // model.p)
     blocks = (model.draw_whitened(min(rows, n_draws - lo), rng)
               for lo in range(0, n_draws, rows))
-    sums, sumsq = winsorized_term_sums(blocks, model.sigma_eigenvalues, radii * radii)
+    with np.errstate(over="ignore"):  # an infinite r^2 clips no draw
+        r2 = radii * radii
+    sums, sumsq = winsorized_term_sums(blocks, model.sigma_eigenvalues, r2)
     means = sums / n_draws
     var = np.maximum(sumsq - n_draws * means * means, 0.0) / (n_draws - 1)
     order = np.argsort(-means, axis=1, kind="stable")
@@ -219,6 +225,7 @@ def concentration_bound(
     g`` with g the winsorized eigengap at d; it is infinite when the gap
     vanishes.  ``sigma_sub`` is the subgaussian parameter of the whitened
     vector; the default of inf gives the bound for elliptical populations.
+    A radius whose square overflows float64 raises ``ValueError``.
     """
     values = np.asarray(values, dtype=np.float64)
     check_winsorized_spectra(values[None], [r])
@@ -228,7 +235,9 @@ def concentration_bound(
     n, p = _check_counts(n, p)
     lam1, lamp = _check_extreme_eigs(lam1, lamp)
     g = _gap_at(values, int(d))
-    r2 = float(r) ** 2
+    r2 = float(r) * float(r)
+    if math.isinf(r2):
+        raise ValueError(_R2_OVERFLOW)
     if g <= 0.0:
         comps = {"contamination": math.inf, "sampling": math.inf}
         return BoundReport(math.inf, comps, {"positive_gap": False})
@@ -362,12 +371,12 @@ def breakdown_lower_bounds_from_values(values, r2, d: int):
 
 
 def wpca_breakdown_lower_bounds(values, r: float, d: int) -> tuple[float, float]:
-    """``breakdown_lower_bounds_from_values(values, r ** 2, d)`` for a spectrum
+    """``breakdown_lower_bounds_from_values(values, r * r, d)`` for a spectrum
     that passes ``check_winsorized_spectra`` at ``r``; kept while
     ``perfbench`` traces it."""
     values = np.asarray(values, dtype=np.float64)
     check_winsorized_spectra(values[None], [r])
-    return breakdown_lower_bounds_from_values(values, float(r) ** 2, d)
+    return breakdown_lower_bounds_from_values(values, float(r) * float(r), d)
 
 
 def perturbation_bound(
@@ -378,7 +387,8 @@ def perturbation_bound(
     ``bound1 = 2 r^2 eps / g`` holds whenever the winsorized sample eigengap
     g is positive; ``bound2 = r^2 eps / (g - 2 r^2 eps)`` is sharper but only
     valid when ``g > 4 r^2 eps``.  The report's value is the smallest
-    available bound.
+    available bound.  A radius whose square overflows float64 raises
+    ``ValueError``.
     """
     eps = _check_eps(eps)
     r = _check_radius(r)
@@ -387,6 +397,8 @@ def perturbation_bound(
         raise ValueError(f"need finite lam_d_r >= lam_d1_r >= 0, got {lam_d_r}, {lam_d1_r}")
     g = lam_d_r - lam_d1_r
     r2 = r * r
+    if math.isinf(r2):
+        raise ValueError(_R2_OVERFLOW)
     components: dict[str, float] = {}
     bound1 = math.inf if g <= 0.0 else 2.0 * r2 * eps / g
     components["bound1"] = bound1
