@@ -45,13 +45,18 @@ __all__ = ["using_numba", "row_norms", "unit_rows", "winsorize_rows",
            "winsorized_term_sums", "top_eigh", "blas_threads", "one_blas_thread",
            "thread_map"]
 
+_TINY = np.finfo(np.float64).tiny
+# Below this norm a sum of squares is subnormal and has lost digits.
+_SQRT_TINY = np.sqrt(_TINY)
 # Rows whose norm exceeds the radius by less than this relative slack are
 # left untouched, so reapplying the transform is an exact no-op.
 BOUNDARY_REL_TOL = 1e-12
 
-_TINY = np.finfo(np.float64).tiny
-# Below this norm a sum of squares is subnormal and has lost digits.
-_SQRT_TINY = np.sqrt(_TINY)
+
+def largest_inside_norm(r):
+    """The largest norm of a row inside radius ``r`` (a float or an array): the
+    one cut of ``winsorize_rows`` and of every matrix of the radius path."""
+    return r * (1.0 + BOUNDARY_REL_TOL)
 
 
 def using_numba() -> bool:
@@ -95,13 +100,13 @@ def unit_rows(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 
 def winsorize_rows(values: np.ndarray, limit: float) -> np.ndarray:
-    """Scale every row with Euclidean norm above ``limit`` back onto the ball.
+    """Scale each row with norm above ``largest_inside_norm(limit)`` onto the ball.
 
     ``values`` must be a C-contiguous float64 matrix; validation lives in the
     calling layer.  Returns a new array, input is never modified.
     """
     norms = row_norms(values)
-    clip = norms > limit * (1.0 + BOUNDARY_REL_TOL)
+    clip = norms > largest_inside_norm(limit)
     factor = np.divide(limit, norms, out=np.ones_like(norms), where=clip)
     out = values * factor[:, None]
     # A factor that is subnormal or zero has lost digits or the whole row;

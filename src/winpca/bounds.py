@@ -19,8 +19,8 @@ import numpy as np
 
 from ._kernels import one_blas_thread, winsorized_term_sums
 from .distributions import PopulationModel, make_rng
-from .subspace import _check_radii, _second_moments
-from .transform import _check_radius, as_data_matrix
+from .subspace import _second_moments
+from .transform import _check_radii, as_data_matrix
 
 __all__ = [
     "BoundReport",
@@ -42,8 +42,6 @@ __all__ = [
 # Entries per block of Monte Carlo draws: 32k, or 256 KiB per float64
 # temporary, so a block's passes stay in cache.
 _TERM_BLOCK_ENTRIES = 32_768
-# Bounds that read r^2 need it finite: r below about 1.34e154.
-_R2_OVERFLOW = "the radius squared overflows float64"
 
 
 def check_winsorized_spectra(values: np.ndarray, radii, standard_errors=None) -> None:
@@ -59,23 +57,18 @@ def check_winsorized_spectra(values: np.ndarray, radii, standard_errors=None) ->
     check any row fails.
     """
     values = np.asarray(values, dtype=np.float64)
-    r = np.asarray(radii, dtype=np.float64)
+    r = _check_radii(radii)
     if values.ndim != 2 or r.shape != values.shape[:1]:
         raise ValueError("need an (R, p) stack of eigenvalues and R radii")
-    if not np.all(np.isfinite(r) & (r > 0)):
-        raise ValueError("radius must be finite and positive")
     _check_descending(values)
     with np.errstate(over="ignore"):  # an infinite r^2 bounds every eigenvalue
         r2 = r * r
+    slack, sum_slack = (1e-9 * r2)[:, None], 1e-9 * r2
     if standard_errors is not None:
-        standard_errors = np.asarray(standard_errors, dtype=np.float64)
-        if standard_errors.shape != values.shape:
+        se = np.asarray(standard_errors, dtype=np.float64)
+        if se.shape != values.shape:
             raise ValueError("standard errors must match values in shape")
-        slack = 3.0 * standard_errors
-        sum_slack = 3.0 * standard_errors.sum(axis=1) + 1e-9 * r2
-    else:
-        slack = (1e-9 * r2)[:, None]
-        sum_slack = 1e-9 * r2
+        slack, sum_slack = 3.0 * se, 3.0 * se.sum(axis=1) + sum_slack
     if np.any(values > r2[:, None] + slack + 1e-12):
         raise ValueError("a winsorized eigenvalue exceeds the radius squared")
     if np.any(values.sum(axis=1) > r2 + sum_slack + 1e-12):
@@ -140,7 +133,7 @@ def estimate_winsorized_spectra(
     n_draws = int(n_draws)
     if n_draws < 1000:
         raise ValueError(f"need at least 1000 draws for a usable estimate, got {n_draws}")
-    radii = _check_radii(radii, finite=True)
+    radii = _check_radii(radii, path=True)
     rng = make_rng(seed)
     rows = max(1, _TERM_BLOCK_ENTRIES // model.p)
     blocks = (model.draw_whitened(min(rows, n_draws - lo), rng)
@@ -174,7 +167,7 @@ def sample_winsorized_values(X, radii) -> np.ndarray:
     ``check_winsorized_spectra`` in one call.
     """
     A = as_data_matrix(X)
-    radii = _check_radii(radii, finite=True)
+    radii = _check_radii(radii, path=True)
     vals = np.linalg.eigvalsh(_second_moments(A, radii))[:, ::-1].copy()
     np.clip(vals, 0.0, None, out=vals)
     check_winsorized_spectra(vals, radii)
@@ -223,9 +216,9 @@ def concentration_bound(
     checked by ``check_winsorized_spectra``.  The bound is ``2 r^2 eps / g
     + 256 min(r^2 lam1 / (p lamp), lam1 sigma_sub^2) max(sqrt(p/n), p/n) /
     g`` with g the winsorized eigengap at d; it is infinite when the gap
-    vanishes.  ``sigma_sub`` is the subgaussian parameter of the whitened
-    vector; the default of inf gives the bound for elliptical populations.
-    A radius whose square overflows float64 raises ``ValueError``.
+    vanishes, and an r^2 that overflows float64 raises ``ValueError``.
+    ``sigma_sub`` is the subgaussian parameter of the whitened vector; the
+    default of inf gives the bound for elliptical populations.
     """
     values = np.asarray(values, dtype=np.float64)
     check_winsorized_spectra(values[None], [r])
@@ -237,7 +230,7 @@ def concentration_bound(
     g = _gap_at(values, int(d))
     r2 = float(r) * float(r)
     if math.isinf(r2):
-        raise ValueError(_R2_OVERFLOW)
+        raise ValueError("the radius squared overflows float64")
     if g <= 0.0:
         comps = {"contamination": math.inf, "sampling": math.inf}
         return BoundReport(math.inf, comps, {"positive_gap": False})
@@ -293,7 +286,7 @@ def subgaussian_param_winsorized(
     p = int(p)
     if p < 1:
         raise ValueError("need p >= 1")
-    r = _check_radius(r)
+    r = float(_check_radii(r))
     if not sigma_sub > 0:
         raise ValueError(f"sigma_sub must be positive (inf if elliptical), got {sigma_sub}")
     return min(math.sqrt(lam1) * sigma_sub, math.sqrt(lam1 * r * r / (lamp * p)))
@@ -344,8 +337,7 @@ def breakdown_lower_bounds_from_values(values, r2, d: int):
         raise ValueError("need a nonempty 1-D vector of eigenvalues and a scalar r2, "
                          "or an (R, p) stack and R values of r2")
     _check_descending(vals)
-    if not np.all(np.isfinite(r2) & (r2 > 0)):
-        raise ValueError("squared radius must be finite and positive")
+    _check_radii(r2, "squared radius")
     d = int(d)
     p = vals.shape[-1]
     if not 1 <= d < p:
@@ -387,18 +379,17 @@ def perturbation_bound(
     ``bound1 = 2 r^2 eps / g`` holds whenever the winsorized sample eigengap
     g is positive; ``bound2 = r^2 eps / (g - 2 r^2 eps)`` is sharper but only
     valid when ``g > 4 r^2 eps``.  The report's value is the smallest
-    available bound.  A radius whose square overflows float64 raises
-    ``ValueError``.
+    available bound.  An r^2 that overflows float64 raises ``ValueError``.
     """
     eps = _check_eps(eps)
-    r = _check_radius(r)
+    r = float(_check_radii(r))
     lam_d_r, lam_d1_r = float(lam_d_r), float(lam_d1_r)
     if not (math.isfinite(lam_d_r) and lam_d_r >= lam_d1_r >= 0):
         raise ValueError(f"need finite lam_d_r >= lam_d1_r >= 0, got {lam_d_r}, {lam_d1_r}")
     g = lam_d_r - lam_d1_r
     r2 = r * r
     if math.isinf(r2):
-        raise ValueError(_R2_OVERFLOW)
+        raise ValueError("the radius squared overflows float64")
     components: dict[str, float] = {}
     bound1 = math.inf if g <= 0.0 else 2.0 * r2 * eps / g
     components["bound1"] = bound1

@@ -271,7 +271,6 @@ def _perturbation(a: argparse.Namespace):
 def _breakdown(a: argparse.Namespace):
     vals = _parse_float_list(a.eigs)
     weak, strong = breakdown_lower_bounds_from_values(vals, a.r2, a.d)
-    # Only a spectrum that winsorized data can have certifies a breakdown point.
     check_winsorized_spectra(vals[None], [math.sqrt(a.r2)])
     return {}, [("weak_lb", weak), ("strong_lb", strong)]
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from ._kernels import row_norms
 from .bounds import (
     breakdown_lower_bounds_from_values,
     perturbation_bound,
@@ -34,8 +35,8 @@ from .bounds import (
 )
 from .distributions import PopulationModel, make_rng
 from .simulate import apply_contamination, map_replications
-from .subspace import _angles, _check_dim, _check_radii, _spectra
-from .transform import as_data_matrix, row_norms
+from .subspace import _angles, _check_dim, _spectra
+from .transform import _check_radii, as_data_matrix
 
 __all__ = [
     "ResultTable",
@@ -134,7 +135,7 @@ def _path_sines(datasets, d: int, radii, target: np.ndarray) -> np.ndarray:
     One map solves the matrices of every dataset, and one stacked pass a
     path's angles.  Pass ``datasets`` as a generator: no two then coexist.
     """
-    d, radii = _check_dim(d, target.shape[0]), _check_radii(radii)
+    d, radii = _check_dim(d, target.shape[0]), _check_radii(radii, allow_inf=True, path=True)
     return np.array([[math.sin(a) for a in _angles(
         np.stack([vecs[:, :d] for _, vecs, _ in path]), target)[:, -1]]
         for path in _spectra(map(as_data_matrix, datasets), d, radii)])
@@ -328,7 +329,7 @@ def run_perturbation_sweep(
     # is the pure fit, whose spectrum is the winsorized sample spectrum at r.
     fits = [path[0] for path in _spectra(
         (apply_contamination(X0, m, outlier) for m in range(m_max + 1)),
-        d, _check_radii([r]), p)]
+        d, _check_radii([r], allow_inf=True, path=True), p)]
     vals, pure = fits[0][0], fits[0][1][:, :d]
     angles = _angles(np.stack([vecs[:, :d] for _, vecs, _ in fits]), pure)[:, -1]
     weak_lb, strong_lb = breakdown_lower_bounds_from_values(vals, r * r, d)

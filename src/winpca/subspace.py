@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (
-    BOUNDARY_REL_TOL,
     _descending_eigenpairs,
+    largest_inside_norm,
     one_blas_thread,
     row_norms,
     thread_map,
@@ -33,7 +33,7 @@ from ._kernels import (
     unit_rows,
     winsorize_rows,
 )
-from .transform import RadiusSpec, as_data_matrix, resolve_radius
+from .transform import RadiusSpec, _check_radii, as_data_matrix, resolve_radius
 
 __all__ = [
     "WPCAFit",
@@ -129,19 +129,6 @@ def _check_dim(d, p: int) -> int:
     return d
 
 
-def _check_radii(radii, finite: bool = False) -> np.ndarray:
-    """``radii`` as a nonempty 1-D array of positive radii; ``+inf`` leaves
-    rows untouched and is allowed unless ``finite``."""
-    r = np.asarray(radii, dtype=np.float64)
-    if finite and not np.all(np.isfinite(r) & (r > 0)):
-        raise ValueError(f"winsorization radii must be finite and positive, got {r}")
-    if r.ndim != 1 or r.size < 1:
-        raise ValueError("radii must be a nonempty 1-D sequence")
-    if not np.all(r > 0):
-        raise ValueError("every radius must be positive (+inf leaves rows untouched)")
-    return r
-
-
 @one_blas_thread
 def winsorized_second_moments(A, radii) -> np.ndarray:
     """Winsorized second-moment matrices of ``A`` at every radius, shape (R, p, p).
@@ -149,9 +136,9 @@ def winsorized_second_moments(A, radii) -> np.ndarray:
     Entry j is the uncentered covariance of ``winsorize_dataset(A, radii[j])``,
     ``(sum_{|x|<=r} x x^T + r^2 sum_{|x|>r} u u^T) / n`` with ``u = x / |x|``;
     a radius of ``+inf`` leaves every row alone.  A row counts as inside when
-    its norm exceeds r by at most the relative slack ``BOUNDARY_REL_TOL``,
-    the rule ``winsorize_rows`` applies.  Radii may come in any order and
-    repeat.
+    its norm is at most ``largest_inside_norm(r)``, the cut ``winsorize_rows``
+    applies.  Radii are positive, ``+inf`` allowed, and may come in any order
+    and repeat.
 
     The rows are sorted by norm once and split at the sorted radii; each
     segment's Gram of raw rows and of unit rows is formed once.  Raw-row
@@ -164,7 +151,7 @@ def winsorized_second_moments(A, radii) -> np.ndarray:
     overflow float64, from rows left alone or from a radius too large,
     raises ``ValueError``.
     """
-    return _second_moments(as_data_matrix(A), _check_radii(radii))
+    return _second_moments(as_data_matrix(A), _check_radii(radii, allow_inf=True, path=True))
 
 
 def _second_moments(A: np.ndarray, radii: np.ndarray, norms=None) -> np.ndarray:
@@ -175,7 +162,7 @@ def _second_moments(A: np.ndarray, radii: np.ndarray, norms=None) -> np.ndarray:
     order = np.argsort(norms, kind="stable")
     sorted_norms = norms[order]
     by_radius = np.argsort(radii, kind="stable")
-    cuts = np.searchsorted(sorted_norms, radii[by_radius] * (1.0 + BOUNDARY_REL_TOL),
+    cuts = np.searchsorted(sorted_norms, largest_inside_norm(radii[by_radius]),
                            side="right")
     # Segments are views of one sorted copy, made unit rows after the raw Grams.
     As = A[order]
@@ -231,9 +218,9 @@ def _distinct(A: np.ndarray, d: int, radii: np.ndarray) -> tuple:
     if np.any(radii == 0.0) and not norms.all():
         raise ValueError("cannot spherize zero rows at indices "
                          f"{np.flatnonzero(norms == 0.0).tolist()}")
-    slack = radii * (1.0 + BOUNDARY_REL_TOL)
-    low = slack < norms.min()
-    key = np.where(low, 0.0, np.where(slack < norms.max(), radii, math.inf))
+    inside = largest_inside_norm(radii)
+    low = inside < norms.min()
+    key = np.where(low, 0.0, np.where(inside < norms.max(), radii, math.inf))
     keys, first, which = np.unique(key, return_index=True, return_inverse=True)
     if d <= n < p:
         return low, first, which, [
@@ -336,7 +323,7 @@ def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
     """
     A = as_data_matrix(X)
     d = _check_dim(d, A.shape[1])
-    radii = _check_radii(radii)
+    radii = _check_radii(radii, allow_inf=True, path=True)
     return [_make_fit(*s, d, r) for s, r in zip(_spectra([A], d, radii)[0], radii)]
 
 

@@ -45,8 +45,7 @@ class RadiusSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown radius policy {self.kind!r}")
         if self.kind == "fixed":
-            if self.value is None or not np.isfinite(self.value) or self.value <= 0:
-                raise ValueError("fixed radius must be a finite positive number")
+            _check_radii(self.value, "fixed radius")
         elif self.kind == "power_law":
             if self.value is None or not np.isfinite(self.value):
                 raise ValueError("power-law exponent must be finite")
@@ -86,10 +85,14 @@ def as_data_matrix(X) -> np.ndarray:
     return A
 
 
-def _check_radius(r: float) -> float:
-    r = float(r)
-    if not np.isfinite(r) or r <= 0:
-        raise ValueError(f"winsorization radius must be finite and positive, got {r}")
+def _check_radii(radii, what="radius", *, allow_inf=False, path=False) -> np.ndarray:
+    """``radii`` as a float64 array, each positive and finite unless ``allow_inf``,
+    else ``ValueError`` naming ``what``; ``path`` asks for a nonempty 1-D sequence."""
+    r = np.asarray(radii, dtype=np.float64)
+    if not np.all(r > 0 if allow_inf else np.isfinite(r) & (r > 0)):
+        raise ValueError(f"{what} must be {'' if allow_inf else 'finite and '}positive")
+    if path and (r.ndim != 1 or r.size < 1):
+        raise ValueError("radii must be a nonempty 1-D sequence")
     return r
 
 
@@ -101,7 +104,7 @@ def winsorize_dataset(X, r: float) -> np.ndarray:
     and its direction is preserved; the shape is preserved.  A single point
     is the one-row case.
     """
-    r = _check_radius(r)
+    r = float(_check_radii(r))
     return winsorize_rows(as_data_matrix(X), r)
 
 
@@ -134,7 +137,4 @@ def resolve_radius(X, spec: RadiusSpec) -> float:
             r = float(np.median(norms))
         if math.isinf(r):  # the sum of two finite middle norms overflows
             r = 2.0 * float(np.median(norms / 2.0))
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"{what} is {r}; the winsorization radius must be "
-                         "finite and positive")
-    return r
+    return float(_check_radii(r, f"{what} is {r}; the winsorization radius"))

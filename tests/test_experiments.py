@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from winpca import experiments, subspace
+from winpca._kernels import BOUNDARY_REL_TOL
 from winpca import (
     PRESETS,
     PopulationModel,
@@ -148,7 +149,7 @@ class TestEffectOfRadius:
 
         def distinct(A, d, radii):
             norms = np.linalg.norm(A, axis=1)
-            slack = radii * (1.0 + subspace.BOUNDARY_REL_TOL)
+            slack = radii * (1.0 + BOUNDARY_REL_TOL)
             raw = slack >= norms.max()
             low = slack < norms.min()
             keys.append(len(set(radii[~raw & ~low])) + raw.any() + low.any())
