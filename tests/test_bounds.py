@@ -11,6 +11,7 @@ from winpca.bounds import _TERM_BLOCK_ENTRIES
 from winpca import (
     BoundReport,
     PopulationModel,
+    RadiusSpec,
     asymptotic_rate,
     breakdown_lower_bounds_from_values,
     check_winsorized_spectra,
@@ -18,12 +19,15 @@ from winpca import (
     covariance_deviation_bound,
     estimate_winsorized_eigenvalues,
     estimate_winsorized_spectra,
+    fit_pc_path,
     make_rng,
     pca_breakdown_points,
     perturbation_bound,
     sample_winsorized_spectrum,
     sample_winsorized_values,
     subgaussian_param_winsorized,
+    winsorize_dataset,
+    winsorized_second_moments,
     wpca_breakdown_lower_bounds,
 )
 
@@ -656,16 +660,26 @@ class TestBoundReport:
         assert BoundReport(math.inf, {}, {}).clipped == 1.0
 
 
-# Every scalar radius of the bounds passes one check: finite and positive.
+# Every radius entry of the package passes one check.  These take finite
+# and positive radii only (r^2 for breakdown_lower_bounds_from_values).
 RADIUS_CALLS = {
+    "breakdown_lower_bounds_from_values": lambda r: breakdown_lower_bounds_from_values(
+        [0.5, 0.25], r, 1),
+    "check_winsorized_spectra": lambda r: check_winsorized_spectra(
+        np.array([[0.5, 0.25]]), [r]),
     "concentration_bound": lambda r: concentration_bound(
         1.0, 1.0, [0.5, 0.25], r, 1, 0.1, 100, 100),
     "estimate_winsorized_eigenvalues": lambda r: estimate_winsorized_eigenvalues(
         PopulationModel.gaussian(np.array([1.0])), r, 1000, seed=0),
+    "estimate_winsorized_spectra": lambda r: estimate_winsorized_spectra(
+        PopulationModel.gaussian(np.array([1.0])), [1.0, r], 1000, seed=0),
     "perturbation_bound": lambda r: perturbation_bound(1.0, 0.0, r, 0.1),
+    "RadiusSpec.fixed": lambda r: RadiusSpec.fixed(r),
     "sample_winsorized_spectrum": lambda r: sample_winsorized_spectrum(np.eye(3), r),
+    "sample_winsorized_values": lambda r: sample_winsorized_values(np.eye(3), [1.0, r]),
     "subgaussian_param_winsorized": lambda r: subgaussian_param_winsorized(
         4.0, 1.0, 10, r, 1.0),
+    "winsorize_dataset": lambda r: winsorize_dataset(np.eye(3), r),
     "wpca_breakdown_lower_bounds": lambda r: wpca_breakdown_lower_bounds(
         [0.5, 0.25], r, 1),
 }
@@ -676,6 +690,25 @@ RADIUS_CALLS = {
 def test_scalar_radius_must_be_finite_and_positive(name, r):
     with pytest.raises(ValueError, match="finite and positive"):
         RADIUS_CALLS[name](r)
+
+
+# The radius-path entries take +inf, which leaves every row alone.
+PATH_RADIUS_CALLS = {
+    "fit_pc_path": lambda r: fit_pc_path(np.eye(3), 1, [1.0, r]),
+    "winsorized_second_moments": lambda r: winsorized_second_moments(np.eye(3), [1.0, r]),
+}
+
+
+@pytest.mark.parametrize("r", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(PATH_RADIUS_CALLS))
+def test_path_radius_must_be_positive(name, r):
+    with pytest.raises(ValueError, match="positive"):
+        PATH_RADIUS_CALLS[name](r)
+
+
+@pytest.mark.parametrize("name", sorted(PATH_RADIUS_CALLS))
+def test_path_radius_may_be_inf(name):
+    PATH_RADIUS_CALLS[name](math.inf)
 
 
 class TestRadiusSquaredOverflow:

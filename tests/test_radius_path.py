@@ -278,6 +278,38 @@ class TestRadiiBelowEveryNorm:
         assert_sound_records(fit_pc_path(X, 1, [1e140, 1e150]))
 
 
+class TestTheCutAtItsEdges:
+    """A radius a little below the largest row norm, but within the slack of
+    the boundary rule, clips no row; one a little more than the slack below
+    the smallest norm clips every row.  Both routes: the Gram (n >= p) and
+    the thin SVD (n < p)."""
+
+    ROUTES = pytest.mark.parametrize("n, p, d", [(60, 5, 2), (6, 15, 2)],
+                                     ids=["gram", "thin_svd"])
+
+    @ROUTES
+    def test_radius_within_the_slack_of_the_largest_norm_clips_nothing(self, n, p, d):
+        X = _spiked(n, p, seed=21)
+        r = np.linalg.norm(X, axis=1).max() * (1 - 5e-13)
+        assert winsorize_dataset(X, r).tobytes() == X.tobytes()
+        [fit], [raw] = fit_pc_path(X, d, [r]), fit_pc_path(X, d, [math.inf])
+        for name in ("basis", "eigenvalues", "eigenvectors"):
+            assert getattr(fit, name).tobytes() == getattr(raw, name).tobytes(), name
+        assert fit.degenerate_gap == raw.degenerate_gap
+
+    @ROUTES
+    def test_radius_beyond_the_slack_of_the_smallest_norm_clips_every_row(self, n, p, d):
+        X = _spiked(n, p, seed=22)
+        r = np.linalg.norm(X, axis=1).min() * (1 - 2e-12)
+        W = winsorize_dataset(X, r)
+        assert not np.any(np.all(W == X, axis=1))
+        assert np.allclose(np.linalg.norm(W, axis=1), r, rtol=1e-15, atol=0)
+        fit = fit_pc_subspace(X, d, RadiusSpec.fixed(r))
+        spherical = fit_pc_subspace(X, d, RadiusSpec.spherical())
+        assert fit.eigenvectors.tobytes() == spherical.eigenvectors.tobytes()
+        assert fit.degenerate_gap == spherical.degenerate_gap
+
+
 class TestTopEigh:
     def test_matches_full_eigh(self):
         X = _spiked(50, 7, seed=9)
