@@ -89,7 +89,7 @@ def _check_radii(radii, what="radius", *, allow_inf=False, path=False) -> np.nda
     """``radii`` as a float64 array, each positive and finite unless ``allow_inf``,
     else ``ValueError`` naming ``what``; ``path`` asks for a nonempty 1-D sequence."""
     r = np.asarray(radii, dtype=np.float64)
-    if not np.all(r > 0 if allow_inf else np.isfinite(r) & (r > 0)):
+    if not (r > 0 if allow_inf else np.isfinite(r) & (r > 0)).all():
         raise ValueError(f"{what} must be {'' if allow_inf else 'finite and '}positive")
     if path and (r.ndim != 1 or r.size < 1):
         raise ValueError("radii must be a nonempty 1-D sequence")
