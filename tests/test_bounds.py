@@ -731,11 +731,8 @@ class TestRadiusSquaredOverflow:
         got = estimate_winsorized_spectra(model, [self.R], 1000, seed=0)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
-    @pytest.mark.parametrize("call", [
-        lambda r: concentration_bound(1.0, 1.0, [0.5, 0.25], r, 1, 0.1, 100, 100),
-        lambda r: perturbation_bound(1.0, 0.0, r, 0.0),
-        lambda r: wpca_breakdown_lower_bounds([0.5, 0.25], r, 1),
-    ], ids=["concentration_bound", "perturbation_bound", "wpca_breakdown_lower_bounds"])
-    def test_bounds_reject_infinite_square(self, call):
+    @pytest.mark.parametrize("name", [
+        "concentration_bound", "perturbation_bound", "wpca_breakdown_lower_bounds"])
+    def test_bounds_reject_infinite_square(self, name):
         with pytest.raises(ValueError, match="squared"):
-            call(self.R)
+            RADIUS_CALLS[name](self.R)
