@@ -348,7 +348,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     # Flags the preset does not take keep its own defaults.
     params = inspect.signature(run).parameters
-    kwargs = {"seed": args.seed}
+    kwargs = {} if args.seed is None else {"seed": args.seed}
     ignored = []
     if args.scale is not None:
         if "scale" in params:
@@ -422,7 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--scale", type=float, default=None,
                        help="size multiplier (fig1: n and replications; fig2: p; "
                             "fig3: replications)")
-    p_exp.add_argument("--seed", type=int, default=42)
+    p_exp.add_argument("--seed", type=int, default=None,
+                       help="seed of the random draws (default: the preset's own)")
     p_exp.add_argument("--jobs", type=int, default=None,
                        help="threads that run replications (fig1, fig2, fig3; "
                             "default 1); with one job each replication spreads "
