@@ -833,6 +833,39 @@ class TestOutputRouting:
         assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
 
+def _lines_before(text, header):
+    lines = text.splitlines()
+    return lines[:lines.index(header)]
+
+
+class TestMetadataLineBreaks:
+    """A line break inside a metadata value is written as the two characters
+    ``\\n`` (``\\r`` for a carriage return), so every line above the column
+    header stays a '#' line."""
+
+    def test_fit_input_path_round_trips_through_angles(self, capsys, tmp_path):
+        data = tmp_path / "a\nb\r.csv"
+        X = PopulationModel.gaussian([25.0, 1.0]).draw(50, make_rng(3))
+        data.write_text("\n".join(",".join(map(str, row)) for row in X) + "\n")
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "fit", str(data), "--d", "1", "--out", str(out))
+        assert code == 0, err
+        text = out.read_text()
+        assert all(line.startswith("#") for line in _lines_before(text, "basis_1"))
+        assert meta_of(text)["input"] == str(data).replace("\n", "\\n").replace("\r", "\\r")
+        code, text, err = run_cli(capsys, "angles", str(out), str(out))
+        assert code == 0, err
+        assert float(meta_of(text)["largest"]) == 0.0
+
+    def test_breakdown_eigs_with_line_break(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "breakdown", "--eigs", "2,\n1",
+                                 "--r2", "4", "--d", "1")
+        assert code == 0, err
+        assert all(line.startswith("#") for line in _lines_before(out, "quantity,value"))
+        assert meta_of(out)["eigs"] == "2,\\n1"
+        assert quantities_of(out) == {"weak_lb": "0.125", "strong_lb": "0.125"}
+
+
 class TestConfigFile:
     def test_fit_section_preloads_flags(self, capsys, tmp_path, unit_square):
         cfg = tmp_path / "winpca.ini"
