@@ -731,8 +731,13 @@ class TestRadiusSquaredOverflow:
         got = estimate_winsorized_spectra(model, [self.R], 1000, seed=0)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    # covariance_deviation_bound keeps its own radius rule (r = 0 allowed).
+    CALLS = RADIUS_CALLS | {"covariance_deviation_bound": lambda r: covariance_deviation_bound(
+        0.1, r, 1.0, 100, 10)}
+
     @pytest.mark.parametrize("name", [
-        "concentration_bound", "perturbation_bound", "wpca_breakdown_lower_bounds"])
+        "concentration_bound", "covariance_deviation_bound", "perturbation_bound",
+        "wpca_breakdown_lower_bounds"])
     def test_bounds_reject_infinite_square(self, name):
         with pytest.raises(ValueError, match="squared"):
-            RADIUS_CALLS[name](self.R)
+            self.CALLS[name](self.R)
