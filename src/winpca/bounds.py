@@ -298,7 +298,8 @@ def covariance_deviation_bound(
     """Expected operator-norm deviation of the contaminated winsorized covariance.
 
     Returns ``eps * r^2 + 16 * sigma_r^2 * max(8 p / n, sqrt(8 p / n))``
-    where ``sigma_r`` is the winsorized subgaussian parameter.
+    where ``sigma_r`` is the winsorized subgaussian parameter.  An r^2 that
+    overflows float64 raises ``ValueError``.
     """
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
@@ -306,6 +307,8 @@ def covariance_deviation_bound(
     if not (math.isfinite(r) and r >= 0 and sigma_r > 0):
         raise ValueError("need a finite r >= 0 and sigma_r > 0")
     n, p = _check_counts(n, p)
+    if math.isinf(float(r) * float(r)):
+        raise ValueError("the radius squared overflows float64")
     q = 8.0 * p / n
     return eps * r * r + 16.0 * sigma_r * sigma_r * max(q, math.sqrt(q))
 
