@@ -299,29 +299,22 @@ def run_breakdown_bounds(
     return table
 
 
-def run_perturbation_sweep(
-    seed: int = 42, n: int = 1000, m_max: int | None = None
-) -> ResultTable:
+def run_perturbation_sweep(seed: int = 42, n: int = 1000) -> ResultTable:
     """Observed angle versus perturbation bounds on one dataset ("fig4").
 
     One Gaussian draw with n rows, p=2, covariance diag(25, 1), d=1; the
-    radius is the median row norm.  For m = 0 .. m_max (default n/2 - 1) the
-    first m rows are replaced by (0, max norm squared + 100) and the fitted
-    subspace is compared with the fit on the pure data.  Rows carry both
-    deterministic bounds (the sharper one blank where its validity condition
-    fails) and the weak breakdown lower bound of the pure fit as a constant
-    marker column.
+    radius is the median row norm.  For m = 0 .. n // 2 - 1, fractions m / n
+    below 1/2, the first m rows are replaced by (0, max norm squared + 100)
+    and the fitted subspace is compared with the fit on the pure data.  Rows
+    carry both deterministic bounds (the sharper one blank where its
+    validity condition fails) and the weak breakdown lower bound of the pure
+    fit as a constant marker column.
     """
     p, d = 2, 1
     n = int(n)
     if n < 4:
         raise ValueError("need n >= 4")
-    if m_max is None:
-        m_max = n // 2 - 1
-    m_max = int(m_max)
-    if not 0 <= m_max < n / 2:
-        raise ValueError("m_max must keep the contamination fraction below 1/2")
-    _check_size(m_max + 1, n, p)
+    _check_size(n // 2, n, p)
     model = PopulationModel.gaussian(np.array([25.0, 1.0]))
     X0 = model.draw(n, make_rng(seed))
     norms = row_norms(X0)
@@ -330,7 +323,7 @@ def run_perturbation_sweep(
     # One map solves every contaminated dataset, all p eigenpairs each; m = 0
     # is the pure fit, whose spectrum is the winsorized sample spectrum at r.
     fits = [path[0] for path in _spectra(
-        (apply_contamination(X0, m, outlier) for m in range(m_max + 1)),
+        (apply_contamination(X0, m, outlier) for m in range(n // 2)),
         d, _check_radii([r], allow_inf=True, path=True), p)]
     vals, pure = fits[0][0], fits[0][1][:, :d]
     angles = _angles(np.stack([vecs[:, :d] for _, vecs, _ in fits]), pure)[:, -1]

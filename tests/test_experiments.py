@@ -46,7 +46,7 @@ def breakdown_table():
 
 @pytest.fixture(scope="module")
 def sweep_table():
-    return run_perturbation_sweep(seed=5, n=200, m_max=30)
+    return run_perturbation_sweep(seed=5, n=200)
 
 
 class TestFormatValue:
@@ -284,8 +284,8 @@ class TestBreakdownBounds:
 
 class TestPerturbationSweep:
     def test_layout(self, sweep_table):
-        assert len(sweep_table.rows) == 31
-        assert _col(sweep_table, "m") == list(range(31))
+        assert len(sweep_table.rows) == 100
+        assert _col(sweep_table, "m") == list(range(100))
         eps = _col(sweep_table, "epsilon")
         assert eps[10] == pytest.approx(0.05)
 
@@ -341,14 +341,12 @@ class TestPerturbationSweep:
                                 bd.components["bound1"], bd.components.get("bound2"))
 
     def test_deterministic(self, sweep_table):
-        again = run_perturbation_sweep(seed=5, n=200, m_max=30)
+        again = run_perturbation_sweep(seed=5, n=200)
         assert again.csv_text(timestamp=False) == sweep_table.csv_text(timestamp=False)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             run_perturbation_sweep(n=2)
-        with pytest.raises(ValueError):
-            run_perturbation_sweep(n=100, m_max=50)
 
 
 @pytest.mark.parametrize("run, kwargs", [
