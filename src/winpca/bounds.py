@@ -85,11 +85,14 @@ def _check_descending(values: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bound value with its named components and validity flags."""
+    """A bound value with its named components.
+
+    A vanishing eigengap makes ``value`` infinite, and a component whose
+    validity condition fails is left out of ``components``.
+    """
 
     value: float
     components: dict[str, float]
-    assumptions_met: dict[str, bool]
 
     @property
     def clipped(self) -> float:
@@ -233,14 +236,13 @@ def concentration_bound(
         raise ValueError("the radius squared overflows float64")
     if g <= 0.0:
         comps = {"contamination": math.inf, "sampling": math.inf}
-        return BoundReport(math.inf, comps, {"positive_gap": False})
+        return BoundReport(math.inf, comps)
     contamination = 2.0 * r2 * eps / g
     factor = min(r2 * lam1 / (p * lamp), lam1 * sigma_sub * sigma_sub)
     sampling = 256.0 * factor * _dim_ratio(n, p) / g
     return BoundReport(
         contamination + sampling,
         {"contamination": contamination, "sampling": sampling},
-        {"positive_gap": True},
     )
 
 
@@ -381,8 +383,9 @@ def perturbation_bound(
 
     ``bound1 = 2 r^2 eps / g`` holds whenever the winsorized sample eigengap
     g is positive; ``bound2 = r^2 eps / (g - 2 r^2 eps)`` is sharper but only
-    valid when ``g > 4 r^2 eps``.  The report's value is the smallest
-    available bound.  An r^2 that overflows float64 raises ``ValueError``.
+    valid, and only among the components, when ``g > 4 r^2 eps``.  The
+    report's value is the smallest available bound.  An r^2 that overflows
+    float64 raises ``ValueError``.
     """
     eps = _check_eps(eps)
     r = float(_check_radii(r))
@@ -396,12 +399,6 @@ def perturbation_bound(
     components: dict[str, float] = {}
     bound1 = math.inf if g <= 0.0 else 2.0 * r2 * eps / g
     components["bound1"] = bound1
-    bound2_valid = g > 4.0 * r2 * eps
-    if bound2_valid:
+    if g > 4.0 * r2 * eps:
         components["bound2"] = r2 * eps / (g - 2.0 * r2 * eps)
-    value = min(components.values())
-    return BoundReport(
-        value,
-        components,
-        {"positive_gap": g > 0.0, "bound2_valid": bound2_valid},
-    )
+    return BoundReport(min(components.values()), components)
