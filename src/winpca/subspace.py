@@ -210,8 +210,8 @@ def _thin_svd_spectrum(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _distinct(A: np.ndarray, d: int, radii: np.ndarray) -> tuple:
-    """``(low, first, which, items)`` of one dataset for ``_spectra``: radius
-    j takes distinct matrix ``which[j]``, ``low`` marks the radii that clip
+    """``(low, which, items)`` of one dataset for ``_spectra``: radius j
+    takes distinct matrix ``which[j]``, ``low`` marks the radii that clip
     every row, and ``items`` are the thin-SVD eigenpairs or the matrices."""
     n, p = A.shape
     norms = row_norms(A)
@@ -221,13 +221,13 @@ def _distinct(A: np.ndarray, d: int, radii: np.ndarray) -> tuple:
     inside = largest_inside_norm(radii)
     low = inside < norms.min()
     key = np.where(low, 0.0, np.where(inside < norms.max(), radii, math.inf))
-    keys, first, which = np.unique(key, return_index=True, return_inverse=True)
+    keys, which = np.unique(key, return_inverse=True)
     if d <= n < p:
-        return low, first, which, [
+        return low, which, [
             _thin_svd_spectrum(unit_rows(A, norms) if r == 0.0 else
                                A if math.isinf(r) else winsorize_rows(A, r))
             for r in keys]
-    return low, first, which, _second_moments(A, keys, norms)
+    return low, which, _second_moments(A, keys, norms)
 
 
 @one_blas_thread
@@ -244,7 +244,8 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
     Each distinct matrix is solved once.  A radius that clips no row (the
     cut of ``_second_moments`` at n) leaves the raw rows, bit for bit as
     ``+inf`` does, and equal radii give equal matrices; the radii that
-    share a matrix get copies of one solve.  A radius that clips every row
+    share a matrix share the arrays of one solve, which callers only read
+    (``_make_fit`` copies them).  A radius that clips every row
     (the cut at 0) gives ``r^2 U / n``, with U the Gram of the unit rows:
     all such radii share key 0, the spherical-PCA matrix ``U / n``, and take
     its eigenvectors, its ``tied`` and its eigenvalues times ``r^2`` (zero
@@ -257,20 +258,19 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
     """
     paths, jobs = [], []
     # map holds no dataset between draws, where a for-loop variable would.
-    for low, first, which, items in map(lambda A: _distinct(A, d, radii), datasets):
+    for low, which, items in map(lambda A: _distinct(A, d, radii), datasets):
         if isinstance(items, np.ndarray):  # matrices, solved below
             jobs += [(S, min(S.shape[0], d + 1) if k is None else k) for S in items]
-        paths.append((low, first, which, items))
+        paths.append((low, which, items))
     small = all(S.shape[0] < _THREADED_MIN_P for S, _ in jobs)
     solved = iter(thread_map(lambda job: top_eigh(*job), jobs, 1 if small else None))
     out = []
-    for low, first, which, items in paths:
+    for low, which, items in paths:
         spectra = [next(solved) for _ in items] if isinstance(items, np.ndarray) else items
-        # Radii sharing a matrix after the first get copies, so no two fits
-        # share an array; a low radius scales key 0's eigenvalues anew.
+        # A low radius scales key 0's eigenvalues into a new array.
         out.append([])
         for j, i in enumerate(which):
-            vals, vecs = spectra[i] if j == first[i] else (a.copy() for a in spectra[i])
+            vals, vecs = spectra[i]
             tied = bool(vals[d - 1] - (vals[d] if d < vals.size else 0.0)
                         <= GAP_TIE_TOL * vals[0])
             if low[j] and radii[j] > 0.0:
@@ -283,9 +283,10 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
 
 
 def _make_fit(vals, vecs, tied: bool, d: int, r: float) -> WPCAFit:
-    """The fit at radius ``r`` of one ``_spectra`` entry; its basis is a copy,
-    never a view of ``vecs``."""
-    return WPCAFit(vecs[:, :d].copy(), vals, vecs, float(r), tied)
+    """The fit at radius ``r`` of one ``_spectra`` entry; it owns copies of
+    ``vals`` and ``vecs``, which ``_spectra`` may share between radii, and a
+    basis that is never a view of its eigenvectors."""
+    return WPCAFit(vecs[:, :d].copy(), vals.copy(), vecs.copy(), float(r), tied)
 
 
 def fit_pc_subspace(X, d: int, spec: RadiusSpec) -> WPCAFit:
