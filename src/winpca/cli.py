@@ -260,8 +260,6 @@ def cmd_angles(args: argparse.Namespace) -> int:
 
 
 def _perturbation(a: argparse.Namespace):
-    if a.gap < 0:
-        raise ValueError("gap must be nonnegative")
     report = perturbation_bound(a.gap, 0.0, a.r, a.eps)
     return {}, [("bound1", report.components["bound1"]),
                 ("bound2", report.components.get("bound2")),
