@@ -85,11 +85,7 @@ def _check_descending(values: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bound value with its named components.
-
-    A vanishing eigengap makes ``value`` infinite, and a component whose
-    validity condition fails is left out of ``components``.
-    """
+    """A bound value and its named components, each present only where valid."""
 
     value: float
     components: dict[str, float]
@@ -383,9 +379,8 @@ def perturbation_bound(
 
     ``bound1 = 2 r^2 eps / g`` holds whenever the winsorized sample eigengap
     g is positive; ``bound2 = r^2 eps / (g - 2 r^2 eps)`` is sharper but only
-    valid, and only among the components, when ``g > 4 r^2 eps``.  The
-    report's value is the smallest available bound.  An r^2 that overflows
-    float64 raises ``ValueError``.
+    valid when ``g > 4 r^2 eps``.  The report's value is the smallest
+    available bound.  An r^2 that overflows float64 raises ``ValueError``.
     """
     eps = _check_eps(eps)
     r = float(_check_radii(r))

@@ -244,8 +244,7 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
     Each distinct matrix is solved once.  A radius that clips no row (the
     cut of ``_second_moments`` at n) leaves the raw rows, bit for bit as
     ``+inf`` does, and equal radii give equal matrices; the radii that
-    share a matrix share the arrays of one solve, which callers only read
-    (``_make_fit`` copies them).  A radius that clips every row
+    share a matrix share one solve's arrays.  A radius that clips every row
     (the cut at 0) gives ``r^2 U / n``, with U the Gram of the unit rows:
     all such radii share key 0, the spherical-PCA matrix ``U / n``, and take
     its eigenvectors, its ``tied`` and its eigenvalues times ``r^2`` (zero
@@ -283,9 +282,8 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
 
 
 def _make_fit(vals, vecs, tied: bool, d: int, r: float) -> WPCAFit:
-    """The fit at radius ``r`` of one ``_spectra`` entry; it owns copies of
-    ``vals`` and ``vecs``, which ``_spectra`` may share between radii, and a
-    basis that is never a view of its eigenvectors."""
+    """The fit at radius ``r`` of one ``_spectra`` entry; it owns its arrays,
+    copies of those that ``_spectra`` may share between radii."""
     return WPCAFit(vecs[:, :d].copy(), vals.copy(), vecs.copy(), float(r), tied)
 
 
