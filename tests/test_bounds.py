@@ -306,6 +306,10 @@ class TestEstimateWinsorizedSpectra:
         with pytest.raises(ValueError, match=message):
             estimate_winsorized_spectra(self.MODELS["gaussian"], radii, 1000, seed=0)
 
+    def test_model_validated(self):
+        with pytest.raises(ValueError, match="must be a PopulationModel"):
+            estimate_winsorized_spectra(np.array([4.0, 1.0]), [1.0], 1000, seed=0)
+
 
 class TestSampleWinsorizedSpectrum:
     def test_trace_equals_mean_clipped_squared_norm(self):
@@ -353,6 +357,10 @@ class TestConcentrationBounds:
         ws = ([0.75, 0.25], 1.0)
         with pytest.raises(ValueError):
             concentration_bound(1.0, 2.0, *ws, 1, 0.1, 100, 100)
+
+    def test_d_needs_an_eigenvalue_past_it(self):
+        with pytest.raises(ValueError, match="need 1 <= d < 2 winsorized eigenvalues"):
+            concentration_bound(1.0, 1.0, [0.75, 0.25], 1.0, 2, 0.1, 100, 100)
 
     @pytest.mark.parametrize("lam1, lamp", [(math.inf, 1.0), (math.inf, math.inf),
                                             (math.nan, 1.0), (1.0, math.nan)])
@@ -490,6 +498,10 @@ class TestCovarianceDeviationBound:
         covariance_deviation_bound(1.0, 1.0, 1.0, 10, 2)
         with pytest.raises(ValueError):
             covariance_deviation_bound(1.1, 1.0, 1.0, 10, 2)
+
+    def test_rejects_zero_rows(self):
+        with pytest.raises(ValueError, match="n and p must be positive"):
+            covariance_deviation_bound(0.1, 1.0, 1.0, 0, 2)
 
 
 class TestPcaBreakdown:

@@ -421,7 +421,8 @@ class TestBounds:
     def test_perturbation_validation(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "perturbation",
                                "--gap", "-1", "--eps", "0.1")
-        assert code == 2 and "error:" in err
+        assert code == 2
+        assert err.startswith("error: need finite lam_d_r >= lam_d1_r >= 0")
         code, _, err = run_cli(capsys, "bounds", "perturbation",
                                "--gap", "1", "--eps", "0.6")
         assert code == 2 and "error:" in err
@@ -445,6 +446,15 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", "breakdown",
                                "--eigs", "1,2", "--r2", "4", "--d", "1")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("eigs, message", [
+        ("1,x", "could not parse float list '1,x'"),
+        (",", "empty float list"),
+    ])
+    def test_breakdown_rejects_unreadable_eigs(self, capsys, eigs, message):
+        code, out, err = run_cli(capsys, "bounds", "breakdown",
+                                 "--eigs", eigs, "--r2", "4", "--d", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_breakdown_rejects_spectrum_beyond_radius(self, capsys):
         # No winsorized data has an eigenvalue above r^2.
@@ -817,6 +827,16 @@ class TestOutputRouting:
         run_cli(capsys, "fit", unit_square, "--d", "1", "--out", str(target))
         assert [p.name for p in target.parent.iterdir()] == ["basis.csv"]
 
+    def test_out_naming_a_directory_leaves_no_temp_file(self, capsys, tmp_path,
+                                                        unit_square):
+        target = tmp_path / "results"
+        target.mkdir()
+        code, out, err = run_cli(capsys, "fit", unit_square, "--d", "1",
+                                 "--out", str(target))
+        assert (code, out) == (2, "") and "error:" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results", "square.csv"]
+        assert list(target.iterdir()) == []
+
     @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077],
                              ids=["022", "002", "077"])
     def test_out_file_mode_follows_umask(self, capsys, tmp_path, unit_square, umask):
@@ -922,6 +942,18 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "fit", unit_square, "--d", "1",
                                "--config", str(tmp_path / "nope.ini"))
         assert code == 2 and "error:" in err
+        code, _, err = run_cli(capsys, "fit", unit_square, "--d", "1", "--config")
+        assert (code, err) == (2, "error: --config requires a file path\n")
+
+    def test_experiment_section_follows_the_preset_name(self, capsys, monkeypatch,
+                                                        tmp_path):
+        calls = []
+        monkeypatch.setitem(PRESETS, "fig4", _fake_preset(PRESETS["fig4"], calls))
+        cfg = tmp_path / "winpca.ini"
+        cfg.write_text("[experiment]\nseed = 7\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg), "experiment", "fig4")
+        assert code == 0, err
+        assert calls == [{"seed": 7, "n": 1000}]
 
     def test_second_config_is_rejected(self, capsys, tmp_path):
         first, second = tmp_path / "a.ini", tmp_path / "b.ini"

@@ -77,6 +77,20 @@ class TestPopulationModel:
             PopulationModel.gaussian(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             PopulationModel.gaussian(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            PopulationModel.gaussian(np.eye(2))
+
+    @pytest.mark.parametrize("distribution, dof, message", [
+        ("gaussian", 3.0, "no degrees of freedom"),
+        ("laplace", None, "unknown distribution"),
+    ])
+    def test_distribution_validation(self, distribution, dof, message):
+        with pytest.raises(ValueError, match=message):
+            PopulationModel(np.array([2.0, 1.0]), distribution, dof)
+
+    def test_draw_whitened_needs_a_draw(self):
+        with pytest.raises(ValueError, match="at least one draw"):
+            PopulationModel.gaussian([2.0, 1.0]).draw_whitened(0, make_rng(0))
 
     @pytest.mark.parametrize("dof", [2.0, np.inf, np.nan])
     def test_student_t_needs_finite_dof_above_two(self, dof):
@@ -90,6 +104,10 @@ class TestPopulationModel:
         assert not np.array_equal(a, b)
         again = make_rng(5, (0,)).standard_normal(4)
         assert np.array_equal(a, again)
+
+    def test_make_rng_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_rng(-1)
 
 
 class TestContamination:

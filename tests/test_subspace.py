@@ -85,6 +85,10 @@ class TestSymmetricEigh:
         with pytest.raises(ValueError):
             symmetric_eigh(np.ones((2, 3)))
 
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            symmetric_eigh(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
     def test_psd_roundoff_clamped_to_zero(self):
         v = np.array([1.0, 2.0, 3.0])
         vals, _ = symmetric_eigh(np.outer(v, v))
@@ -166,6 +170,8 @@ class TestFit:
             fit_pc_subspace(X, 0, RadiusSpec.none())
         with pytest.raises(ValueError):
             fit_pc_subspace(X, 4, RadiusSpec.none())
+        with pytest.raises(ValueError, match="expected a 2-D data matrix"):
+            fit_pc_subspace(np.ones((2, 3, 3)), 1, RadiusSpec.none())
 
     def test_thin_svd_path_matches_dense(self):
         # n < p forces the SVD route; compare against the dense eigh route
@@ -201,6 +207,8 @@ class TestPrincipalAngles:
         U = np.array([[1.0], [0.0]])
         W = np.array([[1.0], [1.0]]) / np.sqrt(2)
         assert principal_angles(U, W)[-1] == pytest.approx(np.pi / 4, abs=1e-12)
+        # A 1-D basis is one column.
+        assert np.array_equal(principal_angles(U[:, 0], W[:, 0]), principal_angles(U, W))
 
     def test_shared_plus_orthogonal_direction(self):
         U = np.eye(4)[:, [0, 1]]
@@ -214,6 +222,10 @@ class TestPrincipalAngles:
             principal_angles(np.eye(3)[:, :1], np.eye(3)[:, :2])
         with pytest.raises(ValueError):
             principal_angles(np.eye(3)[:, :1], np.eye(4)[:, :1])
+        with pytest.raises(ValueError, match="exceeds ambient"):
+            principal_angles(np.eye(2, 3), np.eye(2, 3))
+        with pytest.raises(ValueError, match="nonempty p x d"):
+            principal_angles(np.empty((0, 1)), np.empty((0, 1)))
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
