@@ -21,10 +21,12 @@ from winpca import (
     apply_contamination,
     breakdown_lower_bounds_from_values,
     estimate_winsorized_eigenvalues,
+    fit_pc_path,
     fit_pc_subspace,
     make_rng,
     perturbation_bound,
     principal_angles,
+    resolve_radius,
     run_breakdown_bounds,
     run_effect_of_radius,
     run_high_dim,
@@ -248,6 +250,42 @@ def test_outlier_sweep_transitions(report):
         if sin > b1 + 1e-9:
             failures.append(f"eps={eps:.3f}: sin {sin:.6f} > bound1 {b1:.6f}")
     report("outlier sweep transitions", failures)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "t3"])
+def test_consistency_as_n_grows_and_eps_shrinks(report, family):
+    # The paper's consistency claim: with n growing and the outlier fraction
+    # eps_n = 0.5 / sqrt(n) shrinking, the median-radius fit converges to the
+    # population subspace span(e1, e2) at rate about n^-1/2.  The outliers
+    # point along (e2 + e6) / sqrt(2), which mixes the span with its
+    # complement, so classical PCA (radius +inf) stays at sin 1/sqrt(2).
+    # Sign symmetry keeps the winsorized covariance of this diagonal model
+    # diagonal, so the target span is exact.
+    failures = []
+    p, d, reps, seed = 20, 2, 20, 42
+    eigs = np.concatenate(([25.0, 9.0], np.ones(p - d)))
+    model = (PopulationModel.gaussian(eigs) if family == "gaussian"
+             else PopulationModel.student_t(eigs, 3.0))
+    outlier = 1e6 * (np.eye(p)[1] + np.eye(p)[5]) / math.sqrt(2)
+    target = np.eye(p, d)
+    ns = (250, 1000, 4000, 16000)
+    wpca, pca = np.zeros(len(ns)), np.zeros(len(ns))
+    for ni, n in enumerate(ns):
+        for rep in range(reps):
+            X = apply_contamination(model.draw(n, make_rng(seed, (ni, rep))),
+                                    round(0.5 * math.sqrt(n)), outlier)
+            r = resolve_radius(X, RadiusSpec.median_norm())
+            fits = fit_pc_path(X, d, [r, math.inf])
+            wpca[ni] += math.sin(principal_angles(fits[0].basis, target)[-1]) / reps
+            pca[ni] += math.sin(principal_angles(fits[1].basis, target)[-1]) / reps
+    slope = np.polyfit(np.log(ns), np.log(wpca), 1)[0]
+    if not -0.6 <= slope <= -0.4:
+        failures.append(f"log-log slope {slope:.3f} outside [-0.6, -0.4]")
+    if not wpca[-1] < 0.05:
+        failures.append(f"WPCA mean sin {wpca[-1]:.4f} >= 0.05 at n={ns[-1]}")
+    if not np.all(pca > 0.7):
+        failures.append(f"classical PCA mean sin {pca.min():.4f} <= 0.7")
+    report(f"consistency as n grows and eps shrinks ({family})", failures)
 
 
 def test_single_outlier_breaks_classical_fit_only(report):
