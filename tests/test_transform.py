@@ -310,10 +310,6 @@ class TestResolveRadius:
         assert resolve_radius(X, RadiusSpec.none()) == math.inf
         assert resolve_radius(X, RadiusSpec.spherical()) == 0.0
 
-    def test_spec_must_be_a_radius_spec(self):
-        with pytest.raises(ValueError, match="spec must be a RadiusSpec"):
-            resolve_radius(np.eye(2), "median")
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             RadiusSpec.fixed(0.0)
@@ -325,3 +321,5 @@ class TestResolveRadius:
             RadiusSpec("median_norm", 2.0)
         with pytest.raises(ValueError):
             RadiusSpec("banana")
+        with pytest.raises(ValueError, match="spec must be a RadiusSpec"):
+            resolve_radius(np.eye(2), "median")
