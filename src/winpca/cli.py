@@ -346,7 +346,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     # Flags the preset does not take keep its own defaults.
     params = inspect.signature(run).parameters
-    kwargs = {} if args.seed is None else {"seed": args.seed}
+    kwargs = {}
     ignored = []
     if args.scale is not None:
         if "scale" in params:
@@ -360,7 +360,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             kwargs["replications"] = max(1, round(scaled))
         else:
             ignored.append("--scale")
-    for name in ("replications", "jobs"):
+    for name in ("seed", "replications", "jobs"):
         value = getattr(args, name)
         if value is not None:
             if name in params:
