@@ -266,7 +266,7 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
     out = []
     for low, which, items in paths:
         spectra = [next(solved) for _ in items] if isinstance(items, np.ndarray) else items
-        # A low radius scales key 0's eigenvalues into a new array.
+        # A low radius scales key 0's shared eigenvalues into a new array.
         out.append([])
         for j, i in enumerate(which):
             vals, vecs = spectra[i]
