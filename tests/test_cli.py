@@ -828,14 +828,19 @@ class TestOutputRouting:
         assert [p.name for p in target.parent.iterdir()] == ["basis.csv"]
 
     def test_out_naming_a_directory_leaves_no_temp_file(self, capsys, tmp_path,
-                                                        unit_square):
+                                                        unit_square, monkeypatch):
+        # The error names the path the user gave, never the removed temp file.
         target = tmp_path / "results"
         target.mkdir()
-        code, out, err = run_cli(capsys, "fit", unit_square, "--d", "1",
-                                 "--out", str(target))
-        assert (code, out) == (2, "") and "error:" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["results", "square.csv"]
-        assert list(target.iterdir()) == []
+        monkeypatch.chdir(tmp_path)
+        for out_arg, named in ((str(target), f"'{target}'"), ("", "''")):
+            code, out, err = run_cli(capsys, "fit", unit_square, "--d", "1",
+                                     "--out", out_arg)
+            last = err.splitlines()[-1]
+            assert (code, out) == (2, "") and last.startswith("error:"), err
+            assert last.endswith(named) and ".winpca-" not in err, err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["results", "square.csv"]
+            assert list(target.iterdir()) == []
 
     @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077],
                              ids=["022", "002", "077"])
