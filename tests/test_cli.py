@@ -890,6 +890,19 @@ class TestMetadataLineBreaks:
         assert meta_of(out)["eigs"] == "2,\\n1"
         assert quantities_of(out) == {"weak_lb": "0.125", "strong_lb": "0.125"}
 
+    def test_backslash_is_escaped_so_headers_stay_distinct(self, capsys, tmp_path):
+        # A file named with a backslash and an n, and one named with a line break.
+        X = PopulationModel.gaussian([25.0, 1.0]).draw(50, make_rng(3))
+        inputs = {}
+        for name in ("a\\nb.csv", "a\nb.csv"):
+            data = tmp_path / name
+            data.write_text("\n".join(",".join(map(str, row)) for row in X) + "\n")
+            code, out, err = run_cli(capsys, "fit", str(data), "--d", "1")
+            assert code == 0, err
+            inputs[name] = meta_of(out)["input"]
+        assert inputs["a\\nb.csv"] == str(tmp_path).replace("\\", "\\\\") + "/a\\\\nb.csv"
+        assert inputs["a\nb.csv"] == str(tmp_path).replace("\\", "\\\\") + "/a\\nb.csv"
+
 
 class TestConfigFile:
     def test_fit_section_preloads_flags(self, capsys, tmp_path, unit_square):
