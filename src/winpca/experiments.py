@@ -96,8 +96,9 @@ class ResultTable:
     def csv_text(self, timestamp: bool = True) -> str:
         out = io.StringIO()
         for key, val in self.metadata.items():
-            # Escaped, a CR or LF inside a value cannot end its '#' line early.
-            val = val.replace("\r", "\\r").replace("\n", "\\n")
+            # Escaped, a CR or LF inside a value cannot end its '#' line early;
+            # a backslash is escaped first, so the escapes stay distinct.
+            val = val.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
             out.write(f"# {key}={val}\n")
         if timestamp:
             now = datetime.datetime.now(datetime.timezone.utc)

@@ -866,7 +866,8 @@ def _lines_before(text, header):
 class TestMetadataLineBreaks:
     """A line break inside a metadata value is written as the two characters
     ``\\n`` (``\\r`` for a carriage return), so every line above the column
-    header stays a '#' line."""
+    header stays a '#' line; a backslash is written as two, so no two values
+    print alike."""
 
     def test_fit_input_path_round_trips_through_angles(self, capsys, tmp_path):
         data = tmp_path / "a\nb\r.csv"
