@@ -33,9 +33,11 @@ from winpca.transform import RadiusSpec, row_norms
 
 
 def _child_env(threads):
-    """This environment with the BLAS thread count set and this package first."""
+    """This environment with the BLAS thread count set, every warning an
+    error as in the suite itself, and this package first."""
     env = dict(os.environ)
     env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONWARNINGS"] = "error"
     root = os.path.dirname(os.path.dirname(winpca.__file__))
     old = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + old if old else "")

@@ -116,8 +116,10 @@ def _experiment(capsys, *argv) -> list[str]:
 
 
 def _child_env() -> dict:
-    """This environment with this package and these tests first on the path."""
+    """This environment with every warning an error, as in the suite itself,
+    and this package and these tests first on the path."""
     env = dict(os.environ)
+    env["PYTHONWARNINGS"] = "error"
     root = os.path.dirname(os.path.dirname(winpca.__file__))
     tests = os.path.dirname(__file__)
     old = env.get("PYTHONPATH")
