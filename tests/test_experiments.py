@@ -161,6 +161,27 @@ class TestEffectOfRadius:
         run_effect_of_radius(scale=scale, seed=42, n_radii=n_radii)
         assert len(solves) == sum(keys) < sum(old_keys)
 
+    @pytest.mark.parametrize("scale, n_radii", [(0.05, 30), (0.5, 6)],
+                             ids=["thin_svd", "gram"])
+    def test_one_angle_per_distinct_solve(self, monkeypatch, scale, n_radii):
+        # The radii that share a solve share its angle too.
+        bases, solves = [], []
+        real_angles, real_distinct = experiments._angles, subspace._distinct
+
+        def angles(U, W):
+            bases.append(U.shape[0])
+            return real_angles(U, W)
+
+        def distinct(A, d, radii):
+            low, which, items = real_distinct(A, d, radii)
+            solves.append(len(items))
+            return low, which, items
+
+        monkeypatch.setattr(experiments, "_angles", angles)
+        monkeypatch.setattr(subspace, "_distinct", distinct)
+        run_effect_of_radius(scale=scale, seed=42, n_radii=n_radii)
+        assert sum(bases) == sum(solves) > 0
+
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             run_effect_of_radius(scale=0.0)
