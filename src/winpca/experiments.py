@@ -96,8 +96,7 @@ class ResultTable:
     def csv_text(self, timestamp: bool = True) -> str:
         out = io.StringIO()
         for key, val in self.metadata.items():
-            # Escaped, a CR or LF inside a value cannot end its '#' line early;
-            # a backslash is escaped first, so the escapes stay distinct.
+            # Escaped, a backslash first, a CR or LF cannot end its '#' line early.
             val = val.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
             out.write(f"# {key}={val}\n")
         if timestamp:
@@ -135,13 +134,13 @@ def _path_sines(datasets, d: int, radii, target: np.ndarray) -> np.ndarray:
     """sin theta to the p x d orthonormal basis ``target`` of every
     ``fit_pc_path`` fit, one row per dataset.
 
-    One map solves the matrices of every dataset, and one stacked pass a
-    path's angles.  Pass ``datasets`` as a generator: no two then coexist.
+    One map solves every dataset's matrices, one stacked pass the angle of
+    each distinct solve.  Pass ``datasets`` as a generator: no two coexist.
     """
     d, radii = _check_dim(d, target.shape[0]), _check_radii(radii, allow_inf=True, path=True)
     return np.array([[math.sin(a) for a in _angles(
-        np.stack([vecs[:, :d] for _, vecs, _ in path]), target)[:, -1]]
-        for path in _spectra(map(as_data_matrix, datasets), d, radii)])
+        np.stack([vecs[:, :d] for _, vecs in spectra]), target)[which, -1]]
+        for _, which, spectra in _spectra(map(as_data_matrix, datasets), d, radii)])
 
 
 def run_effect_of_radius(
@@ -323,11 +322,11 @@ def run_perturbation_sweep(seed: int = 42, n: int = 1000) -> ResultTable:
     outlier = np.array([0.0, float(norms.max()) ** 2 + 100.0])
     # One map solves every contaminated dataset, all p eigenpairs each; m = 0
     # is the pure fit, whose spectrum is the winsorized sample spectrum at r.
-    fits = [path[0] for path in _spectra(
+    fits = [spectra[0] for _, _, spectra in _spectra(
         (apply_contamination(X0, m, outlier) for m in range(n // 2)),
         d, _check_radii([r], allow_inf=True, path=True), p)]
     vals, pure = fits[0][0], fits[0][1][:, :d]
-    angles = _angles(np.stack([vecs[:, :d] for _, vecs, _ in fits]), pure)[:, -1]
+    angles = _angles(np.stack([vecs[:, :d] for _, vecs in fits]), pure)[:, -1]
     weak_lb, strong_lb = breakdown_lower_bounds_from_values(vals, r * r, d)
     table = ResultTable(
         ("m", "epsilon", "observed_angle", "observed_sin", "bound1", "bound2",

@@ -90,8 +90,8 @@ class WPCAFit:
     and only n columns on the thin-SVD route (``d <= n < p``), whose trailing
     p - n eigenvalues are exact zeros.  ``radius`` is a float in [0, +inf]:
     ``+inf`` is classical PCA and ``0`` spherical PCA.  ``degenerate_gap``
-    flags an eigenvalue tie at the subspace boundary, the same for every
-    radius below the smallest row norm; the fit is still returned but
+    flags an eigenvalue tie at the subspace boundary (``_make_fit`` says how
+    a radius below every row norm reads it); the fit is still returned but
     downstream gap-based bounds will be infinite.
     """
 
@@ -231,9 +231,10 @@ def _distinct(A: np.ndarray, d: int, radii: np.ndarray) -> tuple:
 
 
 @one_blas_thread
-def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[list]:
-    """Each winsorized dataset's eigenpairs at every radius, with ``tied``: whether
-    the gap at d is within ``GAP_TIE_TOL`` of the top value.
+def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[tuple]:
+    """Each winsorized dataset's ``(low, which, spectra)``: its distinct
+    eigenpairs ``(vals, vecs)``, each solved once, of which radius j takes
+    ``spectra[which[j]]``; ``low`` marks the radii that clip every row.
 
     With fewer rows than columns the thin SVD of the winsorized rows is
     cheaper than the p x p Gram, and exact zeros fill the missing
@@ -241,19 +242,15 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
     ``top_eigh`` solves for the top ``k`` (else ``min(p, d + 1)``)
     eigenpairs of each matrix of ``winsorized_second_moments``.
 
-    Each distinct matrix is solved once.  A radius that clips no row (the
-    cut of ``_second_moments`` at n) leaves the raw rows, bit for bit as
-    ``+inf`` does, and equal radii give equal matrices; the radii that
-    share a matrix share one solve's arrays.  A radius that clips every row
-    (the cut at 0) gives ``r^2 U / n``, with U the Gram of the unit rows:
-    all such radii share key 0, the spherical-PCA matrix ``U / n``, and take
-    its eigenvectors, its ``tied`` and its eigenvalues times ``r^2`` (zero
-    where that underflows).  Radius 0 is the
-    spherical limit itself, which raises on a zero row.  The validated
-    datasets are reduced one at a time (``_distinct``) and dropped, so no
-    two from a generator exist at once; one ``thread_map`` then solves every
-    matrix, over the CPUs from ``_THREADED_MIN_P`` columns up.  The thin
-    SVDs run in the reduction: numpy's SVD holds the interpreter lock.
+    A radius that clips no row (the cut of ``_second_moments`` at n) leaves
+    the raw rows, bit for bit as ``+inf`` does, and equal radii give equal
+    matrices.  The radii that clip every row (the cut at 0) share key 0,
+    ``U / n`` with U the Gram of the unit rows, which raises on a zero row;
+    ``_make_fit`` turns it into the fit at each.  The validated datasets are
+    reduced one at a time (``_distinct``) and dropped, so no two from a
+    generator exist at once; one ``thread_map`` then solves every matrix,
+    over the CPUs from ``_THREADED_MIN_P`` columns up.  The thin SVDs run in
+    the reduction: numpy's SVD holds the interpreter lock.
     """
     paths, jobs = [], []
     # map holds no dataset between draws, where a for-loop variable would.
@@ -263,27 +260,24 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
         paths.append((low, which, items))
     small = all(S.shape[0] < _THREADED_MIN_P for S, _ in jobs)
     solved = iter(thread_map(lambda job: top_eigh(*job), jobs, 1 if small else None))
-    out = []
-    for low, which, items in paths:
-        spectra = [next(solved) for _ in items] if isinstance(items, np.ndarray) else items
-        # A low radius scales key 0's shared eigenvalues into a new array.
-        out.append([])
-        for j, i in enumerate(which):
-            vals, vecs = spectra[i]
-            tied = bool(vals[d - 1] - (vals[d] if d < vals.size else 0.0)
-                        <= GAP_TIE_TOL * vals[0])
-            if low[j] and radii[j] > 0.0:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    vals = vals * radii[j] ** 2
-                if math.isinf(vals[0]):
-                    raise ValueError(_OVERFLOW)
-            out[-1].append((vals, vecs, tied))
-    return out
+    return [(low, which, [next(solved) for _ in items]
+             if isinstance(items, np.ndarray) else items) for low, which, items in paths]
 
 
-def _make_fit(vals, vecs, tied: bool, d: int, r: float) -> WPCAFit:
-    """The fit at radius ``r`` of one ``_spectra`` entry; it owns its arrays,
-    copies of those that ``_spectra`` may share between radii."""
+def _make_fit(spectrum: tuple, low: bool, d: int, r) -> WPCAFit:
+    """The fit at radius ``r`` of one ``_spectra`` solve, owning copies of its
+    arrays.  A radius that clips every row (``low``), whose matrix is
+    ``r^2 U / n``, takes key 0's eigenvectors, its gap flag (a tie within
+    ``GAP_TIE_TOL``) and, unless r is 0, its eigenvalues times ``r^2``, zero
+    where that underflows: every such radius gives the spherical subspace."""
+    vals, vecs = spectrum
+    tied = bool(vals[d - 1] - (vals[d] if d < vals.size else 0.0)
+                <= GAP_TIE_TOL * vals[0])
+    if low and r > 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = vals * np.float64(r) ** 2
+        if math.isinf(vals[0]):
+            raise ValueError(_OVERFLOW)
     return WPCAFit(vecs[:, :d].copy(), vals.copy(), vecs.copy(), float(r), tied)
 
 
@@ -299,7 +293,8 @@ def fit_pc_subspace(X, d: int, spec: RadiusSpec) -> WPCAFit:
     A = as_data_matrix(X)
     d = _check_dim(d, A.shape[1])
     r = resolve_radius(A, spec)
-    return _make_fit(*_spectra([A], d, np.array([r]), A.shape[1])[0][0], d, r)
+    low, _, spectra = _spectra([A], d, np.array([r]), A.shape[1])[0]
+    return _make_fit(spectra[0], low[0], d, r)
 
 
 def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
@@ -309,21 +304,21 @@ def fit_pc_path(X, d: int, radii) -> list[WPCAFit]:
     RadiusSpec.fixed(radii[j]))``, or ``RadiusSpec.none()`` where the radius
     is ``+inf``, to roundoff; bit for bit on the thin-SVD route, and for a
     one-radius path where both solve the same eigenpairs (``d + 1 = p``).
-    The radii below the smallest row norm all take the eigenvectors of the
-    unit rows' Gram, its gap flag and its eigenvalues times ``r^2``, in a
-    path as in a single fit: the spherical-PCA subspace.  Radii may come in
-    any order and repeat.  ``X`` is validated once, every covariance comes
-    from one ``winsorized_second_moments`` call, and only the top
-    ``min(p, d + 1)`` eigenpairs of each distinct matrix are solved for and
-    kept, which is what the subspace and its gap flag use; the solves spread
-    over the process's CPUs with the same bits as on one.  With ``d <= n < p`` each distinct
-    radius takes the thin SVD of its winsorized rows instead, as in
+    The radii below the smallest row norm give the spherical-PCA subspace,
+    in a path as in a single fit.  Radii may come in any order and repeat.
+    ``X`` is validated once, every covariance comes from one
+    ``winsorized_second_moments`` call, and only the top ``min(p, d + 1)``
+    eigenpairs of each distinct matrix are solved for and kept, which is
+    what the subspace and its gap flag use; the solves spread over the
+    process's CPUs with the same bits as on one.  With ``d <= n < p`` each
+    distinct radius takes the thin SVD of its winsorized rows instead, as in
     ``fit_pc_subspace``; fig1 and fig2 pass a replication's datasets at once.
     """
     A = as_data_matrix(X)
     d = _check_dim(d, A.shape[1])
     radii = _check_radii(radii, allow_inf=True, path=True)
-    return [_make_fit(*s, d, r) for s, r in zip(_spectra([A], d, radii)[0], radii)]
+    low, which, spectra = _spectra([A], d, radii)[0]
+    return [_make_fit(spectra[i], lo, d, r) for i, lo, r in zip(which, low, radii)]
 
 
 def _angles(U: np.ndarray, W: np.ndarray) -> np.ndarray:
