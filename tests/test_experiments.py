@@ -138,14 +138,20 @@ class TestEffectOfRadius:
     def test_one_solve_per_distinct_matrix(self, monkeypatch, scale, n_radii, solver):
         # Radii that clip no row share the raw rows' matrix, radii that clip
         # every row share one solve of the unit rows' matrix, and every
-        # other radius has a matrix of its own.
+        # other radius has a matrix of its own.  The radii that share a
+        # solve share its angle too.
         # The hook sits on the reduction of each dataset of a batch.
-        solves, keys, old_keys = [], [], []
+        solves, keys, old_keys, bases = [], [], [], []
         real_distinct, real_solve = subspace._distinct, getattr(subspace, solver)
+        real_angles = experiments._angles
 
         def solve(*args):
             solves.append(1)
             return real_solve(*args)
+
+        def angles(U, W):
+            bases.append(U.shape[0])
+            return real_angles(U, W)
 
         def distinct(A, d, radii):
             norms = np.linalg.norm(A, axis=1)
@@ -158,29 +164,9 @@ class TestEffectOfRadius:
 
         monkeypatch.setattr(subspace, solver, solve)
         monkeypatch.setattr(subspace, "_distinct", distinct)
-        run_effect_of_radius(scale=scale, seed=42, n_radii=n_radii)
-        assert len(solves) == sum(keys) < sum(old_keys)
-
-    @pytest.mark.parametrize("scale, n_radii", [(0.05, 30), (0.5, 6)],
-                             ids=["thin_svd", "gram"])
-    def test_one_angle_per_distinct_solve(self, monkeypatch, scale, n_radii):
-        # The radii that share a solve share its angle too.
-        bases, solves = [], []
-        real_angles, real_distinct = experiments._angles, subspace._distinct
-
-        def angles(U, W):
-            bases.append(U.shape[0])
-            return real_angles(U, W)
-
-        def distinct(A, d, radii):
-            low, which, items = real_distinct(A, d, radii)
-            solves.append(len(items))
-            return low, which, items
-
         monkeypatch.setattr(experiments, "_angles", angles)
-        monkeypatch.setattr(subspace, "_distinct", distinct)
         run_effect_of_radius(scale=scale, seed=42, n_radii=n_radii)
-        assert sum(bases) == sum(solves) > 0
+        assert len(solves) == sum(keys) == sum(bases) < sum(old_keys)
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):
