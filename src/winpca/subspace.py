@@ -264,7 +264,7 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
              if isinstance(items, np.ndarray) else items) for low, which, items in paths]
 
 
-def _make_fit(spectrum: tuple, low: bool, d: int, r) -> WPCAFit:
+def _make_fit(spectrum: tuple, low: bool, d: int, r: float) -> WPCAFit:
     """The fit at radius ``r`` of one ``_spectra`` solve, owning copies of its
     arrays.  A radius that clips every row (``low``), whose matrix is
     ``r^2 U / n``, takes key 0's eigenvectors, its gap flag (a tie within
@@ -275,7 +275,7 @@ def _make_fit(spectrum: tuple, low: bool, d: int, r) -> WPCAFit:
                 <= GAP_TIE_TOL * vals[0])
     if low and r > 0.0:
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = vals * np.float64(r) ** 2
+            vals = vals * np.float64(r) ** 2  # inf, not OverflowError
         if math.isinf(vals[0]):
             raise ValueError(_OVERFLOW)
     return WPCAFit(vecs[:, :d].copy(), vals.copy(), vecs.copy(), float(r), tied)
