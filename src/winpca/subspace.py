@@ -90,9 +90,8 @@ class WPCAFit:
     and only n columns on the thin-SVD route (``d <= n < p``), whose trailing
     p - n eigenvalues are exact zeros.  ``radius`` is a float in [0, +inf]:
     ``+inf`` is classical PCA and ``0`` spherical PCA.  ``degenerate_gap``
-    flags an eigenvalue tie at the subspace boundary (``_make_fit`` says how
-    a radius below every row norm reads it); the fit is still returned but
-    downstream gap-based bounds will be infinite.
+    flags an eigenvalue tie at the subspace boundary; the fit is still
+    returned but downstream gap-based bounds will be infinite.
     """
 
     basis: np.ndarray
@@ -266,10 +265,10 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
 
 def _make_fit(spectrum: tuple, low: bool, d: int, r: float) -> WPCAFit:
     """The fit at radius ``r`` of one ``_spectra`` solve, owning copies of its
-    arrays.  A radius that clips every row (``low``), whose matrix is
-    ``r^2 U / n``, takes key 0's eigenvectors, its gap flag (a tie within
-    ``GAP_TIE_TOL``) and, unless r is 0, its eigenvalues times ``r^2``, zero
-    where that underflows: every such radius gives the spherical subspace."""
+    arrays; the gap flag marks a tie at d within ``GAP_TIE_TOL``.  A radius
+    that clips every row (``low``), whose matrix is ``r^2 U / n``, takes key
+    0's eigenvectors and gap flag and, unless r is 0, its eigenvalues times
+    ``r^2``: zero where that underflows, an error where it overflows."""
     vals, vecs = spectrum
     tied = bool(vals[d - 1] - (vals[d] if d < vals.size else 0.0)
                 <= GAP_TIE_TOL * vals[0])
