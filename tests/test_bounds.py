@@ -306,6 +306,15 @@ class TestEstimateWinsorizedSpectra:
         with pytest.raises(ValueError, match=message):
             estimate_winsorized_spectra(self.MODELS["gaussian"], radii, 1000, seed=0)
 
+    @pytest.mark.parametrize("lam", [1e160, 1e300, 1e308])
+    @pytest.mark.parametrize("r", [1.0, 1e100, 1e200])
+    def test_terms_past_float64_raise(self, lam, r):
+        # The squared terms overflow, and with them every standard error of
+        # the large coordinate; no half-finite estimate is returned.
+        model = PopulationModel.gaussian(np.array([lam, 1.0]))
+        with pytest.raises(ValueError, match="overflow"):
+            estimate_winsorized_spectra(model, [r], 1000, seed=0)
+
     def test_model_validated(self):
         with pytest.raises(ValueError, match="must be a PopulationModel"):
             estimate_winsorized_spectra(np.array([4.0, 1.0]), [1.0], 1000, seed=0)
