@@ -4,8 +4,8 @@ Everything here evaluates a formula; nothing fits data.  The inputs are
 population quantities (covariance eigenvalues, subgaussian parameters),
 contamination levels, and winsorized spectra: arrays of descending
 eigenvalues at a radius r, estimated by Monte Carlo or read off a fitted
-covariance, checked once per call by ``check_winsorized_spectra``.  Outputs
-are reported raw, without clipping to 1, since the formulas themselves are
+covariance; ``check_winsorized_spectra`` checks those a caller passes in.
+Outputs are raw, without clipping to 1, since the formulas themselves are
 not clipped; a clipped convenience field is attached for plotting.
 """
 
@@ -44,17 +44,15 @@ __all__ = [
 _TERM_BLOCK_ENTRIES = 32_768
 
 
-def check_winsorized_spectra(values: np.ndarray, radii, standard_errors=None) -> None:
+def check_winsorized_spectra(values: np.ndarray, radii) -> None:
     """Check a stack of winsorized spectra, one row of ``values`` per radius.
 
     ``values`` is an (R, p) array of eigenvalues and ``radii`` holds R
     radii.  A winsorized vector has squared norm at most r^2, so each row
     must be finite, nonnegative and descending, and each eigenvalue and each
-    row's sum must stay below r^2 up to roundoff (1e-9 r^2 plus 1e-12) or,
-    when ``standard_errors`` of the same shape are given for estimated
-    values, three Monte Carlo standard errors; a radius whose square
-    overflows float64 bounds every row.  Raises ``ValueError`` on the first
-    check any row fails.
+    row's sum must stay below r^2 up to roundoff (1e-9 r^2 plus 1e-12); a
+    radius whose square overflows float64 bounds every row.  Raises
+    ``ValueError`` on the first check any row fails.
     """
     values = np.asarray(values, dtype=np.float64)
     r = _check_radii(radii)
@@ -63,15 +61,10 @@ def check_winsorized_spectra(values: np.ndarray, radii, standard_errors=None) ->
     _check_descending(values)
     with np.errstate(over="ignore"):  # an infinite r^2 bounds every eigenvalue
         r2 = r * r
-    slack, sum_slack = (1e-9 * r2)[:, None], 1e-9 * r2
-    if standard_errors is not None:
-        se = np.asarray(standard_errors, dtype=np.float64)
-        if se.shape != values.shape:
-            raise ValueError("standard errors must match values in shape")
-        slack, sum_slack = 3.0 * se, 3.0 * se.sum(axis=1) + sum_slack
-    if np.any(values > r2[:, None] + slack + 1e-12):
+    bound = r2 + 1e-9 * r2 + 1e-12
+    if np.any(values > bound[:, None]):
         raise ValueError("a winsorized eigenvalue exceeds the radius squared")
-    if np.any(values.sum(axis=1) > r2 + sum_slack + 1e-12):
+    if np.any(values.sum(axis=1) > bound):
         raise ValueError("winsorized eigenvalues sum to more than the radius squared")
 
 
@@ -137,15 +130,16 @@ def estimate_winsorized_spectra(
     rows = max(1, _TERM_BLOCK_ENTRIES // model.p)
     blocks = (model.draw_whitened(min(rows, n_draws - lo), rng)
               for lo in range(0, n_draws, rows))
-    with np.errstate(over="ignore"):  # an infinite r^2 clips no draw
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite r^2 clips no draw
         r2 = radii * radii
-    sums, sumsq = winsorized_term_sums(blocks, model.sigma_eigenvalues, r2)
-    means = sums / n_draws
-    var = np.maximum(sumsq - n_draws * means * means, 0.0) / (n_draws - 1)
-    order = np.argsort(-means, axis=1, kind="stable")
-    values, ses = (np.take_along_axis(a, order, axis=1)
-                   for a in (means, np.sqrt(var / n_draws)))
-    check_winsorized_spectra(values, radii, ses)
+        sums, sumsq = winsorized_term_sums(blocks, model.sigma_eigenvalues, r2)
+        means = sums / n_draws
+        var = np.maximum(sumsq - n_draws * means * means, 0.0) / (n_draws - 1)
+        order = np.argsort(-means, axis=1, kind="stable")
+        values, ses = (np.take_along_axis(a, order, axis=1)
+                       for a in (means, np.sqrt(var / n_draws)))
+    if not (np.isfinite(values).all() and np.isfinite(ses).all()):
+        raise ValueError("the Monte Carlo terms overflow float64; rescale the model")
     return _Estimate(values, ses)
 
 
@@ -162,14 +156,12 @@ def sample_winsorized_values(X, radii) -> np.ndarray:
     Row j holds the descending eigenvalues of the winsorized sample
     covariance at ``radii[j]``.  ``X`` and the radii are validated once, the
     covariances come from one ``winsorized_second_moments`` pass and their
-    eigenvalues from one stacked ``eigvalsh``, and the whole stack passes
-    ``check_winsorized_spectra`` in one call.
+    eigenvalues from one stacked ``eigvalsh``.
     """
     A = as_data_matrix(X)
     radii = _check_radii(radii, path=True)
     vals = np.linalg.eigvalsh(_second_moments(A, radii))[:, ::-1].copy()
     np.clip(vals, 0.0, None, out=vals)
-    check_winsorized_spectra(vals, radii)
     return vals
 
 

@@ -324,7 +324,7 @@ def run_perturbation_sweep(seed: int = 42, n: int = 1000) -> ResultTable:
     # is the pure fit, whose spectrum is the winsorized sample spectrum at r.
     fits = [spectra[0] for _, _, spectra in _spectra(
         (apply_contamination(X0, m, outlier) for m in range(n // 2)),
-        d, _check_radii([r], allow_inf=True, path=True), p)]
+        d, np.array([r]), p)]
     vals, pure = fits[0][0], fits[0][1][:, :d]
     angles = _angles(np.stack([vecs[:, :d] for _, vecs in fits]), pure)[:, -1]
     weak_lb, strong_lb = breakdown_lower_bounds_from_values(vals, r * r, d)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import winpca.bounds
 from winpca._kernels import winsorized_term_sums
 from winpca.bounds import _TERM_BLOCK_ENTRIES
 from winpca import (
@@ -76,52 +75,36 @@ class TestWinsorizedSpectrum:
                 with pytest.raises(ValueError):
                     check()
 
-    def test_monte_carlo_slack_tolerates_noise(self):
-        check_winsorized_spectra(np.array([[1.0 + 1e-4]]), [1.0], np.array([[1e-3]]))
-
-    def test_se_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            check_winsorized_spectra(np.array([[0.5, 0.25]]), [1.0], np.array([[1e-3]]))
 
 
-# (values, radius, standard errors or None, accepted?) for one spectrum.
+# (values, radius, accepted?) for one spectrum.
 SPECTRUM_CASES = [
-    ([0.75, 0.25], 1.0, None, True),
-    ([1.0 + 1e-9, 0.0], 1.0, None, True),  # the roundoff slack
-    ([1.0 + 2e-9], 1.0, None, False),
-    ([0.5 + 1e-9, 0.5], 1.0, None, True),  # sum at its slack
-    ([0.5 + 2e-9, 0.5], 1.0, None, False),
-    ([0.7, 0.6], 1.0, None, False),
-    ([0.0, 0.0], 1e-3, None, True),
-    ([0.25, 0.75], 1.0, None, False),
-    ([0.5, -0.1], 1.0, None, False),
-    ([0.5, math.nan], 1.0, None, False),
-    ([math.inf], 1.0, None, False),
-    ([1.5], 1.0, None, False),
-    ([0.5], 0.0, None, False),
-    ([0.5], -1.0, None, False),
-    ([0.5], math.inf, None, False),
-    ([0.5], math.nan, None, False),
-    ([1.0 + 1e-4], 1.0, [1e-3], True),  # three Monte Carlo standard errors
-    ([1.0 + 4e-3], 1.0, [1e-3], False),
-    ([0.6, 0.5], 1.0, [0.02, 0.02], True),
-    ([0.6, 0.5], 1.0, [0.01, 0.01], False),
-    ([0.5, 0.25], 1.0, [1e-3], False),  # shape mismatch
+    ([0.75, 0.25], 1.0, True),
+    ([1.0 + 1e-9, 0.0], 1.0, True),  # the roundoff slack
+    ([1.0 + 2e-9], 1.0, False),
+    ([0.5 + 1e-9, 0.5], 1.0, True),  # sum at its slack
+    ([0.5 + 2e-9, 0.5], 1.0, False),
+    ([0.7, 0.6], 1.0, False),
+    ([0.0, 0.0], 1e-3, True),
+    ([0.25, 0.75], 1.0, False),
+    ([0.5, -0.1], 1.0, False),
+    ([0.5, math.nan], 1.0, False),
+    ([math.inf], 1.0, False),
+    ([1.5], 1.0, False),
+    ([0.5], 0.0, False),
+    ([0.5], -1.0, False),
+    ([0.5], math.inf, False),
+    ([0.5], math.nan, False),
 ]
 
 
 class TestStackedSpectrumCheck:
-    @pytest.mark.parametrize("values, radius, ses, accepted", SPECTRUM_CASES)
-    def test_agrees_with_winsorized_spectrum(self, values, radius, ses, accepted):
+    @pytest.mark.parametrize("values, radius, accepted", SPECTRUM_CASES)
+    def test_agrees_with_winsorized_spectrum(self, values, radius, accepted):
         vals = np.asarray(values, dtype=float)
-        se = None if ses is None else np.asarray(ses, dtype=float)
-        # The case as a one-row stack, and without standard errors as the
-        # spectrum of concentration_bound and wpca_breakdown_lower_bounds.
-        one_row = [lambda: check_winsorized_spectra(
-            vals[None], [radius], None if se is None else se[None])]
-        if se is None:
-            one_row += _spectrum_checks(vals, radius)[1:]
-        for check in one_row:
+        # The case as a one-row stack, and as the spectrum of
+        # concentration_bound and wpca_breakdown_lower_bounds.
+        for check in _spectrum_checks(vals, radius):
             if accepted:
                 check()
             else:
@@ -131,14 +114,11 @@ class TestStackedSpectrumCheck:
         good = np.full_like(vals, 0.1 / vals.size)
         stack = np.stack((good, vals, good))
         radii = [1.0, radius, 1.0]
-        se_stack = None
-        if se is not None:
-            se_stack = np.stack((np.zeros_like(se), se, np.zeros_like(se)))
         if accepted:
-            check_winsorized_spectra(stack, radii, se_stack)
+            check_winsorized_spectra(stack, radii)
         else:
             with pytest.raises(ValueError):
-                check_winsorized_spectra(stack, radii, se_stack)
+                check_winsorized_spectra(stack, radii)
 
     def test_one_radius_per_row(self):
         with pytest.raises(ValueError, match="radii"):
@@ -158,21 +138,13 @@ class TestSampleWinsorizedValues:
             one = sample_winsorized_spectrum(X, r)
             assert np.allclose(row, one, rtol=1e-12, atol=1e-12 * one[0])
 
-    def test_each_spectrum_checked_once(self, monkeypatch):
-        rows = []
-        check = winpca.bounds.check_winsorized_spectra
-
-        def counting(values, *args, **kwargs):
-            rows.append(len(values))
-            return check(values, *args, **kwargs)
-
-        monkeypatch.setattr(winpca.bounds, "check_winsorized_spectra", counting)
-        X = np.random.default_rng(7).standard_normal((50, 3))
-        for r in (0.5, 2.0, 1.0, 9.0):
-            sample_winsorized_spectrum(X, r)
-        assert rows == [1, 1, 1, 1]
-        sample_winsorized_values(X, [0.5, 2.0, 1.0, 9.0])
-        assert rows[4:] == [4]
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_computed_spectra_pass_the_check(self, scale):
+        # The package checks only spectra handed in; the ones it computes
+        # are winsorized spectra by construction, at every scale and radius.
+        X = scale * np.random.default_rng(7).standard_normal((50, 3))
+        radii = np.concatenate((scale * np.array([0.1, 0.5, 2.0, 9.0]), [1e100, 1e200]))
+        check_winsorized_spectra(sample_winsorized_values(X, radii), radii)
 
     @pytest.mark.parametrize("radii, message", [
         ([1.0, math.nan], "finite and positive"),
@@ -305,6 +277,17 @@ class TestEstimateWinsorizedSpectra:
     def test_radii_validated(self, radii, message):
         with pytest.raises(ValueError, match=message):
             estimate_winsorized_spectra(self.MODELS["gaussian"], radii, 1000, seed=0)
+
+    @pytest.mark.parametrize("family", ["gaussian", "t3"])
+    def test_estimates_pass_the_check_without_slack(self, family):
+        # Each draw's terms sum to min(s^2, r^2), so every mean and every
+        # row's sum stays below r^2 up to roundoff.
+        lam = np.array([25.0, 25.0, 5.0, 1.0])  # fig3's covariance
+        model = (PopulationModel.gaussian(lam) if family == "gaussian"
+                 else PopulationModel.student_t(lam, 3.0))
+        radii = np.array([0.5, 3.0, 7.5, 1e3, 1e200])
+        values, _ = estimate_winsorized_spectra(model, radii, 5000, seed=3)
+        check_winsorized_spectra(values, radii)
 
     @pytest.mark.parametrize("lam", [1e160, 1e300, 1e308])
     @pytest.mark.parametrize("r", [1.0, 1e100, 1e200])
