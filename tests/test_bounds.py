@@ -574,6 +574,16 @@ class TestBreakdownLowerBounds:
         assert weak == pytest.approx((1.0 - 0.5) / 8.0)
         assert strong == pytest.approx(max((3.0 - 0.5) / 8.0, (4.0 - 0.5) / 16.0))
 
+    @pytest.mark.parametrize("values, r2, d, want", [
+        ([0.5, 1e-170, 5e-324], 5e-324, 2, (0.5, 0.5)),
+        ([0.5, 0.25], 1e-320, 1, (0.5, 0.5)),
+        ([1.0, 0.5], 1e308, 1, (0.0, 0.0)),
+    ])
+    def test_quotients_past_float64_are_capped_exactly(self, values, r2, d, want):
+        # A quotient beyond float64 lies above the 1/2 cap, and a quotient
+        # over an infinite 2 r^2 is 0, so no warning is due.
+        assert breakdown_lower_bounds_from_values(values, r2, d) == want
+
     def test_typed_wrapper_delegates(self):
         assert wpca_breakdown_lower_bounds([2.0, 1.0, 0.5], 2.0, 1) == \
             breakdown_lower_bounds_from_values([2.0, 1.0, 0.5], 4.0, 1)

@@ -463,6 +463,13 @@ class TestBounds:
         assert (code, out, err) == (
             2, "", "error: a winsorized eigenvalue exceeds the radius squared\n")
 
+    def test_breakdown_spectrum_beyond_a_subnormal_radius(self, capsys):
+        # The bounds overflow before the spectrum check rejects the input.
+        code, out, err = run_cli(capsys, "bounds", "breakdown", "--eigs",
+                                 "0.5,1e-170,5e-324", "--r2", "5e-324", "--d", "2")
+        assert (code, out, err) == (
+            2, "", "error: a winsorized eigenvalue exceeds the radius squared\n")
+
     def test_concentration_elliptical(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "concentration", "--lam1", "1", "--lamp", "1",
