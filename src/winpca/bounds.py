@@ -336,19 +336,21 @@ def breakdown_lower_bounds_from_values(values, r2, d: int):
     if not 1 <= d < p:
         raise ValueError(f"need 1 <= d < p={p}, got d={d}")
     V = vals.reshape(-1, p)
-    twice_r2 = 2.0 * r2.reshape(-1)
 
     def v(j: int) -> np.ndarray | float:
         return V[:, j - 1] if j <= p else 0.0
 
-    # The same operations, in the same order, as a loop over single rows.
-    weak = (v(d) - v(d + 1)) / twice_r2
-    strong = np.full(V.shape[0], -math.inf)
-    top = shifted = 0.0
-    for d0 in range(1, d + 1):
-        top = top + v(d0)
-        shifted = shifted + v(d + d0)
-        strong = np.maximum(strong, (top - shifted) / (twice_r2 * d0))
+    # The same operations, in the same order, as a loop over single rows.  A
+    # quotient past float64 lies above the cap, and one over an infinite 2 r^2 is 0.
+    with np.errstate(over="ignore"):
+        twice_r2 = 2.0 * r2.reshape(-1)
+        weak = (v(d) - v(d + 1)) / twice_r2
+        strong = np.full(V.shape[0], -math.inf)
+        top = shifted = 0.0
+        for d0 in range(1, d + 1):
+            top = top + v(d0)
+            shifted = shifted + v(d + d0)
+            strong = np.maximum(strong, (top - shifted) / (twice_r2 * d0))
     out = np.minimum(np.maximum(np.stack((weak, strong), axis=1), 0.0), 0.5)
     if vals.ndim == 1:
         return float(out[0, 0]), float(out[0, 1])
