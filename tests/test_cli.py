@@ -379,6 +379,13 @@ class TestAngles:
         assert run_cli(capsys, "angles", a, b) == (
             2, "", f"error: {a}: basis columns are linearly dependent\n")
 
+    def test_huge_entry_rescued_without_overflow(self, capsys, tmp_path):
+        a = self._write_basis(tmp_path, "a.csv", [[1e200], [1.0]])
+        b = self._write_basis(tmp_path, "b.csv", [[1.0], [0.0]])
+        code, out, err = run_cli(capsys, "angles", a, b)
+        assert code == 0 and "re-orthonormalizing" in err
+        assert float(meta_of(out)["largest"]) == 0.0
+
     def test_non_finite_basis_rejected_before_rescue(self, capsys, tmp_path):
         a = self._write_basis(tmp_path, "a.csv", [[1.0], [0.0]])
         b = self._write_basis(tmp_path, "b.csv", [[float("nan")], [1.0]])

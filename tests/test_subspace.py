@@ -240,6 +240,17 @@ class TestPrincipalAngles:
         close = np.array([[1.0 + 1e-9], [0.0]])
         assert principal_angles(close, np.eye(2)[:, :1])[-1] == 0.0
 
+    @pytest.mark.parametrize("B", [
+        [[1e200], [1.0]],
+        [[-1e300], [0.0]],
+        [[1e200, 1e200], [1e200, -1e200]],
+    ], ids=["huge", "huge-negative", "huge-pair"])
+    def test_rejects_basis_whose_gram_overflows(self, B):
+        # A product past float64 is not orthonormal; no numpy warning is due.
+        B = np.array(B)
+        with pytest.raises(ValueError, match="orthonormal"):
+            principal_angles(B, np.eye(2)[:, :B.shape[1]])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_basis(self, bad):
         B = np.array([[bad], [0.0]])
