@@ -60,8 +60,9 @@ _OVERFLOW = ("winsorized second moments overflow float64; "
 
 def _is_orthonormal(B: np.ndarray) -> bool:
     """Whether the p x d matrix ``B`` is finite with orthonormal columns."""
-    return bool(np.all(np.isfinite(B))) and bool(
-        np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= ORTHONORMAL_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):  # a B^T B past float64 fails
+        return bool(np.all(np.isfinite(B))) and bool(
+            np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= ORTHONORMAL_TOL)
 
 
 def _check_basis(B) -> np.ndarray:
