@@ -386,6 +386,16 @@ class TestAngles:
         assert code == 0 and "re-orthonormalizing" in err
         assert float(meta_of(out)["largest"]) == 0.0
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-8])
+    def test_orthogonal_columns_of_different_scale_are_independent(
+            self, capsys, tmp_path, scale):
+        # Each column's QR diagonal is weighed against that column's norm.
+        a = self._write_basis(tmp_path, "a.csv", [[scale, 0.0], [0.0, 1.0]])
+        b = self._write_basis(tmp_path, "b.csv", [[1.0, 0.0], [0.0, 1.0]])
+        code, out, err = run_cli(capsys, "angles", a, b)
+        assert code == 0 and "re-orthonormalizing" in err
+        assert out.splitlines()[-2:] == ["1,0", "2,0"]
+
     def test_non_finite_basis_rejected_before_rescue(self, capsys, tmp_path):
         a = self._write_basis(tmp_path, "a.csv", [[1.0], [0.0]])
         b = self._write_basis(tmp_path, "b.csv", [[float("nan")], [1.0]])
