@@ -29,6 +29,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
+from ._kernels import row_norms
 from .bounds import (
     breakdown_lower_bounds_from_values,
     check_winsorized_spectra,
@@ -232,7 +233,7 @@ def _orthonormalize_if_needed(B: np.ndarray, label: str) -> np.ndarray:
         return B
     Q, R = np.linalg.qr(B)
     diag = np.abs(np.diag(R))  # shorter than the column count when B is wide
-    if diag.size < B.shape[1] or diag.min() <= ORTHONORMAL_TOL * diag.max():
+    if diag.size < B.shape[1] or np.any(diag <= ORTHONORMAL_TOL * row_norms(B.T)):
         raise ValueError(f"{label}: basis columns are linearly dependent")
     print(f"warning: {label} is not orthonormal within {ORTHONORMAL_TOL:g}; "
           "re-orthonormalizing", file=sys.stderr)
