@@ -866,6 +866,17 @@ class TestOutputRouting:
             assert sorted(p.name for p in tmp_path.iterdir()) == ["results", "square.csv"]
             assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize("out_arg", ["newdir" + os.sep,
+                                         os.path.join("new", "nested") + os.sep])
+    def test_out_naming_no_file_makes_no_directory(self, capsys, tmp_path,
+                                                   unit_square, monkeypatch, out_arg):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "fit", unit_square, "--d", "1",
+                                 "--out", out_arg)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: --out must name a file: {out_arg!r}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["square.csv"]
+
     @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077],
                              ids=["022", "002", "077"])
     def test_out_file_mode_follows_umask(self, capsys, tmp_path, unit_square, umask):
