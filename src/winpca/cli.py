@@ -163,6 +163,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     path = _resolve_out_path(out)
+    if not os.path.basename(path):  # before any directory is made
+        raise ValueError(f"--out must name a file: {path!r}")
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".winpca-", dir=directory, text=True)
