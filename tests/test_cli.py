@@ -262,6 +262,16 @@ class TestFit:
         # centering removes the mean offset, so the top eigenvalue is small
         assert float(md["eigenvalues"].split(",")[0]) < 5.0
 
+    @pytest.mark.parametrize("text, message", [
+        ("1,0\ninf,1\n0,2\n", "data matrix contains non-finite entries"),
+        ("1e308,0\n1.7e308,1\n0,2\n", "centring overflows float64; rescale the data"),
+    ], ids=["inf-cell", "finite-mean-overflows"])
+    def test_center_validates_before_it_centres(self, capsys, tmp_path, text, message):
+        path = tmp_path / "c.csv"
+        path.write_text(text)
+        assert run_cli(capsys, "fit", str(path), "--d", "1", "--center") == (
+            2, "", f"error: {message}\n")
+
     def test_d_out_of_range(self, capsys, unit_square):
         code, _, err = run_cli(capsys, "fit", unit_square, "--d", "2")
         assert code == 2 and "error:" in err
