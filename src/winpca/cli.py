@@ -39,7 +39,7 @@ from .bounds import (
 )
 from .experiments import PRESETS, ResultTable, format_value
 from .subspace import ORTHONORMAL_TOL, _is_orthonormal, fit_pc_subspace, principal_angles
-from .transform import RadiusSpec
+from .transform import RadiusSpec, as_data_matrix
 
 __all__ = ["main", "read_matrix_csv", "parse_radius"]
 
@@ -206,8 +206,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     n, p = X.shape
     if args.d >= p:
         raise ValueError(f"d={args.d} must be smaller than the column count p={p}")
-    if args.center:
-        X = X - X.mean(axis=0)
+    if args.center:  # fit_pc_subspace alone validates uncentred data
+        X = as_data_matrix(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = X - X.mean(axis=0)
+        if not np.isfinite(X).all():
+            raise ValueError("centring overflows float64; rescale the data")
     spec = parse_radius(args.radius)
     fit = fit_pc_subspace(X, args.d, spec)
     meta = {
