@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from winpca._kernels import winsorized_term_sums
 from winpca.bounds import _TERM_BLOCK_ENTRIES
@@ -577,12 +577,44 @@ class TestBreakdownLowerBounds:
     @pytest.mark.parametrize("values, r2, d, want", [
         ([0.5, 1e-170, 5e-324], 5e-324, 2, (0.5, 0.5)),
         ([0.5, 0.25], 1e-320, 1, (0.5, 0.5)),
-        ([1.0, 0.5], 1e308, 1, (0.0, 0.0)),
+        ([1.0, 0.5], 1e308, 1, (0.25 / 1e308, 0.25 / 1e308)),
     ])
     def test_quotients_past_float64_are_capped_exactly(self, values, r2, d, want):
-        # A quotient beyond float64 lies above the 1/2 cap, and a quotient
-        # over an infinite 2 r^2 is 0, so no warning is due.
+        # A quotient beyond float64 lies above the 1/2 cap, so no warning is due.
         assert breakdown_lower_bounds_from_values(values, r2, d) == want
+
+    @pytest.mark.parametrize("values, r2, d, want", [
+        ([1e308, 0.0], 1e308, 1, (0.5, 0.5)),
+        ([5e307, 4e307, 0.0, 0.0], 1e308, 2, (0.2, 0.25)),
+    ])
+    def test_keep_their_shape_where_twice_r2_overflows(self, values, r2, d, want):
+        # The same shapes at r^2 = 1: [1, 0] and [0.5, 0.4, 0, 0].
+        assert breakdown_lower_bounds_from_values(values, r2, d) == pytest.approx(want)
+
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0)),
+                 min_size=2, max_size=6),
+        st.floats(min_value=0.1, max_value=100.0),
+        st.data(),
+    )
+    def test_scale_free(self, raw, r2, data):
+        # The bounds of (2^k values, 2^k r^2) are those of (values, r^2), bit
+        # for bit, for every k that keeps both finite and normal; a stack of
+        # the two rows gives the same bits.  k runs down from the largest
+        # that keeps every entry finite, and half the draws land within 8 of
+        # it, where 2 d r^2 passes float64.
+        vals = np.sort(np.asarray(raw))[::-1]
+        top = 1024 - max(int(np.frexp(vals[0])[1]), math.frexp(r2)[1])
+        k = top - data.draw(st.one_of(st.integers(0, 8), st.integers(0, 2100)))
+        scaled, scaled_r2 = np.ldexp(vals, k), math.ldexp(r2, k)
+        tiny = np.finfo(np.float64).tiny
+        assume(np.all((scaled == 0.0) | (scaled >= tiny)) and scaled_r2 >= tiny)
+        d = data.draw(st.integers(min_value=1, max_value=len(vals) - 1))
+        want = breakdown_lower_bounds_from_values(vals, r2, d)
+        assert breakdown_lower_bounds_from_values(scaled, scaled_r2, d) == want
+        stack = breakdown_lower_bounds_from_values(
+            np.stack((vals, scaled)), np.array([r2, scaled_r2]), d)
+        assert [tuple(row) for row in stack] == [want, want]
 
     def test_typed_wrapper_delegates(self):
         assert wpca_breakdown_lower_bounds([2.0, 1.0, 0.5], 2.0, 1) == \

@@ -497,6 +497,13 @@ class TestBounds:
         assert (code, out, err) == (
             2, "", "error: a winsorized eigenvalue exceeds the radius squared\n")
 
+    def test_breakdown_where_twice_r2_overflows(self, capsys):
+        # The bounds are scale-free: these are those of --eigs 1,0 --r2 1.
+        code, out, err = run_cli(capsys, "bounds", "breakdown", "--eigs", "1e308,0",
+                                 "--r2", "1e308", "--d", "1")
+        assert (code, err) == (0, "")
+        assert quantities_of(out) == {"weak_lb": "0.5", "strong_lb": "0.5"}
+
     def test_concentration_elliptical(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "concentration", "--lam1", "1", "--lamp", "1",
