@@ -335,15 +335,21 @@ def breakdown_lower_bounds_from_values(values, r2, d: int):
     p = vals.shape[-1]
     if not 1 <= d < p:
         raise ValueError(f"need 1 <= d < p={p}, got d={d}")
-    V = vals.reshape(-1, p)
+    V, r2 = vals.reshape(-1, p), r2.reshape(-1)
 
     def v(j: int) -> np.ndarray | float:
         return V[:, j - 1] if j <= p else 0.0
 
-    # The same operations, in the same order, as a loop over single rows.  A
-    # quotient past float64 lies above the cap, and one over an infinite 2 r^2 is 0.
+    # The same operations, in the same order, as a loop over single rows.  The
+    # bounds are scale-free, so a row whose 2 d r^2 passes float64 is first
+    # divided, with its r^2, by the power of two of r^2; every other row keeps
+    # its bits.  A quotient past float64 lies above the cap.
     with np.errstate(over="ignore"):
-        twice_r2 = 2.0 * r2.reshape(-1)
+        huge = np.isinf(2.0 * d * r2)
+        if huge.any():
+            shift = np.where(huge, -np.frexp(r2)[1], 0)
+            V, r2 = np.ldexp(V, shift[:, None]), np.ldexp(r2, shift)
+        twice_r2 = 2.0 * r2
         weak = (v(d) - v(d + 1)) / twice_r2
         strong = np.full(V.shape[0], -math.inf)
         top = shifted = 0.0
