@@ -64,6 +64,12 @@ class TestWinsorizedSpectrum:
             with pytest.raises(ValueError, match="sum"):
                 check()
 
+    def test_rejects_sum_past_float64(self):
+        # each value fits under r^2, and the sum overflows without a warning
+        for check in _spectrum_checks([1e308, 1e308, 1e308, 0.0], 1.3e154):
+            with pytest.raises(ValueError, match="sum"):
+                check()
+
     def test_rejects_negative(self):
         for check in _spectrum_checks([0.5, -0.1], 1.0):
             with pytest.raises(ValueError):

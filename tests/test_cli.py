@@ -504,6 +504,13 @@ class TestBounds:
         assert (code, err) == (0, "")
         assert quantities_of(out) == {"weak_lb": "0.5", "strong_lb": "0.5"}
 
+    def test_breakdown_spectrum_whose_sum_overflows(self, capsys):
+        # An infinite sum exceeds every radius squared; no numpy warning.
+        code, out, err = run_cli(capsys, "bounds", "breakdown", "--eigs",
+                                 "1e308,1e308,1e308,0", "--r2", "1.7e308", "--d", "2")
+        assert (code, out, err) == (
+            2, "", "error: winsorized eigenvalues sum to more than the radius squared\n")
+
     def test_concentration_elliptical(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "concentration", "--lam1", "1", "--lamp", "1",
