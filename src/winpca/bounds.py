@@ -59,12 +59,12 @@ def check_winsorized_spectra(values: np.ndarray, radii) -> None:
     if values.ndim != 2 or r.shape != values.shape[:1]:
         raise ValueError("need an (R, p) stack of eigenvalues and R radii")
     _check_descending(values)
-    with np.errstate(over="ignore"):  # an infinite r^2 bounds every eigenvalue
-        r2 = r * r
+    with np.errstate(over="ignore"):  # an infinite r^2 bounds all; an infinite sum none
+        r2, sums = r * r, values.sum(axis=1)
     bound = r2 + 1e-9 * r2 + 1e-12
     if np.any(values > bound[:, None]):
         raise ValueError("a winsorized eigenvalue exceeds the radius squared")
-    if np.any(values.sum(axis=1) > bound):
+    if np.any(sums > bound):
         raise ValueError("winsorized eigenvalues sum to more than the radius squared")
 
 
