@@ -1,11 +1,11 @@
 """Hot loops in numpy, and a partial symmetric eigensolver.
 
-Two kernels dominate runtime at simulation scale: rescaling every row of a
-data matrix onto a centered ball (winsorization), and accumulating the
-per-coordinate terms of the winsorized second-moment estimator over a
-stream of draws, block by block.  Every row norm comes from ``row_norms``,
-which stays accurate where a sum of squares overflows or underflows into
-the subnormal range; ``perfbench/`` measures the package end to end.
+Every row norm comes from ``row_norms``, which stays accurate where a sum
+of squares overflows or underflows into the subnormal range.
+``winsorize_rows`` serves ``winsorize_dataset`` and the thin-SVD route of
+wide fits, ``winsorized_term_sums`` the Monte Carlo estimate.  The radius
+path's Gram matrices (``subspace``) and ``top_eigh`` dominate runtime at
+simulation scale; ``perfbench/`` measures the package end to end.
 
 ``top_eigh`` solves for the leading eigenpairs only, through LAPACK's
 ``dsyevr`` (MRRR) in numpy's bundled OpenBLAS when that library exports it,
@@ -20,13 +20,13 @@ library is opened once, and ``dsyevr`` and the thread symbols come from
 that one handle; without them the pin leaves the threads alone.
 
 ``thread_map`` is the package's one source of threads.  Its helpers come
-from one standard-library thread pool that waits between maps, because a
-pool made per map cost fig1 7 % more CPU time.  A replication's radius
-paths spread their eigensolves over the CPUs the process may run on, and
-``--jobs`` spreads replications; a map inside a worker of another map runs
-serially, so the two never multiply.  Every matrix is still solved alone
-on one BLAS thread, so output bytes do not depend on the number of CPUs:
-``taskset -c 0`` keeps a run on one CPU and changes no byte.
+from one standard-library pool per process, which keeps its threads between
+maps and starts one only when no idle one can take a job.  A replication's
+radius paths spread their eigensolves over the CPUs the process may run on,
+and ``--jobs`` spreads replications; a map inside a worker of another map
+runs serially, so the two never multiply.  Every matrix is still solved
+alone on one BLAS thread, so output bytes do not depend on the number of
+CPUs: ``taskset -c 0`` keeps a run on one CPU and changes no byte.
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import ctypes
+import functools
 import glob
 import itertools
 import os
+import sys
 import threading
 
 import numpy as np
@@ -288,31 +290,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The helper pool of ``thread_map``, as (pid that made it, helper count,
-# executor).  It is made on first need, and again when a map needs more
-# helpers than it holds or in a forked child, which has none of its
-# parent's threads.  Its threads wait for the next map: a pool made per map
-# cost fig1's paths (about 30 solves of 100 x 100 each) 7 % more CPU time on
-# a 2-vCPU machine, and more wall time in 8 of 10 paired runs.  The threads
-# hold only a weakref to the pool, so they end once it is dropped.
-_pool = (0, 0, None)
-_pool_lock = threading.Lock()
 # Marks a thread that is running the items of a parallel thread_map.
 _mapping = threading.local()
 
 
-def _submit(job, count: int) -> list:
-    """Hand ``job`` to ``count`` helper threads; their futures."""
-    global _pool
-    with _pool_lock:
-        pid, size, pool = _pool
-        if pid != os.getpid() or size < count:
-            if pid == os.getpid():
-                pool.shutdown(wait=False)
-            pool = concurrent.futures.ThreadPoolExecutor(
-                count, thread_name_prefix="winpca-helper")
-            _pool = os.getpid(), count, pool
-        return [pool.submit(job) for _ in range(count)]
+@functools.cache
+def _helpers(pid: int) -> concurrent.futures.ThreadPoolExecutor:
+    """The helper pool of ``thread_map`` in process ``pid``: a forked child has
+    none of its parent's threads.  The pool starts a thread only when no idle
+    one can take a job, and its threads wait for the next map: a pool made per
+    map cost fig1's paths (about 30 solves of 100 x 100 each) 7 % more CPU
+    time on a 2-vCPU machine.  The threads hold only a weakref to the pool, so
+    they end once it is dropped with the module that made it."""
+    return concurrent.futures.ThreadPoolExecutor(sys.maxsize, thread_name_prefix="winpca-helper")
 
 
 def thread_map(fn, items, workers: int | None = None) -> list:
@@ -357,19 +347,19 @@ def thread_map(fn, items, workers: int | None = None) -> list:
                 _mapping.active = False
 
         try:
-            helpers = _submit(work, workers - 1)
+            helpers = [_helpers(os.getpid()).submit(work) for _ in range(workers - 1)]
         except RuntimeError:  # the pool takes no jobs once interpreter exit began
             helpers = []
         try:
             work()
         finally:
-            # A helper job not yet started is cancelled and a started one
-            # waited for, also when an exception such as KeyboardInterrupt
-            # leaves the caller, so no item starts after the call.
+            # Every helper job is waited for, also when an exception such as
+            # KeyboardInterrupt leaves the caller; one that starts late finds
+            # ``stopped`` and takes no item.  A cancelled job would linger in
+            # the queue, and the pool would start a thread for each such job.
             stopped = True
             for job in helpers:
-                if not job.cancel():
-                    job.result()
+                job.result()
         if errors:
             raise errors[min(errors)]
         return results

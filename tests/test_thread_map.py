@@ -3,10 +3,12 @@
 ``_kernels.thread_map`` is checked directly: input order, the caller's
 share of the items, serial nested maps, the exception a serial loop
 would raise, no item started after the caller is interrupted, helpers of
-its own in a forked child, maps in an exit handler, and no helpers left
-behind by a fresh import.  ``fit_pc_path`` and ``winpca experiment`` give
-the same bytes with the worker count forced to 1, 2 and 3 and in a child
-process held to one CPU, and each distinct matrix of a path is solved once.
+its own in a forked child, maps in an exit handler, one pool per process
+that grows in place and stays small under back-to-back maps, and no
+helpers left behind by a fresh import.
+``fit_pc_path`` and ``winpca experiment`` give the same bytes with the
+worker count forced to 1, 2 and 3 and in a child process held to one CPU,
+and each distinct matrix of a path is solved once.
 """
 
 import gc
@@ -273,6 +275,43 @@ class TestThreadMap:
         proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                               capture_output=True, text=True, timeout=60)
         assert (proc.stdout, proc.stderr) == ("[3, 2, 1, 0, 1, 2]\n", "")
+
+    def test_pool_grows_in_place(self):
+        # One pool serves every map of a process and starts a thread only
+        # when no idle one can take a job, so maps at 3, 2 and 3 workers
+        # leave it with two helpers.  The items of a map wait for each
+        # other, so each map runs on as many threads as it has workers.  A
+        # helper turns idle just after its job's result is set, so the maps
+        # are spaced apart.
+        code = ("import os, threading, time\n"
+                "from winpca._kernels import _helpers, thread_map\n"
+                "pools = []\n"
+                "for workers in (3, 2, 3):\n"
+                "    barrier = threading.Barrier(workers, timeout=10)\n"
+                "    thread_map(lambda _: barrier.wait(), range(workers), workers)\n"
+                "    pools.append(_helpers(os.getpid()))\n"
+                "    time.sleep(0.1)\n"
+                "helpers = [t for t in threading.enumerate() if t.name.startswith('winpca-helper')]\n"
+                "print(all(pool is pools[0] for pool in pools), len(helpers))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.stdout, proc.stderr) == ("True 2\n", "")
+
+    def test_back_to_back_maps_keep_the_pool_small(self):
+        # A caller that takes every item before a helper starts leaves helper
+        # jobs unstarted at the end of its map.  Cancelled, such a job would
+        # linger in the queue, and the next map would start a new thread (dozens
+        # after these 2000 maps).  Each is waited for instead; a helper turns
+        # idle just after its job's result is set, so at most twice the two
+        # helpers a map needs are alive.
+        code = ("import threading\n"
+                "from winpca._kernels import thread_map\n"
+                "for _ in range(2000):\n"
+                "    thread_map(abs, range(3), 3)\n"
+                "print(sum(t.name.startswith('winpca-helper') for t in threading.enumerate()))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stderr == "" and 2 <= int(proc.stdout) <= 4
 
     def test_fresh_imports_leave_no_helpers_behind(self):
         # Each fresh import of the package gets its own helpers; once the
