@@ -59,7 +59,7 @@ def check_winsorized_spectra(values: np.ndarray, radii) -> None:
     if values.ndim != 2 or r.shape != values.shape[:1]:
         raise ValueError("need an (R, p) stack of eigenvalues and R radii")
     _check_descending(values)
-    with np.errstate(over="ignore"):  # an infinite r^2 bounds all; an infinite sum none
+    with np.errstate(over="ignore"):  # an inf r^2 bounds every row; an inf sum exceeds all
         r2, sums = r * r, values.sum(axis=1)
     bound = r2 + 1e-9 * r2 + 1e-12
     if np.any(values > bound[:, None]):
