@@ -597,6 +597,18 @@ class TestBreakdownLowerBounds:
         # The same shapes at r^2 = 1: [1, 0] and [0.5, 0.4, 0, 0].
         assert breakdown_lower_bounds_from_values(values, r2, d) == pytest.approx(want)
 
+    @pytest.mark.parametrize("values, r2, d, want", [
+        ([1e308] * 4, 1.0, 2, (0.0, 0.0)),
+        ([1e308, 1e308, 1e308, 7e307], 4e307, 2, (0.0, 0.1875)),
+        ([1e308, 0.0], 1e-20, 1, (0.5, 0.5)),
+        ([1e308, 1e308, 0.0], 1e-20, 1, (0.0, 0.0)),
+        ([1e308, 1e308, 1.0, 0.0], 1e-300, 2, (0.5, 0.5)),
+    ])
+    def test_partial_sums_past_float64(self, values, r2, d, want):
+        # Where the sum of the top d0 eigenvalues overflows, the strong bound
+        # is the sum of the gaps v_j - v_{d+j}, not inf - inf or inf.
+        assert breakdown_lower_bounds_from_values(values, r2, d) == want
+
     @given(
         st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0)),
                  min_size=2, max_size=6),

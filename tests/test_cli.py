@@ -1,14 +1,24 @@
+import contextlib
 import inspect
+import io
 import math
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from winpca import PopulationModel, cli, experiments, make_rng, principal_angles
+from winpca import (
+    PopulationModel,
+    breakdown_lower_bounds_from_values,
+    cli,
+    experiments,
+    make_rng,
+    principal_angles,
+)
 from winpca.cli import main, parse_radius, read_matrix_csv
 from winpca.experiments import PRESETS, ResultTable
 
@@ -17,6 +27,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Zero, subnormal, normal and huge nonnegative floats.
+_FUZZ_FLOATS = st.one_of(
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(1e-300, 1e300),
+    st.floats(1e300, 1.7976931348623157e308),
+)
 
 
 def meta_of(text):
@@ -510,6 +528,37 @@ class TestBounds:
                                  "1e308,1e308,1e308,0", "--r2", "1.7e308", "--d", "2")
         assert (code, out, err) == (
             2, "", "error: winsorized eigenvalues sum to more than the radius squared\n")
+
+    def test_breakdown_spectrum_beyond_radius_whose_partial_sums_overflow(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "breakdown", "--eigs",
+                                 "1e308,1e308,1e308,1e308", "--r2", "1", "--d", "2")
+        assert (code, out, err) == (
+            2, "", "error: a winsorized eigenvalue exceeds the radius squared\n")
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_FUZZ_FLOATS, min_size=1, max_size=6), _FUZZ_FLOATS, st.integers(1, 4))
+    @example([1e308] * 4, 1.0, 2)
+    @example([1e308, 1e308, 1e308, 7e307], 4e307, 2)
+    @example([1e308, 0.0], 1e-20, 1)
+    @example([1e308, 1e308, 0.0], 1e-20, 1)
+    @example([1e308, 1e308, 1.0, 0.0], 1e-300, 2)
+    def test_breakdown_fuzz(self, raw, r2, d):
+        # The command exits 0 or 2 and the library returns capped bounds, with
+        # warnings as errors, for descending spectra of any magnitude.
+        values = sorted(raw, reverse=True)
+        argv = ["bounds", "breakdown", "--eigs", ",".join(map(repr, values)),
+                "--r2", repr(r2), "--d", str(d)]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+            if r2 > 0.0 and d < len(values):
+                weak, strong = breakdown_lower_bounds_from_values(values, r2, d)
+                assert 0.0 <= weak <= strong <= 0.5
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().splitlines()[-1].startswith("error:")
 
     def test_concentration_elliptical(self, capsys):
         code, out, _ = run_cli(
