@@ -343,8 +343,9 @@ def breakdown_lower_bounds_from_values(values, r2, d: int):
     # The same operations, in the same order, as a loop over single rows.  The
     # bounds are scale-free, so a row whose 2 d r^2 passes float64 is first
     # divided, with its r^2, by the power of two of r^2; every other row keeps
-    # its bits.  A quotient past float64 lies above the cap.
-    with np.errstate(over="ignore"):
+    # its bits.  Where the top d0 eigenvalues sum past float64, the finite gaps
+    # v_j - v_{d+j} are summed instead.  A quotient past float64 lies above the cap.
+    with np.errstate(over="ignore", invalid="ignore"):
         huge = np.isinf(2.0 * d * r2)
         if huge.any():
             shift = np.where(huge, -np.frexp(r2)[1], 0)
@@ -352,11 +353,13 @@ def breakdown_lower_bounds_from_values(values, r2, d: int):
         twice_r2 = 2.0 * r2
         weak = (v(d) - v(d + 1)) / twice_r2
         strong = np.full(V.shape[0], -math.inf)
-        top = shifted = 0.0
+        top = shifted = gaps = 0.0
         for d0 in range(1, d + 1):
             top = top + v(d0)
             shifted = shifted + v(d + d0)
-            strong = np.maximum(strong, (top - shifted) / (twice_r2 * d0))
+            gaps = gaps + (v(d0) - v(d + d0))
+            gap = np.where(np.isinf(top), gaps, top - shifted)
+            strong = np.maximum(strong, gap / (twice_r2 * d0))
     out = np.minimum(np.maximum(np.stack((weak, strong), axis=1), 0.0), 0.5)
     if vals.ndim == 1:
         return float(out[0, 0]), float(out[0, 1])

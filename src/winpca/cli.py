@@ -39,7 +39,7 @@ from .bounds import (
 )
 from .experiments import PRESETS, ResultTable, format_value
 from .subspace import ORTHONORMAL_TOL, _is_orthonormal, fit_pc_subspace, principal_angles
-from .transform import RadiusSpec, as_data_matrix
+from .transform import RadiusSpec, _check_radii, as_data_matrix
 
 __all__ = ["main", "read_matrix_csv", "parse_radius"]
 
@@ -277,9 +277,9 @@ def _perturbation(a: argparse.Namespace):
 
 
 def _breakdown(a: argparse.Namespace):
-    vals = _parse_float_list(a.eigs)
-    weak, strong = breakdown_lower_bounds_from_values(vals, a.r2, a.d)
-    check_winsorized_spectra(vals[None], [math.sqrt(a.r2)])
+    vals, r2 = _parse_float_list(a.eigs), float(_check_radii(a.r2, "squared radius"))
+    check_winsorized_spectra(vals[None], [math.sqrt(r2)])
+    weak, strong = breakdown_lower_bounds_from_values(vals, r2, a.d)
     return {}, [("weak_lb", weak), ("strong_lb", strong)]
 
 

@@ -509,7 +509,7 @@ class TestBounds:
             2, "", "error: a winsorized eigenvalue exceeds the radius squared\n")
 
     def test_breakdown_spectrum_beyond_a_subnormal_radius(self, capsys):
-        # The bounds overflow before the spectrum check rejects the input.
+        # The spectrum check rejects the input before the bounds, which overflow.
         code, out, err = run_cli(capsys, "bounds", "breakdown", "--eigs",
                                  "0.5,1e-170,5e-324", "--r2", "5e-324", "--d", "2")
         assert (code, out, err) == (
@@ -535,7 +535,7 @@ class TestBounds:
         assert (code, out, err) == (
             2, "", "error: a winsorized eigenvalue exceeds the radius squared\n")
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.lists(_FUZZ_FLOATS, min_size=1, max_size=6), _FUZZ_FLOATS, st.integers(1, 4))
     @example([1e308] * 4, 1.0, 2)
     @example([1e308, 1e308, 1e308, 7e307], 4e307, 2)
