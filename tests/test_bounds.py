@@ -780,6 +780,10 @@ class TestRadiusSquaredOverflow:
     def test_spectrum_check_accepts_every_spectrum(self):
         check_winsorized_spectra(np.array([[1e300, 0.25]]), [self.R])
 
+    def test_spectrum_check_where_the_slack_overflows(self):
+        # r^2 is finite, but r^2 plus its roundoff slack is not.
+        check_winsorized_spectra(np.array([[1.0, 0.25]]), [math.sqrt(1.797693133064623e308)])
+
     def test_sample_values_clip_nothing(self):
         assert np.array_equal(sample_winsorized_values(np.eye(3), [self.R]),
                               sample_winsorized_values(np.eye(3), [10.0]))

@@ -542,6 +542,7 @@ class TestBounds:
     @example([1e308, 0.0], 1e-20, 1)
     @example([1e308, 1e308, 0.0], 1e-20, 1)
     @example([1e308, 1e308, 1.0, 0.0], 1e-300, 2)
+    @example([1.0, 0.0], 1.797693133064623e308, 1)
     def test_breakdown_fuzz(self, raw, r2, d):
         # The command exits 0 or 2 and the library returns capped bounds, with
         # warnings as errors, for descending spectra of any magnitude.
