@@ -61,7 +61,7 @@ def check_winsorized_spectra(values: np.ndarray, radii) -> None:
     _check_descending(values)
     with np.errstate(over="ignore"):  # an inf r^2 bounds every row; an inf sum exceeds all
         r2, sums = r * r, values.sum(axis=1)
-    bound = r2 + 1e-9 * r2 + 1e-12
+        bound = r2 + 1e-9 * r2 + 1e-12
     if np.any(values > bound[:, None]):
         raise ValueError("a winsorized eigenvalue exceeds the radius squared")
     if np.any(sums > bound):
