@@ -204,8 +204,8 @@ def _parse_float_list(text: str) -> np.ndarray:
 def cmd_fit(args: argparse.Namespace) -> int:
     X = read_matrix_csv(args.input)
     n, p = X.shape
-    if args.d >= p:
-        raise ValueError(f"d={args.d} must be smaller than the column count p={p}")
+    if not 1 <= args.d < p:
+        raise ValueError(f"subspace dimension d={args.d} must satisfy 1 <= d < p={p}")
     if args.center:  # fit_pc_subspace alone validates uncentred data
         X = as_data_matrix(X)
         with np.errstate(over="ignore", invalid="ignore"):

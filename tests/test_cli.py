@@ -291,10 +291,10 @@ class TestFit:
             2, "", f"error: {message}\n")
 
     def test_d_out_of_range(self, capsys, unit_square):
-        code, _, err = run_cli(capsys, "fit", unit_square, "--d", "2")
-        assert code == 2 and "error:" in err
-        code, _, err = run_cli(capsys, "fit", unit_square, "--d", "0")
-        assert code == 2 and "error:" in err
+        for d in ("0", "-5", "2"):
+            code, out, err = run_cli(capsys, "fit", unit_square, "--d", d)
+            assert (code, out, err) == (
+                2, "", f"error: subspace dimension d={d} must satisfy 1 <= d < p=2\n")
 
     def test_median_radius_of_huge_rows_reports_the_overflow(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"
