@@ -320,11 +320,10 @@ def run_perturbation_sweep(seed: int = 42, n: int = 1000) -> ResultTable:
     norms = row_norms(X0)
     r = float(np.median(norms))
     outlier = np.array([0.0, float(norms.max()) ** 2 + 100.0])
-    # One map solves every contaminated dataset, all p eigenpairs each; m = 0
-    # is the pure fit, whose spectrum is the winsorized sample spectrum at r.
+    # One map solves every contaminated dataset, all p = d + 1 eigenpairs each;
+    # m = 0 is the pure fit, whose spectrum is the winsorized sample spectrum at r.
     fits = [spectra[0] for _, _, spectra in _spectra(
-        (apply_contamination(X0, m, outlier) for m in range(n // 2)),
-        d, np.array([r]), p)]
+        (apply_contamination(X0, m, outlier) for m in range(n // 2)), d, np.array([r]))]
     vals, pure = fits[0][0], fits[0][1][:, :d]
     angles = _angles(np.stack([vecs[:, :d] for _, vecs in fits]), pure)[:, -1]
     weak_lb, strong_lb = breakdown_lower_bounds_from_values(vals, r * r, d)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -198,8 +199,12 @@ def _second_moments(A: np.ndarray, radii: np.ndarray, norms=None) -> np.ndarray:
     return out
 
 
-def _thin_svd_spectrum(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, p = W.shape
+def _thin_svd_spectrum(A: np.ndarray, norms: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs at radius ``r`` (key 0: the unit rows) of the wide ``A``
+    with row norms ``norms``, from the thin SVD of its winsorized rows; exact
+    zeros fill the p - n eigenvalues past its n singular values."""
+    n, p = A.shape
+    W = unit_rows(A, norms) if r == 0.0 else A if math.isinf(r) else winsorize_rows(A, r)
     _, s, Vh = np.linalg.svd(W, full_matrices=False)
     vals = np.zeros(p)
     with np.errstate(over="ignore"):
@@ -209,10 +214,13 @@ def _thin_svd_spectrum(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _descending_eigenpairs(vals[::-1], Vh[::-1].T)  # as ascending pairs
 
 
-def _distinct(A: np.ndarray, d: int, radii: np.ndarray) -> tuple:
-    """``(low, which, items)`` of one dataset for ``_spectra``: radius j
-    takes distinct matrix ``which[j]``, ``low`` marks the radii that clip
-    every row, and ``items`` are the thin-SVD eigenpairs or the matrices."""
+def _distinct(A: np.ndarray, d: int, radii: np.ndarray, k: int | None) -> tuple:
+    """``(low, which, solves)`` of one dataset for ``_spectra``: radius j takes
+    distinct solve ``which[j]``, a call with no arguments that returns
+    eigenpairs, and ``low`` marks the radii that clip every row.  With
+    ``d <= n < p`` a solve is the thin SVD of the winsorized rows, cheaper than
+    the p x p Gram; otherwise ``top_eigh`` of a matrix of ``_second_moments``,
+    for the top ``k`` (else ``min(p, d + 1)``) eigenpairs."""
     n, p = A.shape
     norms = row_norms(A)
     if np.any(radii == 0.0) and not norms.all():
@@ -223,11 +231,9 @@ def _distinct(A: np.ndarray, d: int, radii: np.ndarray) -> tuple:
     key = np.where(low, 0.0, np.where(inside < norms.max(), radii, math.inf))
     keys, which = np.unique(key, return_inverse=True)
     if d <= n < p:
-        return low, which, [
-            _thin_svd_spectrum(unit_rows(A, norms) if r == 0.0 else
-                               A if math.isinf(r) else winsorize_rows(A, r))
-            for r in keys]
-    return low, which, _second_moments(A, keys, norms)
+        return low, which, [partial(_thin_svd_spectrum, A, norms, r) for r in keys]
+    k = min(p, d + 1) if k is None else k
+    return low, which, [partial(top_eigh, S, k) for S in _second_moments(A, keys, norms)]
 
 
 @one_blas_thread
@@ -236,32 +242,22 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
     eigenpairs ``(vals, vecs)``, each solved once, of which radius j takes
     ``spectra[which[j]]``; ``low`` marks the radii that clip every row.
 
-    With fewer rows than columns the thin SVD of the winsorized rows is
-    cheaper than the p x p Gram, and exact zeros fill the missing
-    eigenvalues; it has only n eigenvectors, so it needs n >= d.  Otherwise
-    ``top_eigh`` solves for the top ``k`` (else ``min(p, d + 1)``)
-    eigenpairs of each matrix of ``winsorized_second_moments``.
-
     A radius that clips no row (the cut of ``_second_moments`` at n) leaves
     the raw rows, bit for bit as ``+inf`` does, and equal radii give equal
     matrices.  The radii that clip every row (the cut at 0) share key 0,
     ``U / n`` with U the Gram of the unit rows, which raises on a zero row;
     ``_make_fit`` turns it into the fit at each.  The validated datasets are
-    reduced one at a time (``_distinct``) and dropped, so no two from a
-    generator exist at once; one ``thread_map`` then solves every matrix,
-    over the CPUs from ``_THREADED_MIN_P`` columns up.  The thin SVDs run in
-    the reduction: numpy's SVD holds the interpreter lock.
+    reduced one at a time to their solves (``_distinct``); a Gram dataset is
+    then dropped, so no two from a generator exist at once, but a thin-SVD
+    one lives until the map ends.  One ``thread_map`` runs every solve of
+    every dataset, over the CPUs from ``_THREADED_MIN_P`` columns up.
     """
-    paths, jobs = [], []
     # map holds no dataset between draws, where a for-loop variable would.
-    for low, which, items in map(lambda A: _distinct(A, d, radii), datasets):
-        if isinstance(items, np.ndarray):  # matrices, solved below
-            jobs += [(S, min(S.shape[0], d + 1) if k is None else k) for S in items]
-        paths.append((low, which, items))
-    small = all(S.shape[0] < _THREADED_MIN_P for S, _ in jobs)
-    solved = iter(thread_map(lambda job: top_eigh(*job), jobs, 1 if small else None))
-    return [(low, which, [next(solved) for _ in items]
-             if isinstance(items, np.ndarray) else items) for low, which, items in paths]
+    paths = list(map(lambda A: (A.shape[1], *_distinct(A, d, radii, k)), datasets))
+    solves = [solve for *_, calls in paths for solve in calls]
+    small = all(p < _THREADED_MIN_P for p, *_ in paths)
+    solved = iter(thread_map(lambda solve: solve(), solves, 1 if small else None))
+    return [(low, which, [next(solved) for _ in calls]) for _, low, which, calls in paths]
 
 
 def _make_fit(spectrum: tuple, low: bool, d: int, r: float) -> WPCAFit:

@@ -153,14 +153,14 @@ class TestEffectOfRadius:
             bases.append(U.shape[0])
             return real_angles(U, W)
 
-        def distinct(A, d, radii):
+        def distinct(A, d, radii, k):
             norms = np.linalg.norm(A, axis=1)
             slack = radii * (1.0 + BOUNDARY_REL_TOL)
             raw = slack >= norms.max()
             low = slack < norms.min()
             keys.append(len(set(radii[~raw & ~low])) + raw.any() + low.any())
             old_keys.append(len(set(radii[~raw])) + raw.any())
-            return real_distinct(A, d, radii)
+            return real_distinct(A, d, radii, k)
 
         monkeypatch.setattr(subspace, solver, solve)
         monkeypatch.setattr(subspace, "_distinct", distinct)

@@ -78,6 +78,13 @@ def path_data(p=subspace._THREADED_MIN_P):
     return X, [*inner[:4], math.inf, top, *inner[4:], 2.0 * top, inner[2], 1e300]
 
 
+def thin_path_data(p=subspace._THREADED_MIN_P):
+    """A 20 x p Gaussian sample, with fewer rows than columns, and six radii
+    that each take a thin SVD: five inside its norm range and +inf."""
+    X = PopulationModel.gaussian(np.linspace(6.0, 1.0, p)).draw(20, make_rng(6))
+    return X, [*np.quantile(row_norms(X), [0.2, 0.35, 0.5, 0.65, 0.8]), math.inf]
+
+
 def low_path_data():
     """path_data's sample, a path of three of its inner radii, +inf and four
     radii below its smallest norm, unsorted, and those four low radii."""
@@ -395,11 +402,12 @@ class TestPathFanOut:
         calls = []
         real = subspace._thin_svd_spectrum
         monkeypatch.setattr(subspace, "_thin_svd_spectrum",
-                            lambda W: calls.append(1) or real(W))
+                            lambda A, norms, r: calls.append(1) or real(A, norms, r))
         fits = fit_pc_path(X, 2, radii)
         assert len(calls) == 4
-        # Key 0 is the thin SVD of the unit rows.
-        w, V = real(unit_rows(X, row_norms(X)))
+        # Key 0 is the thin SVD of the unit rows (taken as they are, at +inf).
+        U = unit_rows(X, row_norms(X))
+        w, V = real(U, row_norms(U), math.inf)
         for r in low:
             fit = fits[radii.index(r)]
             assert fit.eigenvectors.tobytes() == V.tobytes()
@@ -413,7 +421,7 @@ class TestPathFanOut:
         calls = []
         real = subspace._thin_svd_spectrum
         monkeypatch.setattr(subspace, "_thin_svd_spectrum",
-                            lambda W: calls.append(1) or real(W))
+                            lambda A, norms, r: calls.append(1) or real(A, norms, r))
         fits = fit_pc_path(X, 2, radii)
         assert len(calls) == 3
         for fit, r in zip(fits, radii):
@@ -462,11 +470,43 @@ class TestPathFanOut:
         map_replications(lambda i: fit_pc_path(X, 2, radii), 3, jobs=1)
         assert len(seen) == 27 and len(set(seen)) >= 2
 
+    def test_one_job_spreads_each_thin_svd_path(self, force_cpus, monkeypatch):
+        # The thin-SVD twin: the first two SVDs of every path wait for each
+        # other, so they run on two threads.
+        force_cpus(2)
+        lock, seen = threading.Lock(), []
+        real = subspace._thin_svd_spectrum
+        X, radii = thin_path_data()
+        barriers = {}
+
+        def paired(A, norms, r):
+            with lock:
+                seen.append(threading.get_ident())
+                call = len(seen) - 1
+            path, j = divmod(call, 6)
+            if j < 2:
+                barriers.setdefault(path, threading.Barrier(2, timeout=10)).wait()
+            return real(A, norms, r)
+
+        monkeypatch.setattr(subspace, "_thin_svd_spectrum", paired)
+        map_replications(lambda i: fit_pc_path(X, 2, radii), 3, jobs=1)
+        assert len(seen) == 18 and len(set(seen)) >= 2
+
     def test_small_matrices_stay_on_the_calling_thread(self, force_cpus, solves):
         force_cpus(4)
         X, radii = path_data(subspace._THREADED_MIN_P - 1)
         fit_pc_path(X, 2, radii)
         assert set(solves) == {threading.get_ident()}
+
+    def test_small_thin_svd_paths_stay_on_the_calling_thread(self, force_cpus, monkeypatch):
+        force_cpus(4)
+        seen = []
+        real = subspace._thin_svd_spectrum
+        monkeypatch.setattr(subspace, "_thin_svd_spectrum", lambda A, norms, r: seen.append(
+            threading.get_ident()) or real(A, norms, r))
+        X, radii = thin_path_data(subspace._THREADED_MIN_P - 1)
+        fit_pc_path(X, 2, radii)
+        assert len(seen) == 6 and set(seen) == {threading.get_ident()}
 
     def test_replication_workers_start_no_threads(self, force_cpus, solves):
         force_cpus(4)
