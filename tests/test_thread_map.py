@@ -8,7 +8,8 @@ that grows in place and stays small under back-to-back maps, and no
 helpers left behind by a fresh import.
 ``fit_pc_path`` and ``winpca experiment`` give the same bytes with the
 worker count forced to 1, 2 and 3 and in a child process held to one CPU,
-and each distinct matrix of a path is solved once.
+each distinct matrix of a path is solved once, and paths spread their
+``dsyevr`` solves and thin SVDs alike from ``_THREADED_MIN_P`` columns up.
 """
 
 import gc
@@ -502,8 +503,12 @@ class TestPathFanOut:
         force_cpus(4)
         seen = []
         real = subspace._thin_svd_spectrum
-        monkeypatch.setattr(subspace, "_thin_svd_spectrum", lambda A, norms, r: seen.append(
-            threading.get_ident()) or real(A, norms, r))
+
+        def recorded(A, norms, r):
+            seen.append(threading.get_ident())
+            return real(A, norms, r)
+
+        monkeypatch.setattr(subspace, "_thin_svd_spectrum", recorded)
         X, radii = thin_path_data(subspace._THREADED_MIN_P - 1)
         fit_pc_path(X, 2, radii)
         assert len(seen) == 6 and set(seen) == {threading.get_ident()}
