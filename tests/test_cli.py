@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -529,6 +530,13 @@ class TestBounds:
         assert (code, out, err) == (
             2, "", "error: winsorized eigenvalues sum to more than the radius squared\n")
 
+    def test_breakdown_spectrum_whose_sum_overflows_below_the_largest_radius(self, capsys):
+        # r^2 is finite but r^2 plus its roundoff slack is not; 2e308 > r^2.
+        code, out, err = run_cli(capsys, "bounds", "breakdown", "--eigs", "1e308,1e308",
+                                 "--r2", "1.797693133064623e308", "--d", "1")
+        assert (code, out, err) == (
+            2, "", "error: winsorized eigenvalues sum to more than the radius squared\n")
+
     def test_breakdown_spectrum_beyond_radius_whose_partial_sums_overflow(self, capsys):
         code, out, err = run_cli(capsys, "bounds", "breakdown", "--eigs",
                                  "1e308,1e308,1e308,1e308", "--r2", "1", "--d", "2")
@@ -543,9 +551,11 @@ class TestBounds:
     @example([1e308, 1e308, 0.0], 1e-20, 1)
     @example([1e308, 1e308, 1.0, 0.0], 1e-300, 2)
     @example([1.0, 0.0], 1.797693133064623e308, 1)
+    @example([1e308, 1e308], 1.797693133064623e308, 1)
     def test_breakdown_fuzz(self, raw, r2, d):
         # The command exits 0 or 2 and the library returns capped bounds, with
-        # warnings as errors, for descending spectra of any magnitude.
+        # warnings as errors, for descending spectra of any magnitude.  A
+        # spectrum the command accepts sums, exactly, to r^2 up to roundoff.
         values = sorted(raw, reverse=True)
         argv = ["bounds", "breakdown", "--eigs", ",".join(map(repr, values)),
                 "--r2", repr(r2), "--d", str(d)]
@@ -558,7 +568,9 @@ class TestBounds:
                 weak, strong = breakdown_lower_bounds_from_values(values, r2, d)
                 assert 0.0 <= weak <= strong <= 0.5
         assert code in (0, 2)
-        if code == 2:
+        if code == 0:
+            assert sum(map(Fraction, values)) <= Fraction(r2) * Fraction(1.000001) + Fraction(1e-11)
+        else:
             assert err.getvalue().splitlines()[-1].startswith("error:")
 
     def test_concentration_elliptical(self, capsys):
