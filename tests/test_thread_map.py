@@ -9,7 +9,8 @@ helpers left behind by a fresh import.
 ``fit_pc_path`` and ``winpca experiment`` give the same bytes with the
 worker count forced to 1, 2 and 3 and in a child process held to one CPU,
 each distinct matrix of a path is solved once, and paths spread their
-``dsyevr`` solves and thin SVDs alike from ``_THREADED_MIN_P`` columns up.
+solves from ``_THREADED_MIN_P`` up: the p of a ``dsyevr`` solve's p x p
+matrix, the n of a thin SVD's n x p one.
 """
 
 import gc
@@ -79,10 +80,11 @@ def path_data(p=subspace._THREADED_MIN_P):
     return X, [*inner[:4], math.inf, top, *inner[4:], 2.0 * top, inner[2], 1e300]
 
 
-def thin_path_data(p=subspace._THREADED_MIN_P):
-    """A 20 x p Gaussian sample, with fewer rows than columns, and six radii
-    that each take a thin SVD: five inside its norm range and +inf."""
-    X = PopulationModel.gaussian(np.linspace(6.0, 1.0, p)).draw(20, make_rng(6))
+def thin_path_data(n=subspace._THREADED_MIN_P):
+    """An n x 2n Gaussian sample, with fewer rows than columns, and six radii
+    that each take a thin SVD: five inside its norm range and +inf.  Paths
+    of n rows spread over the CPUs by default."""
+    X = PopulationModel.gaussian(np.linspace(6.0, 1.0, 2 * n)).draw(n, make_rng(6))
     return X, [*np.quantile(row_norms(X), [0.2, 0.35, 0.5, 0.65, 0.8]), math.inf]
 
 
@@ -500,6 +502,7 @@ class TestPathFanOut:
         assert set(solves) == {threading.get_ident()}
 
     def test_small_thin_svd_paths_stay_on_the_calling_thread(self, force_cpus, monkeypatch):
+        # Too few rows, though twice _THREADED_MIN_P columns.
         force_cpus(4)
         seen = []
         real = subspace._thin_svd_spectrum
