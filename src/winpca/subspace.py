@@ -49,11 +49,12 @@ __all__ = [
 GAP_TIE_TOL = 1e-12
 # Largest entry of |B^T B - I| with which a basis B still counts as orthonormal.
 ORTHONORMAL_TOL = 1e-8
-# Batches of smaller matrices solve on the calling thread.  On a 2-vCPU
-# machine (paired, shuffled rounds), every path ran slower on two threads
-# below 32 columns; from 64 up, paths of 8 and 31 matrices ran 24-33 %
-# faster, and paths of 2 or 3 between 15 % faster and 11 % slower, with
-# the machine's load.
+# Paths of smaller solves run on the calling thread; a solve's size is the p
+# of its p x p Gram or the n of its n x p thin SVD.  On 2 vCPUs (paired,
+# shuffled rounds), Gram paths of 8 and 31 matrices ran 24-33 % faster on two
+# threads from p = 64 up and slower below 32, thin-SVD paths of 31 radii
+# 38-44 % faster from n = 64 up; paths of 2 to 4 solves ran between 15 %
+# faster and 11 % slower, with the machine's load.
 _THREADED_MIN_P = 64
 _OVERFLOW = ("winsorized second moments overflow float64; "
              "rescale the data or choose a smaller radius")
@@ -215,12 +216,12 @@ def _thin_svd_spectrum(A: np.ndarray, norms: np.ndarray, r) -> tuple[np.ndarray,
 
 
 def _distinct(A: np.ndarray, d: int, radii: np.ndarray, k: int | None) -> tuple:
-    """``(low, which, solves)`` of one dataset for ``_spectra``: radius j takes
-    distinct solve ``which[j]``, a call with no arguments that returns
-    eigenpairs, and ``low`` marks the radii that clip every row.  With
-    ``d <= n < p`` a solve is the thin SVD of the winsorized rows, cheaper than
-    the p x p Gram; otherwise ``top_eigh`` of a matrix of ``_second_moments``,
-    for the top ``k`` (else ``min(p, d + 1)``) eigenpairs."""
+    """``(size, low, which, solves)`` of one dataset for ``_spectra``: radius
+    j takes distinct solve ``which[j]``, a call with no arguments that returns
+    eigenpairs; ``low`` marks the radii that clip every row.  With ``d <= n <
+    p`` a solve is the thin SVD of the n x p winsorized rows, cheaper than the
+    p x p Gram, and ``size`` is n; else it is ``top_eigh`` of a matrix of
+    ``_second_moments`` for the top ``k`` (else ``min(p, d + 1)``), size p."""
     n, p = A.shape
     norms = row_norms(A)
     if np.any(radii == 0.0) and not norms.all():
@@ -231,9 +232,9 @@ def _distinct(A: np.ndarray, d: int, radii: np.ndarray, k: int | None) -> tuple:
     key = np.where(low, 0.0, np.where(inside < norms.max(), radii, math.inf))
     keys, which = np.unique(key, return_inverse=True)
     if d <= n < p:
-        return low, which, [partial(_thin_svd_spectrum, A, norms, r) for r in keys]
+        return n, low, which, [partial(_thin_svd_spectrum, A, norms, r) for r in keys]
     k = min(p, d + 1) if k is None else k
-    return low, which, [partial(top_eigh, S, k) for S in _second_moments(A, keys, norms)]
+    return p, low, which, [partial(top_eigh, S, k) for S in _second_moments(A, keys, norms)]
 
 
 @one_blas_thread
@@ -249,13 +250,13 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
     ``_make_fit`` turns it into the fit at each.  The validated datasets are
     reduced one at a time to their solves (``_distinct``); a Gram dataset is
     then dropped, so no two from a generator exist at once, but a thin-SVD
-    one lives until the map ends.  One ``thread_map`` runs every solve of
-    every dataset, over the CPUs from ``_THREADED_MIN_P`` columns up.
+    one lives until the map ends.  One ``thread_map`` runs every solve, over
+    the CPUs once a dataset's ``size`` reaches ``_THREADED_MIN_P``.
     """
     # map holds no dataset between draws, where a for-loop variable would.
-    paths = list(map(lambda A: (A.shape[1], *_distinct(A, d, radii, k)), datasets))
+    paths = list(map(lambda A: _distinct(A, d, radii, k), datasets))
     solves = [solve for *_, calls in paths for solve in calls]
-    small = all(p < _THREADED_MIN_P for p, *_ in paths)
+    small = all(size < _THREADED_MIN_P for size, *_ in paths)
     solved = iter(thread_map(lambda solve: solve(), solves, 1 if small else None))
     return [(low, which, [next(solved) for _ in calls]) for _, low, which, calls in paths]
 
