@@ -59,9 +59,8 @@ def check_winsorized_spectra(values: np.ndarray, radii) -> None:
     if values.ndim != 2 or r.shape != values.shape[:1]:
         raise ValueError("need an (R, p) stack of eigenvalues and R radii")
     _check_descending(values)
-    # The slack is not added to r^2, where it could overflow; an inf r^2 bounds every row.
-    with np.errstate(over="ignore", invalid="ignore"):
-        r2, sums = r * r, values.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf r^2 bounds every row
+        r2, sums = r * r, values.sum(axis=1)  # the slack is not added to r^2: no overflow
         slack, excess, sum_excess = 1e-9 * r2 + 1e-12, values - r2[:, None], sums - r2
     if np.any(excess > slack[:, None]):
         raise ValueError("a winsorized eigenvalue exceeds the radius squared")

@@ -523,17 +523,15 @@ class TestBounds:
         assert (code, err) == (0, "")
         assert quantities_of(out) == {"weak_lb": "0.5", "strong_lb": "0.5"}
 
-    def test_breakdown_spectrum_whose_sum_overflows(self, capsys):
-        # An infinite sum exceeds every radius squared; no numpy warning.
-        code, out, err = run_cli(capsys, "bounds", "breakdown", "--eigs",
-                                 "1e308,1e308,1e308,0", "--r2", "1.7e308", "--d", "2")
-        assert (code, out, err) == (
-            2, "", "error: winsorized eigenvalues sum to more than the radius squared\n")
-
-    def test_breakdown_spectrum_whose_sum_overflows_below_the_largest_radius(self, capsys):
-        # r^2 is finite but r^2 plus its roundoff slack is not; 2e308 > r^2.
-        code, out, err = run_cli(capsys, "bounds", "breakdown", "--eigs", "1e308,1e308",
-                                 "--r2", "1.797693133064623e308", "--d", "1")
+    # An infinite sum exceeds every finite radius squared, also one whose
+    # roundoff slack passes float64; no numpy warning.
+    @pytest.mark.parametrize("eigs,r2,d", [
+        ("1e308,1e308,1e308,0", "1.7e308", "2"),
+        ("1e308,1e308", "1.797693133064623e308", "1"),
+    ])
+    def test_breakdown_spectrum_whose_sum_overflows(self, capsys, eigs, r2, d):
+        code, out, err = run_cli(capsys, "bounds", "breakdown", "--eigs", eigs,
+                                 "--r2", r2, "--d", d)
         assert (code, out, err) == (
             2, "", "error: winsorized eigenvalues sum to more than the radius squared\n")
 
@@ -555,7 +553,8 @@ class TestBounds:
     def test_breakdown_fuzz(self, raw, r2, d):
         # The command exits 0 or 2 and the library returns capped bounds, with
         # warnings as errors, for descending spectra of any magnitude.  A
-        # spectrum the command accepts sums, exactly, to r^2 up to roundoff.
+        # spectrum the command accepts sums, exactly, to at most r^2 up to
+        # roundoff.
         values = sorted(raw, reverse=True)
         argv = ["bounds", "breakdown", "--eigs", ",".join(map(repr, values)),
                 "--r2", repr(r2), "--d", str(d)]
@@ -569,7 +568,8 @@ class TestBounds:
                 assert 0.0 <= weak <= strong <= 0.5
         assert code in (0, 2)
         if code == 0:
-            assert sum(map(Fraction, values)) <= Fraction(r2) * Fraction(1.000001) + Fraction(1e-11)
+            total = sum(map(Fraction, values))
+            assert total <= Fraction(r2) * Fraction(1.000001) + Fraction(1e-11)
         else:
             assert err.getvalue().splitlines()[-1].startswith("error:")
 

@@ -502,7 +502,7 @@ class TestPathFanOut:
         assert set(solves) == {threading.get_ident()}
 
     def test_small_thin_svd_paths_stay_on_the_calling_thread(self, force_cpus, monkeypatch):
-        # Too few rows, though twice _THREADED_MIN_P columns.
+        # Fewer rows than _THREADED_MIN_P, though more columns.
         force_cpus(4)
         seen = []
         real = subspace._thin_svd_spectrum
