@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from winpca._kernels import winsorized_term_sums
 from winpca.bounds import _TERM_BLOCK_ENTRIES
@@ -451,6 +452,11 @@ class TestSubgaussianParam:
         assert subgaussian_param_winsorized(4.0, 1.0, 4, 2.0, 0.5) == 1.0
         assert subgaussian_param_winsorized(4.0, 1.0, 4, 2.0, 10.0) == 2.0
 
+    @pytest.mark.parametrize("r", [1e200, 1e-200])
+    def test_extreme_radius_is_exact(self, r):
+        # lam1 r^2 overflows at 1e200 and underflows at 1e-200.
+        assert subgaussian_param_winsorized(1.0, 1.0, 1, r, math.inf) == r
+
     def test_validation(self):
         with pytest.raises(ValueError):
             subgaussian_param_winsorized(1.0, 2.0, 4, 2.0, 1.0)
@@ -633,6 +639,41 @@ class TestBreakdownLowerBounds:
         stack = breakdown_lower_bounds_from_values(
             np.stack((vals, scaled)), np.array([r2, scaled_r2]), d)
         assert [tuple(row) for row in stack] == [want, want]
+
+    def test_near_flat_gap_is_not_cancelled(self):
+        # v_2 - v_4 is one ulp of 0.1248; a sum of the top two eigenvalues
+        # minus a sum of v_3 and v_4 rounds it to two ulps.
+        vals = [0.12480320191876158] * 3 + [0.12480320191876157]
+        assert breakdown_lower_bounds_from_values(vals, 1.0, 2)[1] == 2.0 ** -58
+
+    @settings(derandomize=True)
+    @given(
+        st.floats(min_value=0.05, max_value=1.0),
+        st.lists(st.integers(min_value=0, max_value=4), min_size=3, max_size=6),
+        st.floats(min_value=0.25, max_value=4.0),
+        st.data(),
+    )
+    def test_near_flat_spectra_match_exact_value(self, base, ulps, r2, data):
+        # Entries 0-4 ulps above a base: both bounds lie within 1e-15 of the
+        # exact rational value wherever it is positive, normal and below 1/2.
+        raw = []
+        for k in ulps:
+            v = base
+            for _ in range(k):
+                v = math.nextafter(v, math.inf)
+            raw.append(v)
+        vals = sorted(raw, reverse=True)
+        p = len(vals)
+        d = data.draw(st.integers(min_value=2, max_value=p - 1))
+        F = [Fraction(v) for v in vals] + [Fraction(0)] * d
+        twice_r2 = 2 * Fraction(r2)
+        weak = (F[d - 1] - F[d]) / twice_r2
+        strong = max(sum(F[j] - F[d + j] for j in range(d0)) / (twice_r2 * d0)
+                     for d0 in range(1, d + 1))
+        got = breakdown_lower_bounds_from_values(vals, r2, d)
+        for g, exact in zip(got, (weak, strong)):
+            if np.finfo(np.float64).tiny <= exact < Fraction(1, 2):
+                assert abs(Fraction(g) - exact) <= exact / 10 ** 15
 
     def test_typed_wrapper_delegates(self):
         assert wpca_breakdown_lower_bounds([2.0, 1.0, 0.5], 2.0, 1) == \
