@@ -269,8 +269,9 @@ def subgaussian_param_winsorized(
 ) -> float:
     """Subgaussian parameter of a winsorized observation.
 
-    Equals ``min(sqrt(lam1) * sigma_sub, sqrt(lam1 * r^2 / (lamp * p)))``;
-    with an infinite ``sigma_sub`` only the radius branch applies.
+    Equals ``min(sqrt(lam1) * sigma_sub, r * sqrt(lam1 / (lamp * p)))``;
+    with an infinite ``sigma_sub`` only the radius branch applies.  The
+    radius stays out of the root, so no r^2 overflows or underflows.
     """
     lam1, lamp = _check_extreme_eigs(lam1, lamp)
     p = int(p)
@@ -279,7 +280,7 @@ def subgaussian_param_winsorized(
     r = float(_check_radii(r))
     if not sigma_sub > 0:
         raise ValueError(f"sigma_sub must be positive (inf if elliptical), got {sigma_sub}")
-    return min(math.sqrt(lam1) * sigma_sub, math.sqrt(lam1 * r * r / (lamp * p)))
+    return min(math.sqrt(lam1) * sigma_sub, r * math.sqrt(lam1 / (lamp * p)))
 
 
 def covariance_deviation_bound(
@@ -316,9 +317,8 @@ def breakdown_lower_bounds_from_values(values, r2, d: int):
 
     With eigenvalues ``v_1 >= ... >= v_p`` (taken as zero past p): the weak
     bound is ``(v_d - v_{d+1}) / (2 r^2)`` and the strong bound is the best
-    averaged gap ``max_{d0 <= d} (sum_{j<=d0} v_j - v_{d+j}) / (2 r^2 d0)``.
-    Both are capped at 1/2, the ceiling of any breakdown point, and floored
-    at 0.
+    averaged gap ``max_{d0 <= d} sum_{j<=d0} (v_j - v_{d+j}) / (2 r^2 d0)``.
+    Both are capped at 1/2, the ceiling of any breakdown point.
 
     A 1-D ``values`` with a scalar ``r2`` returns the tuple ``(weak,
     strong)``.  An (R, p) stack with R squared radii returns an (R, 2)
@@ -335,32 +335,17 @@ def breakdown_lower_bounds_from_values(values, r2, d: int):
     p = vals.shape[-1]
     if not 1 <= d < p:
         raise ValueError(f"need 1 <= d < p={p}, got d={d}")
-    V, r2 = vals.reshape(-1, p), r2.reshape(-1)
-
-    def v(j: int) -> np.ndarray | float:
-        return V[:, j - 1] if j <= p else 0.0
-
-    # The same operations, in the same order, as a loop over single rows.  The
-    # bounds are scale-free, so a row whose 2 d r^2 passes float64 is first
-    # divided, with its r^2, by the power of two of r^2; every other row keeps
-    # its bits.  Where the top d0 eigenvalues sum past float64, the finite gaps
-    # v_j - v_{d+j} are summed instead.  A quotient past float64 lies above the cap.
-    with np.errstate(over="ignore", invalid="ignore"):
-        huge = np.isinf(2.0 * d * r2)
-        if huge.any():
-            shift = np.where(huge, -np.frexp(r2)[1], 0)
-            V, r2 = np.ldexp(V, shift[:, None]), np.ldexp(r2, shift)
-        twice_r2 = 2.0 * r2
-        weak = (v(d) - v(d + 1)) / twice_r2
-        strong = np.full(V.shape[0], -math.inf)
-        top = shifted = gaps = 0.0
-        for d0 in range(1, d + 1):
-            top = top + v(d0)
-            shifted = shifted + v(d + d0)
-            gaps = gaps + (v(d0) - v(d + d0))
-            gap = np.where(np.isinf(top), gaps, top - shifted)
-            strong = np.maximum(strong, gap / (twice_r2 * d0))
-    out = np.minimum(np.maximum(np.stack((weak, strong), axis=1), 0.0), 0.5)
+    V = np.pad(vals.reshape(-1, p), ((0, 0), (0, d)))  # v_j = 0 past p
+    r2 = r2.reshape(-1, 1)
+    # Each gap v_j - v_{d+j} is finite and nonnegative and is divided by r^2
+    # before anything is summed, so no sum cancels and none overflows short of
+    # the cap; a quotient past float64 lies above it.  Exact halving first
+    # keeps the bits of (v_d - v_{d+1}) / (2 r^2).
+    with np.errstate(over="ignore"):
+        weak = (V[:, d - 1] - V[:, d]) / 2.0 / r2[:, 0]
+        sums = np.cumsum((V[:, :d] - V[:, d:2 * d]) / 2.0 / r2, axis=1)
+        strong = (sums / np.arange(1, d + 1)).max(axis=1)
+    out = np.minimum(np.stack((weak, strong), axis=1), 0.5)
     if vals.ndim == 1:
         return float(out[0, 0]), float(out[0, 1])
     return out
