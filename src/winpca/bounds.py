@@ -335,7 +335,7 @@ def breakdown_lower_bounds_from_values(values, r2, d: int):
     p = vals.shape[-1]
     if not 1 <= d < p:
         raise ValueError(f"need 1 <= d < p={p}, got d={d}")
-    V = np.pad(vals.reshape(-1, p), ((0, 0), (0, d)))  # v_j = 0 past p
+    V = np.concatenate((vals.reshape(-1, p), np.zeros((r2.size, d))), axis=1)  # v_j = 0 past p
     r2 = r2.reshape(-1, 1)
     # Each gap v_j - v_{d+j} is finite and nonnegative and is divided by r^2
     # before anything is summed, so no sum cancels and none overflows short of
