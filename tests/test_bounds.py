@@ -357,6 +357,11 @@ class TestConcentrationBounds:
         with pytest.raises(ValueError):
             concentration_bound(1.0, 2.0, *ws, 1, 0.1, 100, 100)
 
+    def test_huge_extreme_eigenvalues_keep_a_finite_factor(self):
+        # r^2 lam1 = 1e310 overflows, though r^2 lam1 / (p lamp) is 1e8.
+        rep = concentration_bound(1e300, 1e300, [0.75, 0.25], 1e5, 1, 0.1, 100, 100)
+        assert rep.components["sampling"] == 256.0 * 1e8 / 0.5
+
     def test_d_needs_an_eigenvalue_past_it(self):
         with pytest.raises(ValueError, match="need 1 <= d < 2 winsorized eigenvalues"):
             concentration_bound(1.0, 1.0, [0.75, 0.25], 1.0, 2, 0.1, 100, 100)
@@ -456,6 +461,10 @@ class TestSubgaussianParam:
     def test_extreme_radius_is_exact(self, r):
         # lam1 r^2 overflows at 1e200 and underflows at 1e-200.
         assert subgaussian_param_winsorized(1.0, 1.0, 1, r, math.inf) == r
+
+    def test_huge_extreme_eigenvalues_are_exact(self):
+        # lamp p = 1e309 overflows, though lam1 / (lamp p) is 1/10.
+        assert subgaussian_param_winsorized(1e308, 1e308, 10, 1.0, math.inf) == math.sqrt(0.1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
