@@ -207,7 +207,8 @@ def concentration_bound(
     checked by ``check_winsorized_spectra``.  The bound is ``2 r^2 eps / g
     + 256 min(r^2 lam1 / (p lamp), lam1 sigma_sub^2) max(sqrt(p/n), p/n) /
     g`` with g the winsorized eigengap at d; it is infinite when the gap
-    vanishes, and an r^2 that overflows float64 raises ``ValueError``.
+    vanishes, and an r^2 that overflows float64 raises ``ValueError``.  The
+    ratio lam1 / lamp is taken first, so no product r^2 lam1 overflows.
     ``sigma_sub`` is the subgaussian parameter of the whitened vector; the
     default of inf gives the bound for elliptical populations.
     """
@@ -226,7 +227,7 @@ def concentration_bound(
         comps = {"contamination": math.inf, "sampling": math.inf}
         return BoundReport(math.inf, comps)
     contamination = 2.0 * r2 * eps / g
-    factor = min(r2 * lam1 / (p * lamp), lam1 * sigma_sub * sigma_sub)
+    factor = min(r2 * (lam1 / lamp) / p, lam1 * sigma_sub * sigma_sub)
     sampling = 256.0 * factor * _dim_ratio(n, p) / g
     return BoundReport(
         contamination + sampling,
@@ -271,7 +272,8 @@ def subgaussian_param_winsorized(
 
     Equals ``min(sqrt(lam1) * sigma_sub, r * sqrt(lam1 / (lamp * p)))``;
     with an infinite ``sigma_sub`` only the radius branch applies.  The
-    radius stays out of the root, so no r^2 overflows or underflows.
+    radius stays out of the root, so no r^2 overflows or underflows, and the
+    ratio lam1 / lamp is taken first, so no product lamp p overflows.
     """
     lam1, lamp = _check_extreme_eigs(lam1, lamp)
     p = int(p)
@@ -280,7 +282,7 @@ def subgaussian_param_winsorized(
     r = float(_check_radii(r))
     if not sigma_sub > 0:
         raise ValueError(f"sigma_sub must be positive (inf if elliptical), got {sigma_sub}")
-    return min(math.sqrt(lam1) * sigma_sub, r * math.sqrt(lam1 / (lamp * p)))
+    return min(math.sqrt(lam1) * sigma_sub, r * math.sqrt(lam1 / lamp / p))
 
 
 def covariance_deviation_bound(
