@@ -4,6 +4,8 @@ Test modules import this file by name (``from oracles import ...``); pytest
 puts this directory on ``sys.path`` because it holds no ``__init__.py``.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from winpca.subspace import _check_basis
@@ -65,3 +67,24 @@ def spherical_fit(X, d):
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     w, V = np.linalg.eigh(U.T @ U / X.shape[0])
     return w[::-1], V[:, ::-1][:, :d]
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the most memory it held at once, in bytes.
+
+    The peak counts what ``tracemalloc`` traces (numpy registers its arrays
+    with it) above what was traced when ``fn`` started.  Tracing is started
+    if it was off and stopped again after; if it was on, it stays on, with
+    its peak reset.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()

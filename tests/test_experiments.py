@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import traced_peak
 
 from winpca import experiments, subspace
 from winpca._kernels import BOUNDARY_REL_TOL
@@ -206,6 +208,19 @@ class TestHighDim:
     def test_jobs_do_not_change_rows(self, highdim_table):
         threaded = run_high_dim(scale=0.01, seed=3, replications=3, jobs=3)
         assert threaded.csv_text(timestamp=False) == highdim_table.csv_text(timestamp=False)
+
+    def test_golden_bytes(self, highdim_table):
+        # Written when each model was a full-size product of the draw: the
+        # models written into the draw in place keep every byte.
+        golden = Path(__file__).parent / "data" / "fig2_scale0.01_seed3_reps3.csv"
+        assert highdim_table.csv_text(timestamp=False) == golden.read_text()
+
+    def test_a_replication_holds_three_datasets_at_most(self):
+        # At base p 50 the largest dataset is 1600 x 200.  At the peak the
+        # draw, the reduction's sorted copy and the p x p matrices are held;
+        # a separate array per model would make it four.
+        _, peak = traced_peak(lambda: run_high_dim(scale=0.05, replications=1, jobs=1))
+        assert peak < 3.5 * 1600 * 200 * 8
 
     def test_validation(self):
         with pytest.raises(ValueError):

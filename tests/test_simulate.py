@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.stats
+from oracles import traced_peak
 
 from winpca import PopulationModel, apply_contamination, make_rng
 
@@ -97,6 +98,23 @@ class TestPopulationModel:
         # Infinite dof would draw rows of NaN through (dof - 2) / w.
         with pytest.raises(ValueError, match="dof > 2"):
             PopulationModel.student_t([2.0, 1.0], dof)
+
+    @pytest.mark.parametrize("model", [PopulationModel.gaussian([4.0, 2.0, 1.0]),
+                                       PopulationModel.student_t([4.0, 2.0, 1.0], 3.0)],
+                             ids=["gaussian", "student_t"])
+    def test_draw_is_the_scaled_whitened_draw(self, model):
+        y = model.draw_whitened(100, make_rng(8))
+        X = model.draw(100, make_rng(8))
+        assert X.tobytes() == (y * np.sqrt(model.sigma_eigenvalues)).tobytes()
+
+    @pytest.mark.parametrize("method", ["draw", "draw_whitened"])
+    def test_a_draw_holds_one_n_by_p_array(self, method):
+        # The scalings go in place: no second array of n x p is made.
+        n, p = 2000, 50
+        model = PopulationModel.student_t(np.ones(p), 3.0)
+        X, peak = traced_peak(lambda: getattr(model, method)(n, make_rng(0)))
+        assert X.shape == (n, p)
+        assert peak < 1.5 * n * p * 8
 
     def test_make_rng_key_independence(self):
         a = make_rng(5, (0,)).standard_normal(4)
