@@ -75,15 +75,18 @@ class PopulationModel:
         return self.sigma_eigenvalues.size
 
     def draw_whitened(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n draws of the spherical generator y with identity covariance."""
+        """n draws of the spherical generator y with identity covariance, in
+        one n x p array: a Student-t draw scales its normal draw in place."""
         if n < 1:
             raise ValueError("need at least one draw")
         z = rng.standard_normal((n, self.p))
-        if self.distribution == "gaussian":
-            return z
-        w = rng.chisquare(self.dof, n)
-        return z * np.sqrt((self.dof - 2.0) / w)[:, None]
+        if self.distribution == "student_t":
+            z *= np.sqrt((self.dof - 2.0) / rng.chisquare(self.dof, n))[:, None]
+        return z
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n observations with covariance diag(sigma_eigenvalues)."""
-        return self.draw_whitened(n, rng) * np.sqrt(self.sigma_eigenvalues)
+        """n observations with covariance diag(sigma_eigenvalues): the
+        whitened draw, scaled in place, so one n x p array is made."""
+        x = self.draw_whitened(n, rng)
+        x *= np.sqrt(self.sigma_eigenvalues)
+        return x

@@ -248,8 +248,14 @@ def run_high_dim(
 
             def one(rep: int) -> np.ndarray:
                 y = whitener.draw_whitened(n, make_rng(seed, (ki, zi, rep)))
-                return _path_sines((apply_contamination(y * np.sqrt(eigs), m_out, spike)
-                                    for _, eigs in model_eigs),
+                head = y[:, :d].copy()
+
+                def model(eigs) -> np.ndarray:  # y * sqrt(eigs), the spike rows replaced
+                    y[:, :d] = head * np.sqrt(eigs[:d])
+                    y[:m_out] = spike
+                    return y
+
+                return _path_sines((model(eigs) for _, eigs in model_eigs),
                                    d, [r for _, r in radii], target)
 
             mean, se = _replicate(one, replications, jobs)
