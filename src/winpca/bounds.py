@@ -206,11 +206,10 @@ def concentration_bound(
     ``values`` are the descending winsorized eigenvalues at radius ``r``,
     checked by ``check_winsorized_spectra``.  The bound is ``2 r^2 eps / g
     + 256 min(r^2 lam1 / (p lamp), lam1 sigma_sub^2) max(sqrt(p/n), p/n) /
-    g`` with g the winsorized eigengap at d; it is infinite when the gap
-    vanishes, and an r^2 that overflows float64 raises ``ValueError``.  The
-    ratio lam1 / lamp is taken first, so no product r^2 lam1 overflows.
-    ``sigma_sub`` is the subgaussian parameter of the whitened vector; the
-    default of inf gives the bound for elliptical populations.
+    g`` with g the winsorized eigengap at d, infinite when the gap vanishes.
+    An r^2 past float64 raises ``ValueError``; lam1 / lamp is formed first,
+    so r^2 lam1 never overflows.  ``sigma_sub``, the whitened vector's
+    subgaussian parameter, defaults to inf: the elliptical bound.
     """
     values = np.asarray(values, dtype=np.float64)
     check_winsorized_spectra(values[None], [r])
@@ -270,10 +269,9 @@ def subgaussian_param_winsorized(
 ) -> float:
     """Subgaussian parameter of a winsorized observation.
 
-    Equals ``min(sqrt(lam1) * sigma_sub, r * sqrt(lam1 / (lamp * p)))``;
-    with an infinite ``sigma_sub`` only the radius branch applies.  The
-    radius stays out of the root, so no r^2 overflows or underflows, and the
-    ratio lam1 / lamp is taken first, so no product lamp p overflows.
+    Equals ``min(sqrt(lam1) * sigma_sub, r * sqrt(lam1 / lamp / p))``;
+    with an infinite ``sigma_sub`` only the radius branch applies.  With r
+    out of the root and lam1 / lamp taken first, no r^2 or lamp p overflows.
     """
     lam1, lamp = _check_extreme_eigs(lam1, lamp)
     p = int(p)

@@ -75,8 +75,7 @@ class PopulationModel:
         return self.sigma_eigenvalues.size
 
     def draw_whitened(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n draws of the spherical generator y with identity covariance, in
-        one n x p array: a Student-t draw scales its normal draw in place."""
+        """n draws of the spherical generator y, Cov(y) = I, in one n x p array."""
         if n < 1:
             raise ValueError("need at least one draw")
         z = rng.standard_normal((n, self.p))
@@ -85,8 +84,7 @@ class PopulationModel:
         return z
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n observations with covariance diag(sigma_eigenvalues): the
-        whitened draw, scaled in place, so one n x p array is made."""
+        """n observations with covariance diag(sigma_eigenvalues), scaled in place."""
         x = self.draw_whitened(n, rng)
         x *= np.sqrt(self.sigma_eigenvalues)
         return x

@@ -2,13 +2,14 @@
 
 Pure datasets come from ``distributions.PopulationModel.draw``;
 ``apply_contamination`` swaps the first m rows for one outlier vector (the
-replacement model of the breakdown points); and ``map_replications`` runs
-the replication bodies of the preset experiments, on ``jobs`` threads,
-with OpenBLAS pinned to one thread.  Every replication derives its
-generator from (seed, replication index), so results are identical across
-runs and across worker counts.  With one job the radius paths of each
-replication pool their eigensolves into one map over the process's CPUs
-instead; with more, each worker solves its paths on its own thread.
+replacement model of the breakdown points) in fig1 and fig4, and fig2
+writes them into its draw; ``map_replications`` runs the replication bodies
+of the preset experiments, on ``jobs`` threads, with OpenBLAS pinned to one
+thread.  Every replication derives its generator from (seed, replication
+index), so results are identical across runs and across worker counts.
+With one job the radius paths of each replication pool their eigensolves
+into one map over the process's CPUs instead; with more, each worker solves
+its paths on its own thread.
 """
 
 from __future__ import annotations

@@ -249,9 +249,10 @@ def _spectra(datasets, d: int, radii: np.ndarray, k: int | None = None) -> list[
     ``U / n`` with U the Gram of the unit rows, which raises on a zero row;
     ``_make_fit`` turns it into the fit at each.  The validated datasets are
     reduced one at a time to their solves (``_distinct``); a Gram dataset is
-    then dropped, so no two from a generator exist at once, but a thin-SVD
-    one lives until the map ends.  One ``thread_map`` runs every solve, over
-    the CPUs once a dataset's ``size`` reaches ``_THREADED_MIN_P``.
+    then dropped, so no two from a generator coexist and the next may reuse
+    its array (fig2's do); a thin-SVD one is read until the map ends.  One
+    ``thread_map`` runs every solve, over the CPUs once a dataset's
+    ``size`` reaches ``_THREADED_MIN_P``.
     """
     # map holds no dataset between draws, where a for-loop variable would.
     paths = list(map(lambda A: _distinct(A, d, radii, k), datasets))
