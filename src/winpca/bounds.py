@@ -207,9 +207,9 @@ def concentration_bound(
     checked by ``check_winsorized_spectra``.  The bound is ``2 r^2 eps / g
     + 256 min(r^2 lam1 / (p lamp), lam1 sigma_sub^2) max(sqrt(p/n), p/n) /
     g`` with g the winsorized eigengap at d, infinite when the gap vanishes.
-    An r^2 past float64 raises ``ValueError``; lam1 / lamp is formed first,
-    so r^2 lam1 never overflows.  ``sigma_sub``, the whitened vector's
-    subgaussian parameter, defaults to inf: the elliptical bound.
+    An r^2 past float64 raises ``ValueError``; lam1 / (p lamp) is formed,
+    with no step that overflows, before r^2 scales it.  ``sigma_sub``, the
+    whitened vector's subgaussian parameter, is inf by default (elliptical).
     """
     values = np.asarray(values, dtype=np.float64)
     check_winsorized_spectra(values[None], [r])
@@ -226,7 +226,8 @@ def concentration_bound(
         comps = {"contamination": math.inf, "sampling": math.inf}
         return BoundReport(math.inf, comps)
     contamination = 2.0 * r2 * eps / g
-    factor = min(r2 * (lam1 / lamp) / p, lam1 * sigma_sub * sigma_sub)
+    ratio = lam1 / lamp / p if lamp >= 1.0 else lam1 / (lamp * p)  # no step overflows
+    factor = min(r2 * ratio, lam1 * sigma_sub * sigma_sub)
     sampling = 256.0 * factor * _dim_ratio(n, p) / g
     return BoundReport(
         contamination + sampling,
@@ -269,9 +270,9 @@ def subgaussian_param_winsorized(
 ) -> float:
     """Subgaussian parameter of a winsorized observation.
 
-    Equals ``min(sqrt(lam1) * sigma_sub, r * sqrt(lam1 / lamp / p))``;
+    Equals ``min(sqrt(lam1) * sigma_sub, r * sqrt(lam1 / (lamp * p)))``;
     with an infinite ``sigma_sub`` only the radius branch applies.  With r
-    out of the root and lam1 / lamp taken first, no r^2 or lamp p overflows.
+    out of the root, and lamp p formed only for lamp < 1, no step overflows.
     """
     lam1, lamp = _check_extreme_eigs(lam1, lamp)
     p = int(p)
@@ -280,7 +281,8 @@ def subgaussian_param_winsorized(
     r = float(_check_radii(r))
     if not sigma_sub > 0:
         raise ValueError(f"sigma_sub must be positive (inf if elliptical), got {sigma_sub}")
-    return min(math.sqrt(lam1) * sigma_sub, r * math.sqrt(lam1 / lamp / p))
+    ratio = lam1 / lamp / p if lamp >= 1.0 else lam1 / (lamp * p)  # no step overflows
+    return min(math.sqrt(lam1) * sigma_sub, r * math.sqrt(ratio))
 
 
 def covariance_deviation_bound(

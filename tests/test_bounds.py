@@ -357,10 +357,15 @@ class TestConcentrationBounds:
         with pytest.raises(ValueError):
             concentration_bound(1.0, 2.0, *ws, 1, 0.1, 100, 100)
 
-    def test_huge_extreme_eigenvalues_keep_a_finite_factor(self):
+    @pytest.mark.parametrize("lam1, lamp, r, p, sampling", [
         # r^2 lam1 = 1e310 overflows, though r^2 lam1 / (p lamp) is 1e8.
-        rep = concentration_bound(1e300, 1e300, [0.75, 0.25], 1e5, 1, 0.1, 100, 100)
-        assert rep.components["sampling"] == 256.0 * 1e8 / 0.5
+        (1e300, 1e300, 1e5, 100, 256.0 * 1e8 / 0.5),
+        # lam1 / lamp = 1e310 overflows, though lam1 / (p lamp) is 1e304.
+        (1e300, 1e-10, 1.0, 10**6, 256.0 * 1e304 / 0.5),
+    ])
+    def test_extreme_eigenvalues_keep_a_finite_factor(self, lam1, lamp, r, p, sampling):
+        rep = concentration_bound(lam1, lamp, [0.75, 0.25], r, 1, 0.1, p, p)
+        assert rep.components["sampling"] == pytest.approx(sampling, rel=1e-15)
 
     def test_d_needs_an_eigenvalue_past_it(self):
         with pytest.raises(ValueError, match="need 1 <= d < 2 winsorized eigenvalues"):
@@ -462,9 +467,14 @@ class TestSubgaussianParam:
         # lam1 r^2 overflows at 1e200 and underflows at 1e-200.
         assert subgaussian_param_winsorized(1.0, 1.0, 1, r, math.inf) == r
 
-    def test_huge_extreme_eigenvalues_are_exact(self):
+    @pytest.mark.parametrize("lam1, lamp, p, value", [
         # lamp p = 1e309 overflows, though lam1 / (lamp p) is 1/10.
-        assert subgaussian_param_winsorized(1e308, 1e308, 10, 1.0, math.inf) == math.sqrt(0.1)
+        (1e308, 1e308, 10, math.sqrt(0.1)),
+        # lam1 / lamp = 1e310 overflows, though lam1 / (lamp p) is 1e308.
+        (1e300, 1e-10, 100, 1e154),
+    ])
+    def test_extreme_eigenvalues_are_exact(self, lam1, lamp, p, value):
+        assert subgaussian_param_winsorized(lam1, lamp, p, 1.0, math.inf) == value
 
     def test_validation(self):
         with pytest.raises(ValueError):
