@@ -209,8 +209,7 @@ def run_high_dim(
     sqrt(p log p); models are non-spiked diag(9, 4, 1...) and spiked
     diag(9 sqrt(p), 4 sqrt(p), 1...); d=2; two rows are replaced by a spike
     of magnitude n*p in coordinate 3.  Both models of a replication are
-    written in turn into its one whitened draw, pairing their losses: only
-    the d spiked columns (the bulk scale is 1) and the spike rows change.
+    written in turn into its one whitened draw, pairing their losses.
     """
     if not 0 < scale <= 1:
         raise ValueError("scale must lie in (0, 1]")
@@ -251,7 +250,7 @@ def run_high_dim(
                 y = whitener.draw_whitened(n, make_rng(seed, (ki, zi, rep)))
                 head = y[:, :d].copy()
 
-                def model(eigs) -> np.ndarray:  # y * sqrt(eigs), spike rows replaced
+                def model(eigs) -> np.ndarray:  # y * sqrt(eigs): the bulk scale is 1
                     y[:, :d] = head * np.sqrt(eigs[:d])
                     y[:m_out] = spike
                     return y

@@ -1,15 +1,14 @@
 """Contamination injection and replication mapping.
 
-Pure datasets come from ``distributions.PopulationModel.draw``;
-``apply_contamination`` swaps the first m rows for one outlier vector (the
-replacement model of the breakdown points) in fig1 and fig4, and fig2
-writes them into its draw; ``map_replications`` runs the replication bodies
-of the preset experiments, on ``jobs`` threads, with OpenBLAS pinned to one
-thread.  Every replication derives its generator from (seed, replication
-index), so results are identical across runs and across worker counts.
-With one job the radius paths of each replication pool their eigensolves
-into one map over the process's CPUs instead; with more, each worker solves
-its paths on its own thread.
+Draws come from ``distributions.PopulationModel.draw``;
+``apply_contamination`` swaps their first m rows for one outlier vector (the
+replacement model of the breakdown points), and fig2 writes its own into its
+draw.  ``map_replications`` runs the replication bodies of the preset
+experiments, on ``jobs`` threads, with OpenBLAS pinned to one thread.  Every
+replication derives its generator from (seed, replication index), so results
+are identical across runs and worker counts.  With one job the radius paths
+of each replication pool their eigensolves into one map over the process's
+CPUs; with more, each worker solves its paths on its own thread.
 """
 
 from __future__ import annotations

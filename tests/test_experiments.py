@@ -210,8 +210,8 @@ class TestHighDim:
         assert threaded.csv_text(timestamp=False) == highdim_table.csv_text(timestamp=False)
 
     def test_golden_bytes(self, highdim_table):
-        # Written when each model was a full-size product of the draw: the
-        # models written into the draw in place keep every byte.
+        # Pins fig2 across versions: a model written into its replication's
+        # draw must equal y * sqrt(eigs) with its spike rows, bit for bit.
         golden = Path(__file__).parent / "data" / "fig2_scale0.01_seed3_reps3.csv"
         assert highdim_table.csv_text(timestamp=False) == golden.read_text()
 
