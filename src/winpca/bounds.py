@@ -191,10 +191,14 @@ def _check_extreme_eigs(lam1, lamp) -> tuple[float, float]:
     return lam1, lamp
 
 
-def _gap_at(values: np.ndarray, d: int) -> float:
-    if not 1 <= d < values.size:
-        raise ValueError(f"need 1 <= d < {values.size} winsorized eigenvalues, got d={d}")
-    return float(values[d - 1] - values[d])
+def _monomial(num, den) -> float:
+    """``prod(num) / prod(den)`` of positive factors on their frexp mantissas:
+    scaling by 2^k is exact, so it has the plain products' bits where those
+    stay normal, and no step overflows or underflows short of the result."""
+    (fn, en), (fd, ed) = (zip(*map(math.frexp, xs)) for xs in (num, den))
+    f, e = math.frexp(math.prod(fn) / math.prod(fd))
+    e += sum(en) - sum(ed)
+    return math.ldexp(f, e) if e <= 1024 else math.inf  # f < 1: finite up to 2^1024
 
 
 def concentration_bound(
@@ -207,32 +211,27 @@ def concentration_bound(
     checked by ``check_winsorized_spectra``.  The bound is ``2 r^2 eps / g
     + 256 min(r^2 lam1 / (p lamp), lam1 sigma_sub^2) max(sqrt(p/n), p/n) /
     g`` with g the winsorized eigengap at d, infinite when the gap vanishes.
-    An r^2 past float64 raises ``ValueError``; lam1 / (p lamp) is formed,
-    with no step that overflows, before r^2 scales it.  ``sigma_sub``, the
-    whitened vector's subgaussian parameter, is inf by default (elliptical).
+    Its first term is ``perturbation_bound``'s bound1; ``_monomial`` forms
+    each branch of the second, so neither term overflows short of its value.
+    ``sigma_sub``, the whitened subgaussian parameter, defaults to inf (elliptical).
     """
     values = np.asarray(values, dtype=np.float64)
     check_winsorized_spectra(values[None], [r])
     if not sigma_sub > 0:
         raise ValueError(f"sigma_sub must be positive (inf if elliptical), got {sigma_sub}")
-    eps = _check_eps(eps)
     n, p = _check_counts(n, p)
     lam1, lamp = _check_extreme_eigs(lam1, lamp)
-    g = _gap_at(values, int(d))
-    r2 = float(r) * float(r)
-    if math.isinf(r2):
-        raise ValueError("the radius squared overflows float64")
-    if g <= 0.0:
-        comps = {"contamination": math.inf, "sampling": math.inf}
-        return BoundReport(math.inf, comps)
-    contamination = 2.0 * r2 * eps / g
-    ratio = lam1 / lamp / p if lamp >= 1.0 else lam1 / (lamp * p)  # no step overflows
-    factor = min(r2 * ratio, lam1 * sigma_sub * sigma_sub)
-    sampling = 256.0 * factor * _dim_ratio(n, p) / g
-    return BoundReport(
-        contamination + sampling,
-        {"contamination": contamination, "sampling": sampling},
-    )
+    d = int(d)
+    if not 1 <= d < values.size:
+        raise ValueError(f"need 1 <= d < {values.size} winsorized eigenvalues, got d={d}")
+    g = float(values[d - 1] - values[d])
+    contamination = perturbation_bound(values[d - 1], values[d], r, eps).components["bound1"]
+    dim = _dim_ratio(n, p)
+    sampling = math.inf if g <= 0.0 else min(
+        _monomial((r, r, lam1, 256.0, dim), (lamp, p, g)),
+        _monomial((lam1, sigma_sub, sigma_sub, 256.0, dim), (g,)))
+    return BoundReport(contamination + sampling,
+                       {"contamination": contamination, "sampling": sampling})
 
 
 def asymptotic_rate(
@@ -292,7 +291,7 @@ def covariance_deviation_bound(
 
     Returns ``eps * r^2 + 16 * sigma_r^2 * max(8 p / n, sqrt(8 p / n))``
     where ``sigma_r`` is the winsorized subgaussian parameter.  An r^2 that
-    overflows float64 raises ``ValueError``.
+    overflows float64 raises ``ValueError``; sigma_r^2 is never formed alone.
     """
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
@@ -302,8 +301,7 @@ def covariance_deviation_bound(
     n, p = _check_counts(n, p)
     if math.isinf(float(r) * float(r)):
         raise ValueError("the radius squared overflows float64")
-    q = 8.0 * p / n
-    return eps * r * r + 16.0 * sigma_r * sigma_r * max(q, math.sqrt(q))
+    return eps * r * r + 16.0 * _dim_ratio(n, 8 * p) * sigma_r * sigma_r
 
 
 def pca_breakdown_points(n: int, d: int) -> tuple[float, float]:
@@ -370,7 +368,8 @@ def perturbation_bound(
     ``bound1 = 2 r^2 eps / g`` holds whenever the winsorized sample eigengap
     g is positive; ``bound2 = r^2 eps / (g - 2 r^2 eps)`` is sharper but only
     valid when ``g > 4 r^2 eps``.  The report's value is the smallest
-    available bound.  An r^2 that overflows float64 raises ``ValueError``.
+    available bound.  An r^2 that overflows float64 raises ``ValueError``;
+    short of that, a bound is inf only where its exact value passes float64.
     """
     eps = _check_eps(eps)
     r = float(_check_radii(r))
@@ -381,9 +380,8 @@ def perturbation_bound(
     r2 = r * r
     if math.isinf(r2):
         raise ValueError("the radius squared overflows float64")
-    components: dict[str, float] = {}
-    bound1 = math.inf if g <= 0.0 else 2.0 * r2 * eps / g
-    components["bound1"] = bound1
-    if g > 4.0 * r2 * eps:
-        components["bound2"] = r2 * eps / (g - 2.0 * r2 * eps)
+    twice = r2 * (2.0 * eps)  # 2 r^2 eps: doubling eps < 1/2 is exact, and r^2 (2 eps) < r^2
+    components = {"bound1": math.inf if g <= 0.0 else twice / g}
+    if g > r2 * (4.0 * eps):
+        components["bound2"] = r2 * eps / (g - twice)
     return BoundReport(min(components.values()), components)

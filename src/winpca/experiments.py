@@ -72,12 +72,7 @@ def format_value(v) -> str:
         return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    x = float(v)
-    if math.isinf(x):
-        return "+inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
+    return "+inf" if float(v) == math.inf else format(float(v), ".17g")
 
 
 @dataclass

@@ -4,7 +4,10 @@ Test modules import this file by name (``from oracles import ...``); pytest
 puts this directory on ``sys.path`` because it holds no ``__init__.py``.
 """
 
+import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 
@@ -88,3 +91,62 @@ def traced_peak(fn):
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+# Exact values of the closed-form bounds, in rational arithmetic.  Each takes
+# the package's arguments and returns Fractions, with ``math.inf`` where the
+# eigengap is 0.  A square root is the floor of the exact root to 2**-128.
+
+def _sqrt(q: Fraction) -> Fraction:
+    scale = 2 ** 128
+    return Fraction(math.isqrt(q.numerator * q.denominator * scale * scale),
+                    q.denominator * scale)
+
+
+def _dim_ratio(n: int, p: int) -> Fraction:
+    q = Fraction(p, n)
+    return max(q, _sqrt(q))
+
+
+def perturbation_exact(gap, r, eps):
+    """``(bound1, bound2)`` of ``perturbation_bound(gap, 0, r, eps)``: 2 r^2 eps / g,
+    and r^2 eps / (g - 2 r^2 eps), which is None unless g > 4 r^2 eps."""
+    g, r2, e = Fraction(gap), Fraction(r) ** 2, Fraction(eps)
+    bound1 = 2 * r2 * e / g if g > 0 else math.inf
+    bound2 = r2 * e / (g - 2 * r2 * e) if g > 4 * r2 * e else None
+    return bound1, bound2
+
+
+def concentration_exact(lam1, lamp, values, r, d, eps, n, p, sigma_sub=math.inf):
+    """``(contamination, sampling)`` of ``concentration_bound``: 2 r^2 eps / g and
+    256 min(r^2 lam1 / (p lamp), lam1 sigma_sub^2) max(sqrt(p/n), p/n) / g, with
+    g = values[d-1] - values[d]; an infinite ``sigma_sub`` drops its branch."""
+    g = Fraction(values[d - 1]) - Fraction(values[d])
+    if g == 0:
+        return math.inf, math.inf
+    factor = Fraction(r) ** 2 * Fraction(lam1) / (Fraction(lamp) * p)
+    if math.isfinite(sigma_sub):
+        factor = min(factor, Fraction(lam1) * Fraction(sigma_sub) ** 2)
+    return perturbation_exact(g, r, eps)[0], 256 * factor * _dim_ratio(n, p) / g
+
+
+def deviation_exact(eps, r, sigma_r, n, p):
+    """``covariance_deviation_bound``: eps r^2 + 16 sigma_r^2 max(8p/n, sqrt(8p/n))."""
+    return (Fraction(eps) * Fraction(r) ** 2
+            + 16 * Fraction(sigma_r) ** 2 * _dim_ratio(n, 8 * p))
+
+
+def within_ulps(x: float, exact, ulps: int = 4) -> bool:
+    """``x`` lies within ``ulps`` units in the last place of ``exact``, or is
+    +inf exactly where ``exact`` is infinite or exceeds float64's max."""
+    if exact == math.inf or exact > Fraction(sys.float_info.max):
+        return x == math.inf
+    if not math.isfinite(x):
+        return False
+    return abs(Fraction(x) - exact) <= ulps * Fraction(math.ulp(float(exact)))
+
+
+def underflows(*exact) -> bool:
+    """Some exact intermediate lies strictly between 0 and float64's least
+    normal, where a float carries fewer than 53 significant bits."""
+    return any(0 < x < Fraction(sys.float_info.min) for x in exact)

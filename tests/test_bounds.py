@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from oracles import (
+    concentration_exact, deviation_exact, perturbation_exact, underflows, within_ulps)
 from winpca._kernels import winsorized_term_sums
 from winpca.bounds import _TERM_BLOCK_ENTRIES
 from winpca import (
@@ -29,6 +31,16 @@ from winpca import (
     winsorize_dataset,
     winsorized_second_moments,
     wpca_breakdown_lower_bounds,
+)
+
+
+# Zero, subnormal, normal and huge nonnegative floats, and radii whose
+# square lies near float64's max.
+_BOUND_FLOATS = st.one_of(
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(1e-300, 1e300),
+    st.floats(1e300, 1.7976931348623157e308),
+    st.floats(9e153, 1.3407807929942596e154),
 )
 
 
@@ -526,6 +538,20 @@ class TestCovarianceDeviationBound:
         with pytest.raises(ValueError, match="n and p must be positive"):
             covariance_deviation_bound(0.1, 1.0, 1.0, 0, 2)
 
+    # sigma_r^2 = 1e308 and 16 sigma_r^2 overflow; 8p/n = 1e-4 brings the
+    # term back to 1.6e307.
+    @settings(max_examples=300)
+    @given(eps=st.floats(0.0, 1.0), r=_BOUND_FLOATS, sigma_r=_BOUND_FLOATS,
+           n=st.integers(1, 2**64), p=st.integers(1, 2**64))
+    @example(eps=0.0, r=1.0, sigma_r=1e154, n=80000, p=1)
+    def test_matches_exact_value(self, eps, r, sigma_r, n, p):
+        assume(sigma_r > 0.0 and math.isfinite(r * r))
+        # Not where eps r or the sigma_r term is subnormal, with fewer bits.
+        assume(not underflows(Fraction(eps) * Fraction(r),
+                              deviation_exact(0.0, r, sigma_r, n, p)))
+        exact = deviation_exact(eps, r, sigma_r, n, p)
+        assert within_ulps(covariance_deviation_bound(eps, r, sigma_r, n, p), exact)
+
 
 class TestPcaBreakdown:
     def test_hand_values(self):
@@ -770,6 +796,29 @@ class TestPerturbationBound:
         with pytest.raises(ValueError, match="need finite lam_d_r"):
             perturbation_bound(lam_d_r, lam_d1_r, 1.0, 0.1)
 
+    # Gaps 5e-324 and 1.5e-323 are odd multiples of the least subnormal: a
+    # halved gap there rounds (to 0 for the first).
+    @settings(max_examples=500)
+    @given(gap=_BOUND_FLOATS, r=_BOUND_FLOATS, eps=st.floats(0.0, 0.5, exclude_max=True))
+    @example(gap=5e-324, r=1e-10, eps=0.1)
+    @example(gap=1.5e-323, r=1e-10, eps=0.1)
+    @example(gap=1.0, r=1.3e154, eps=0.4)
+    def test_keeps_the_bits_of_the_plain_formulas(self, gap, r, eps):
+        # The formulas as written, 2 r^2 eps / g and r^2 eps / (g - 2 r^2 eps)
+        # where g > 4 r^2 eps, give the same bits wherever they are finite.
+        r2 = r * r
+        assume(r > 0.0 and math.isfinite(r2))
+        rep = perturbation_bound(gap, 0.0, r, eps)
+        plain1 = math.inf if gap <= 0.0 else 2.0 * r2 * eps / gap
+        if math.isfinite(plain1):
+            assert rep.components["bound1"] == plain1
+        if math.isfinite(4.0 * r2 * eps) and gap > 4.0 * r2 * eps:
+            plain2 = r2 * eps / (gap - 2.0 * r2 * eps)
+            assert rep.components["bound2"] == plain2
+        elif math.isfinite(4.0 * r2 * eps):
+            assert "bound2" not in rep.components
+        assert rep.value == min(rep.components.values())
+
 
 class TestBoundReport:
     def test_clipped_caps_at_one(self):
@@ -867,3 +916,33 @@ class TestRadiusSquaredOverflow:
     def test_bounds_reject_infinite_square(self, name):
         with pytest.raises(ValueError, match="squared"):
             self.CALLS[name](self.R)
+
+    # r^2 past half of float64's max: 2 r^2 eps and 4 r^2 eps overflowed,
+    # and at eps = 0 gave nan, on the way to a finite bound.
+    @pytest.mark.parametrize("gap, r, eps", [
+        (1e300, 1.3e154, 0.1), (1e306, 1.2247e154, 0.001), (1.0, 1e154, 0.0)])
+    def test_perturbation_bounds_stay_finite(self, gap, r, eps):
+        rep = perturbation_bound(gap, 0.0, r, eps)
+        bound1, bound2 = perturbation_exact(gap, r, eps)
+        assert within_ulps(rep.components["bound1"], bound1)
+        assert ("bound2" in rep.components) == (bound2 is not None)
+        if bound2 is not None:
+            assert within_ulps(rep.components["bound2"], bound2)
+        assert rep.value == min(rep.components.values())
+
+    # The contamination term as above; 256 r^2 lam1 / (p lamp) overflowed
+    # (p = n = 100 and p = 10 n), and for the fifth r^2 lam1 / (p lamp) too.
+    # In the last, r^2 / g alone overflows, so dividing r^2 by g first fails.
+    @pytest.mark.parametrize("lam1, values, r, eps, n", [
+        (1.0, [0.75e300, 0.25e300], 1.3e154, 0.1, 100),
+        (1.0, [0.75e300, 0.25e300], 1e154, 0.0, 100),
+        (1e10, [0.75e300, 0.25e300], 1e150, 0.1, 100),
+        (1e10, [0.75e300, 0.25e300], 1e150, 0.1, 10),
+        (1e4, [0.75e308, 0.25e308], 1e154, 0.1, 100),
+        (1.0, [1e-10, 0.0], 2.2360679774997897e149, 0.0, 10**6),
+    ])
+    def test_concentration_terms_stay_finite(self, lam1, values, r, eps, n):
+        rep = concentration_bound(lam1, 1.0, values, r, 1, eps, n, 100)
+        exact = concentration_exact(lam1, 1.0, values, r, 1, eps, n, 100)
+        for name, want in zip(("contamination", "sampling"), exact):
+            assert within_ulps(rep.components[name], want), name

@@ -12,6 +12,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import concentration_exact, perturbation_exact, underflows, within_ulps
 from winpca import (
     PopulationModel,
     breakdown_lower_bounds_from_values,
@@ -36,6 +37,23 @@ _FUZZ_FLOATS = st.one_of(
     st.floats(1e-300, 1e300),
     st.floats(1e300, 1.7976931348623157e308),
 )
+
+
+# The fuzz alphabet of the bounds commands: the floats above, nan and inf.
+_CLI_FLOATS = st.one_of(_FUZZ_FLOATS, st.sampled_from([math.nan, math.inf]))
+
+
+def run_strict(argv):
+    """``main(argv)`` with warnings as errors: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().splitlines()[-1].startswith("error:")
+    return code, out.getvalue()
 
 
 def meta_of(text):
@@ -572,6 +590,58 @@ class TestBounds:
             assert total <= Fraction(r2) * Fraction(1.000001) + Fraction(1e-11)
         else:
             assert err.getvalue().splitlines()[-1].startswith("error:")
+
+    # Each printed bound is within 4 ulps of the exact value, and +inf exactly
+    # where that passes float64 or the gap is 0.  Not where an exact
+    # intermediate is subnormal: r^2 or r^2 eps rounded there to fewer bits.
+    @settings(max_examples=300)
+    @given(_CLI_FLOATS, _CLI_FLOATS, _CLI_FLOATS)
+    @example(1e300, 1.3e154, 0.1)
+    @example(1e306, 1.2247e154, 0.001)
+    @example(1.0, 1e154, 0.0)
+    @example(5e-324, 1e-10, 0.1)
+    @example(1.5e-323, 1e-10, 0.1)
+    def test_perturbation_fuzz(self, gap, r, eps):
+        code, out = run_strict(["bounds", "perturbation", "--gap", repr(gap),
+                                "--r", repr(r), "--eps", repr(eps)])
+        if code == 2 or underflows(Fraction(r) ** 2, Fraction(r) ** 2 * Fraction(eps)):
+            return
+        q = quantities_of(out)
+        bound1, bound2 = perturbation_exact(gap, r, eps)
+        assert within_ulps(float(q["bound1"]), bound1)
+        assert (q["bound2"] != "") == (bound2 is not None)
+        if bound2 is not None:
+            assert within_ulps(float(q["bound2"]), bound2)
+        assert float(q["min_bound"]) == min(float(q[k]) for k in ("bound1", "bound2") if q[k])
+
+    # As above; the sampling term is held to the exact value everywhere.
+    @settings(max_examples=300)
+    @given(_CLI_FLOATS, _CLI_FLOATS, st.lists(_CLI_FLOATS, min_size=1, max_size=4),
+           _CLI_FLOATS, st.integers(0, 4), _CLI_FLOATS,
+           st.one_of(st.integers(0, 1000), st.integers(1, 2**64)),
+           st.one_of(st.integers(0, 1000), st.integers(1, 2**64)),
+           st.none() | _CLI_FLOATS)
+    @example(1.0, 1.0, [0.75e300, 0.25e300], 1.3e154, 1, 0.1, 100, 100, None)
+    @example(1.0, 1.0, [0.75e300, 0.25e300], 1e154, 1, 0.0, 100, 100, None)
+    @example(1e10, 1.0, [0.75e300, 0.25e300], 1e150, 1, 0.1, 100, 100, None)
+    @example(1e10, 1.0, [0.75e300, 0.25e300], 1e150, 1, 0.1, 10, 100, None)
+    @example(1e4, 1.0, [0.75e308, 0.25e308], 1e154, 1, 0.1, 100, 100, None)
+    @example(1.0, 1.0, [0.75, 0.25], 1.0, 1, 0.1, 100, 100, 0.05)
+    def test_concentration_fuzz(self, lam1, lamp, weigs, r, d, eps, n, p, sigma):
+        argv = ["bounds", "concentration", "--lam1", repr(lam1), "--lamp", repr(lamp),
+                "--weigs", ",".join(map(repr, weigs)), "--r", repr(r), "--d", str(d),
+                "--eps", repr(eps), "--n", str(n), "--p", str(p)]
+        code, out = run_strict(argv + ([] if sigma is None else ["--sigma", repr(sigma)]))
+        if code == 2:
+            return
+        q = quantities_of(out)
+        contamination, sampling = concentration_exact(
+            lam1, lamp, sorted(weigs, reverse=True), r, d, eps, n, p,
+            math.inf if sigma is None else sigma)
+        assert within_ulps(float(q["sampling"]), sampling)
+        if not underflows(Fraction(r) ** 2, Fraction(r) ** 2 * Fraction(eps)):
+            assert within_ulps(float(q["contamination"]), contamination)
+        assert float(q["value"]) == float(q["contamination"]) + float(q["sampling"])
 
     def test_concentration_elliptical(self, capsys):
         code, out, _ = run_cli(
