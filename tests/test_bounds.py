@@ -569,6 +569,41 @@ class TestPcaBreakdown:
             pca_breakdown_points(10, 0)
 
 
+# Every count-taking bound reads its counts through one check: integers in
+# [1, 2**1020].  A count past float64 raised OverflowError from the first
+# float it formed (10**400), or went on as 0 in p/n.
+COUNT_CALLS = {
+    "asymptotic_rate(n)": lambda c: asymptotic_rate(0.0, 10, c, 0.1, False),
+    "asymptotic_rate(p)": lambda c: asymptotic_rate(0.0, c, 10, 0.1, False),
+    "concentration_bound(n)": lambda c: concentration_bound(
+        1.0, 1.0, [0.75, 0.25], 1.0, 1, 0.1, c, 100),
+    "concentration_bound(p)": lambda c: concentration_bound(
+        1.0, 1.0, [0.75, 0.25], 1.0, 1, 0.1, 100, c),
+    "covariance_deviation_bound(n)": lambda c: covariance_deviation_bound(0.1, 1.0, 1.0, c, 1),
+    "covariance_deviation_bound(p)": lambda c: covariance_deviation_bound(0.1, 1.0, 1.0, 1, c),
+    "pca_breakdown_points(d)": lambda c: pca_breakdown_points(1, c),
+    "pca_breakdown_points(n)": lambda c: pca_breakdown_points(c, 1),
+    "subgaussian_param_winsorized(p)": lambda c: subgaussian_param_winsorized(
+        1.0, 1.0, c, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("count", [2**1020 + 1, 10**400], ids=["2**1020+1", "10**400"])
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_count_past_the_cap_raises(name, count):
+    with pytest.raises(ValueError, match=r"must be positive integers float64 holds"):
+        COUNT_CALLS[name](count)
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_count_at_the_cap_returns(name):
+    # 8p/n = 2**1023 at the cap; covariance_deviation_bound's 16 * 2**1023
+    # passes float64 and reads inf, as a quotient past float64 may.
+    out = COUNT_CALLS[name](2**1020)
+    values = out.components.values() if isinstance(out, BoundReport) else np.ravel(out)
+    assert all(v >= 0.0 for v in values)
+
+
 def _bounds_loop(values, r2, d):
     """Per-row reference for breakdown_lower_bounds_from_values."""
     p = len(values)

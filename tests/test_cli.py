@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import concentration_exact, perturbation_exact, underflows, within_ulps
 from winpca import (
     PopulationModel,
+    asymptotic_rate,
     breakdown_lower_bounds_from_values,
     cli,
     experiments,
@@ -627,6 +628,7 @@ class TestBounds:
     @example(1e10, 1.0, [0.75e300, 0.25e300], 1e150, 1, 0.1, 10, 100, None)
     @example(1e4, 1.0, [0.75e308, 0.25e308], 1e154, 1, 0.1, 100, 100, None)
     @example(1.0, 1.0, [0.75, 0.25], 1.0, 1, 0.1, 100, 100, 0.05)
+    @example(1.0, 1.0, [0.75, 0.25], 1.0, 1, 0.1, 100, 10**400, None)
     def test_concentration_fuzz(self, lam1, lamp, weigs, r, d, eps, n, p, sigma):
         argv = ["bounds", "concentration", "--lam1", repr(lam1), "--lamp", repr(lamp),
                 "--weigs", ",".join(map(repr, weigs)), "--r", repr(r), "--d", str(d),
@@ -713,6 +715,27 @@ class TestBounds:
         q = quantities_of(out)
         assert float(q["contamination_term"]) == pytest.approx(100.0)
         assert float(q["sampling_term"]) == pytest.approx(0.1)
+
+    # Exponents of every size and sign, nan and inf; counts that are not
+    # positive or that pass float64; eps inside and outside [0, 1/2).  A run
+    # that exits 0 prints the library's two terms, finite and nonnegative.
+    @settings(max_examples=200)
+    @given(st.floats(),
+           *[st.one_of(st.integers(-3, 1000), st.integers(1, 2**64),
+                       st.sampled_from([2**64, 2**1020, 2**1020 + 1, 10**400]))] * 2,
+           st.one_of(st.floats(0.0, 0.5, exclude_max=True), st.floats()), st.booleans())
+    @example(200.0, 10, 100, 0.0, False)
+    @example(1e308, 10, 100, 0.1, True)
+    @example(0.5, 10**400, 100, 0.1, False)
+    def test_rate_fuzz(self, beta, p, n, eps, subgaussian):
+        argv = ["bounds", "rate", f"--beta={beta!r}", f"--p={p}", f"--n={n}", f"--eps={eps!r}"]
+        code, out = run_strict(argv + ["--subgaussian"] * subgaussian)
+        if code == 2:
+            return
+        q = quantities_of(out)
+        printed = float(q["contamination_term"]), float(q["sampling_term"])
+        assert printed == asymptotic_rate(beta, p, n, eps, subgaussian)
+        assert all(math.isfinite(t) and t >= 0.0 for t in printed)
 
 # Exact stdout of each ``bounds`` subcommand: metadata keys in flag order,
 # an unset optional flag echoed as ``none`` and a switch as ``true``/``false``.
@@ -1047,6 +1070,100 @@ class TestOutputRouting:
             os.umask(old)
         assert code == 0
         assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
+# Cells the fit and angles fuzz puts in place of numbers: subnormal, huge,
+# non-finite and unparsable cells, quoted ones, comments and blanks.
+_ODD_CELLS = ["5e-324", "1e308", "-1.7976931348623157e308", "1e400", "nan", "inf", "-inf",
+              '"2"', '"1,2"', '"x"', "#", "# 1", "", " ", "x", "0x1p3", "1_0"]
+
+
+@st.composite
+def _csv_text(draw, n, p):
+    """An n x p CSV of floats in [-1000, 1000] with up to three odd cells,
+    maybe a ragged row, a header, a BOM and CRLF line ends."""
+    rows = [[repr(draw(st.floats(-1e3, 1e3))) for _ in range(p)] for _ in range(n)]
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2, 3]))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, p - 1))] = \
+            draw(st.sampled_from(_ODD_CELLS))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        rows[draw(st.integers(0, n - 1))].append("1")
+    if draw(st.booleans()):
+        rows.insert(0, [f"x{j}" for j in range(p)])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + end.join(map(",".join, rows)) + end
+
+
+_SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 4))
+_RADII = st.one_of(
+    st.sampled_from(["none", "spherical", "median", "fixed:", "power:", "fixed:x", "mean"]),
+    st.floats().map(lambda r: f"fixed:{r!r}"), st.floats().map(lambda b: f"power:{b!r}"))
+# Where --out points: stdout, a plain file, a file in new nested directories,
+# an existing directory, and "".
+_OUTS = st.sampled_from(["stdout", "plain", "nested", "directory", "empty"])
+
+
+class TestFitAndAnglesFuzz:
+    """``fit`` and ``angles`` on fuzzed CSV bytes and flags, through ``main``
+    with warnings as errors: exit 0 or 2, an ``error:`` line on 2 and nothing
+    left behind; on 0, the output reads back through ``read_matrix_csv`` to
+    the values printed."""
+
+    @staticmethod
+    def _run(tmp_path_factory, texts, argv, out_kind):
+        work = tmp_path_factory.mktemp("fuzz")
+        paths = []
+        for name, text in zip(("a.csv", "b.csv"), texts):
+            (work / name).write_text(text, encoding="utf-8", newline="")
+            paths.append(str(work / name))
+        (work / "existing").mkdir()
+        target = {"plain": work / "out.csv", "nested": work / "new" / "deeper" / "out.csv",
+                  "directory": work / "existing", "empty": ""}.get(out_kind)
+        out_args = [] if target is None else ["--out", str(target)]
+        before = sorted(work.rglob("*"))
+        code, printed = run_strict([argv[0], *paths, *argv[1:], *out_args])
+        after = sorted(work.rglob("*"))
+        if code == 2:
+            assert after == before
+            return None
+        if target is not None:
+            assert printed == ""
+            printed = target.read_text(encoding="utf-8")
+            made = set(after) - set(before)  # the file and the directories it needed
+            assert target in made and made <= {target, *target.parents}
+        back = work / "back.csv"
+        back.write_text(printed, encoding="utf-8", newline="")
+        body = [line.split(",") for line in printed.splitlines() if not line.startswith("#")]
+        values = np.array(body[1:], dtype=np.float64)
+        assert np.array_equal(read_matrix_csv(str(back)), values)
+        return meta_of(printed), values
+
+    @settings(max_examples=120)
+    @given(_SHAPES.flatmap(lambda s: _csv_text(*s)), st.sampled_from([1, 1, 2, 0, 3]), _RADII,
+           st.booleans(), _OUTS)
+    @example("1,0\n0,1\ninf,2\n", 1, "median", True, "stdout")
+    @example("1e308,1\n1.7e308,2\n", 1, "median", True, "stdout")
+    @example("1,0\n0,1\n", 1, "median", False, "empty")
+    @example("1,0\n0,1\n", 1, "median", False, "directory")
+    @example("1,0\n0,1\n", 1, "median", False, "nested")
+    def test_fit(self, tmp_path_factory, text, d, radius, center, out_kind):
+        argv = ["fit", f"--d={d}", f"--radius={radius}"] + ["--center"] * center
+        result = self._run(tmp_path_factory, [text], argv, out_kind)
+        if result is not None:
+            meta, basis = result
+            assert basis.shape == (int(meta["p"]), d)
+
+    @settings(max_examples=120)
+    @given(_SHAPES.flatmap(lambda s: st.tuples(_csv_text(*s), _csv_text(*s))), _OUTS)
+    @example(("1e200,0\n0,1\n", "1,0\n0,1\n"), "stdout")
+    @example(("1e-200,0\n0,1\n", "1,0\n0,1\n"), "plain")
+    @example(("1\n0\n", "1\n0\n"), "nested")
+    def test_angles(self, tmp_path_factory, texts, out_kind):
+        result = self._run(tmp_path_factory, texts, ["angles"], out_kind)
+        if result is not None:
+            angles = result[1]
+            assert np.array_equal(angles[:, 0], np.arange(1, len(angles) + 1))
+            assert np.all((0.0 <= angles[:, 1]) & (angles[:, 1] <= math.pi / 2))
 
 
 def _lines_before(text, header):
