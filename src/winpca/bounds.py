@@ -172,11 +172,14 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def _check_counts(n: int, p: int) -> tuple[int, int]:
-    n, p = int(n), int(p)
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be positive")
-    return n, p
+def _check_counts(**counts: int) -> tuple[int, ...]:
+    """The named counts as ints, in order; each must lie in [1, 2**1020], so
+    that 8p/n, the largest float a bound forms from counts, stays finite."""
+    values = tuple(map(int, counts.values()))
+    if not all(1 <= c <= 2**1020 for c in values):
+        raise ValueError(" and ".join(counts) + " must be positive integers float64 holds (need "
+                         + " and ".join(f"{k} >= 1" for k in counts) + ", each at most 2**1020)")
+    return values
 
 
 def _dim_ratio(n: int, p: int) -> float:
@@ -219,7 +222,7 @@ def concentration_bound(
     check_winsorized_spectra(values[None], [r])
     if not sigma_sub > 0:
         raise ValueError(f"sigma_sub must be positive (inf if elliptical), got {sigma_sub}")
-    n, p = _check_counts(n, p)
+    n, p = _check_counts(n=n, p=p)
     lam1, lamp = _check_extreme_eigs(lam1, lamp)
     d = int(d)
     if not 1 <= d < values.size:
@@ -246,7 +249,7 @@ def asymptotic_rate(
     are unknown.  An exponent for which ``p**(1 + 2 max(beta, 0))``
     overflows float64 raises ``ValueError``.
     """
-    n, p = _check_counts(n, p)
+    n, p = _check_counts(n=n, p=p)
     eps = _check_eps(eps)
     if not math.isfinite(beta):
         raise ValueError(f"power-law exponent must be finite, got {beta}")
@@ -271,17 +274,14 @@ def subgaussian_param_winsorized(
 
     Equals ``min(sqrt(lam1) * sigma_sub, r * sqrt(lam1 / (lamp * p)))``;
     with an infinite ``sigma_sub`` only the radius branch applies.  With r
-    out of the root, and lamp p formed only for lamp < 1, no step overflows.
+    out of the root, and ``_monomial`` forming lam1 / (lamp p), no step overflows.
     """
     lam1, lamp = _check_extreme_eigs(lam1, lamp)
-    p = int(p)
-    if p < 1:
-        raise ValueError("need p >= 1")
+    (p,) = _check_counts(p=p)
     r = float(_check_radii(r))
     if not sigma_sub > 0:
         raise ValueError(f"sigma_sub must be positive (inf if elliptical), got {sigma_sub}")
-    ratio = lam1 / lamp / p if lamp >= 1.0 else lam1 / (lamp * p)  # no step overflows
-    return min(math.sqrt(lam1) * sigma_sub, r * math.sqrt(ratio))
+    return min(math.sqrt(lam1) * sigma_sub, r * math.sqrt(_monomial((lam1,), (lamp, p))))
 
 
 def covariance_deviation_bound(
@@ -298,17 +298,16 @@ def covariance_deviation_bound(
         raise ValueError(f"contamination fraction must lie in [0, 1], got {eps}")
     if not (math.isfinite(r) and r >= 0 and sigma_r > 0):
         raise ValueError("need a finite r >= 0 and sigma_r > 0")
-    n, p = _check_counts(n, p)
+    n, p = _check_counts(n=n, p=p)
     if math.isinf(float(r) * float(r)):
         raise ValueError("the radius squared overflows float64")
     return eps * r * r + 16.0 * _dim_ratio(n, 8 * p) * sigma_r * sigma_r
 
 
 def pca_breakdown_points(n: int, d: int) -> tuple[float, float]:
-    """Weak and strong breakdown points of the classical PC subspace: (1/n, d/n)."""
-    n, d = int(n), int(d)
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+    """Weak and strong breakdown points of the classical PC subspace: (1/n, d/n).
+    A count outside [1, 2**1020] raises ``ValueError``, as in every bound here."""
+    n, d = _check_counts(n=n, d=d)
     return 1.0 / n, d / n
 
 
